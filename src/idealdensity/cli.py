@@ -140,7 +140,7 @@ def cmd_density(args) -> int:
     with open(args.aset) as fh:
         family = parse_family(json.load(fh), K)
     X = args.max_norm
-    members = family.members_up_to(min(X, family.truncation))
+    members = family.members_up_to(X)
     if not members:
         rows = [(x, 0, 0, 0.0, 0.0)
                 for x in _sample_points(X, args.samples)]

@@ -2,105 +2,159 @@
 
 Implements the exact inclusion-exclusion density for finite families, the
 limit sequence A_r, the multiplicative densities B_k over prime-ideal
-prefixes, exact sieve counts of multiples, and empirical natural and
+prefixes, exact finite-X counts of multiples, and empirical natural and
 logarithmic density profiles.
+
+Counting at a norm bound X works on per-norm arrays.  Over Q the array is
+indexed by the ideals themselves, and each member's multiples are marked
+by strided writes.  Over quadratic fields the multiples of an ideal of
+norm m are counted by h shifted by m, so inclusion-exclusion over the lcms
+of explicit and prime-power families gives exact per-norm counts without
+touching individual ideals.  Only norm-interval families over quadratic
+fields and bare predicates enumerate the ideals one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DuplicateMembers, TooLarge
-from .families import AFamily, ExplicitFamily, PrimePowerFamily, minimal_members
-from .fields import NumberField, first_prime_ideals, primes_up_to_norm
-from .ideals import Ideal, make_ideal
+from .families import (
+    AFamily,
+    ExplicitFamily,
+    NormIntervalFamily,
+    PrimePowerFamily,
+    minimal_members,  # noqa: F401  (bench/spans.py traces this binding)
+)
+from .fields import NumberField, first_prime_ideals
+from .ideals import Ideal, count_ideals, divides, enumerate_ideals, make_ideal
 from .zeta import EulerProductState, partial_euler_product
 
 #: Largest family block handled by exact inclusion-exclusion (2^cap subsets).
 SUBSET_CAP = 20
 
 
-def _member_list(A: AFamily | Sequence[Ideal], bound: int | None = None) -> list[Ideal]:
-    if isinstance(A, AFamily):
-        return A.members_up_to(bound if bound is not None else A.truncation)
-    return list(A)
+def _ie_terms(members: Sequence[Ideal],
+              X: int | None = None) -> list[tuple[int, int]]:
+    """Signed lcm terms whose multiples add up to the multiples of ``members``.
+
+    Returns pairs (N(l), c) in nondecreasing norm order, with
+    [b in M_A] = sum of c * [l | b] over the lcm terms l.  Members are added in
+    norm order, and each new member a adds +a and -c * lcm(l, a) for every
+    term (l, c) so far, into one dict keyed by the lcm's factorization.
+    Non-minimal members (and everything after the unit ideal) cancel out
+    by themselves.  Terms whose coefficient reaches 0 are dropped, and with
+    a bound X so are lcms of norm above X.
+    """
+    # Terms are bucketed by the bit length of their norm: lcm(l, a) has
+    # norm at least N(l) times the norm of a's part off the support so
+    # far, so with a bound only the buckets below that limit are scanned.
+    buckets: list[dict[frozenset, list]] = []   # lcm factors -> [N, exps, c]
+    support: set = set()
+    for a in sorted(members, key=Ideal.sort_key):
+        if X is not None and a.norm > X:
+            break
+        exps_a = dict(a.factors)
+        scan = buckets
+        if X is not None:
+            fresh = 1
+            for pr, e in a.factors:
+                if pr not in support:
+                    fresh *= pr.norm ** e
+            scan = buckets[:(X // fresh).bit_length() + 1]
+        updates = [(a.norm, exps_a, 1)]
+        for bucket in scan:
+            for n, exps, c in bucket.values():
+                lcm = dict(exps)
+                for pr, e in a.factors:
+                    old = lcm.get(pr, 0)
+                    if e > old:
+                        lcm[pr] = e
+                        n *= pr.norm ** (e - old)
+                if X is None or n <= X:
+                    updates.append((n, lcm, -c))
+        for n, exps, c in updates:
+            while len(buckets) <= n.bit_length():
+                buckets.append({})
+            bucket = buckets[n.bit_length()]
+            key = frozenset(exps.items())
+            term = bucket.setdefault(key, [n, exps, 0])
+            term[2] += c
+            if not term[2]:
+                del bucket[key]
+        support.update(exps_a)
+    return sorted((n, c) for bucket in buckets for n, _, c in bucket.values())
 
 
-def _ie_over_block(members: list[Ideal]) -> Fraction:
-    # Alternating sum over all nonempty subsets, intersections built
-    # incrementally as exponent dictionaries.
-    total = Fraction(0)
-
-    def rec(start: int, exps: dict, norm: int, sign: int) -> None:
-        nonlocal total
-        for j in range(start, len(members)):
-            new_exps = dict(exps)
-            new_norm = norm
-            for pr, e in members[j].factors:
-                old = new_exps.get(pr, 0)
-                if e > old:
-                    new_exps[pr] = e
-                    new_norm *= pr.norm ** (e - old)
-            total += Fraction(sign, new_norm)
-            rec(j + 1, new_exps, new_norm, -sign)
-
-    rec(0, {}, 1, 1)
-    return total
+def _union_density(members: Sequence[Ideal]) -> Fraction:
+    """Exact density of the multiples of a finite list of ideals."""
+    return sum((Fraction(c, n) for n, c in _ie_terms(members)), Fraction(0))
 
 
-def _coprime_blocks(members: list[Ideal]) -> list[list[Ideal]]:
-    # Union-find over shared prime support; independent blocks contribute
-    # independently to the density of the union.
-    parent = list(range(len(members)))
+def _grow_blocks(members: Sequence[Ideal], subset_cap: int):
+    """Group members, in norm order, into coprime blocks of minimal members.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_prime: dict = {}
-    for i, m in enumerate(members):
-        for pr, _ in m.factors:
-            if pr in by_prime:
-                parent[find(i)] = find(by_prime[pr])
-            else:
-                by_prime[pr] = i
-    blocks: dict[int, list[Ideal]] = {}
-    for i, m in enumerate(members):
-        blocks.setdefault(find(i), []).append(m)
-    return list(blocks.values())
+    Blocks of members with disjoint prime support contribute independently
+    to the density of M_A.  After each member this yields the blocks it
+    merged and the block they became, or ``((), None)`` when an earlier
+    member divides it and M_A is unchanged.  A later member divides an
+    earlier one only if they are equal, so blocks only grow.  Raises
+    ``DuplicateMembers`` and ``TooLarge`` at the first prefix that has them.
+    """
+    seen: set[Ideal] = set()
+    block_of: dict = {}         # prime ideal -> block holding it
+    after_unit = False
+    for a in members:
+        if a in seen:
+            raise DuplicateMembers("family has repeated members")
+        seen.add(a)
+        touched = tuple({block_of[pr] for pr, _ in a.factors
+                         if pr in block_of})
+        joined = tuple(m for block in touched for m in block)
+        # A kept member dividing a shares its primes, unless it is the unit.
+        if after_unit or any(divides(m, a) for m in joined):
+            yield (), None
+            continue
+        block = joined + (a,)
+        if len(block) > subset_cap:
+            raise TooLarge(
+                f"{len(block)} mutually entangled members exceed the "
+                f"inclusion-exclusion cap {subset_cap}")
+        for pr, _ in a.factors:
+            block_of[pr] = block
+        for m in joined:
+            for pr, _ in m.factors:
+                block_of[pr] = block
+        after_unit = a.is_unit
+        yield touched, block
 
 
 def finite_ie_density(A: AFamily | Sequence[Ideal],
                       subset_cap: int = SUBSET_CAP) -> Fraction:
     """Exact density of M_A for a finite family, by inclusion-exclusion.
 
-    Members that are multiples of other members are dropped first (M_A is
+    Members that are multiples of other members are dropped (M_A is
     unchanged), and members with pairwise disjoint prime support are
     factored into independent blocks, so the subset cap applies per block
     of mutually entangled members.
     """
-    members = _member_list(A)
+    members = (A.members_up_to(A.truncation) if isinstance(A, AFamily)
+               else list(A))
     if len(set(members)) != len(members):
         raise DuplicateMembers("family has repeated members")
-    members = minimal_members(members)
-    if not members:
-        return Fraction(0)
-    if any(m.is_unit for m in members):
-        return Fraction(1)
+    blocks: set = set()
+    for merged, block in _grow_blocks(sorted(members, key=Ideal.sort_key),
+                                      subset_cap):
+        if block is not None:
+            blocks.difference_update(merged)
+            blocks.add(block)
     miss = Fraction(1)          # density of the complement V_A
-    for block in _coprime_blocks(members):
-        if len(block) > subset_cap:
-            raise TooLarge(
-                f"{len(block)} mutually entangled members exceed the "
-                f"inclusion-exclusion cap {subset_cap}")
-        miss *= 1 - _ie_over_block(block)
+    for block in blocks:
+        miss *= 1 - _union_density(block)
     return 1 - miss
 
 
@@ -109,7 +163,10 @@ def a_limit(A: AFamily | Sequence[Ideal], r_max: int,
     """The sequence A_r = dens(M_{a_1..a_r}), r = 1..r_max.
 
     Members are taken in nondecreasing norm order; the sequence is
-    nondecreasing with upper bound 1.
+    nondecreasing with upper bound 1.  Only the coprime block the new
+    member joins is recomputed, and A_r comes from the running product of
+    the blocks' complement densities.  Errors are raised at the same
+    prefix as ``finite_ie_density`` of that prefix would raise them.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -121,147 +178,72 @@ def a_limit(A: AFamily | Sequence[Ideal], r_max: int,
             members = A.members_up_to(min(bound, A.truncation))
     else:
         members = sorted(A, key=Ideal.sort_key)
-    members = members[:r_max]
-    return [finite_ie_density(members[:r], subset_cap=subset_cap)
-            for r in range(1, len(members) + 1)]
-
-
-# ---------------------------------------------------------------------------
-# Enumeration tables for quadratic fields
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _IdealTable:
-    """All ideals of norm <= X with a stable order and an index by key.
-
-    Keys are tuples of (prime position in the global numbering, exponent);
-    ideals are sorted by (norm, key).
-    """
-
-    field: NumberField
-    X: int
-    primes: tuple
-    prime_pos: dict
-    keys: list
-    norms: np.ndarray
-    index: dict
-
-
-@lru_cache(maxsize=4)
-def _ideal_table(K: NumberField, X: int) -> _IdealTable:
-    primes = primes_up_to_norm(K, X)
-    prime_pos = {pr: i for i, pr in enumerate(primes)}
-    qs = [pr.norm for pr in primes]
-    n_primes = len(qs)
-    entries: list[tuple[int, tuple]] = []
-    stack: list[tuple[int, int]] = []
-
-    def rec(start: int, n: int) -> None:
-        entries.append((n, tuple(stack)))
-        for j in range(start, n_primes):
-            m = n * qs[j]
-            if m > X:
-                break
-            e = 1
-            while m <= X:
-                stack.append((j, e))
-                rec(j + 1, m)
-                stack.pop()
-                m *= qs[j]
-                e += 1
-
-    rec(0, 1)
-    entries.sort()
-    keys = [key for _, key in entries]
-    norms = np.array([n for n, _ in entries], dtype=np.int64)
-    index = {key: i for i, key in enumerate(keys)}
-    return _IdealTable(field=K, X=X, primes=primes, prime_pos=prime_pos,
-                       keys=keys, norms=norms, index=index)
-
-
-def _table_key(table: _IdealTable, ideal: Ideal) -> tuple:
-    return tuple((table.prime_pos[pr], e) for pr, e in ideal.factors)
-
-
-def _ideal_from_key(table: _IdealTable, key: tuple) -> Ideal:
-    return make_ideal(table.field, [(table.primes[j], e) for j, e in key])
-
-
-def _merge_product(key_a: tuple, key_c: tuple) -> tuple:
-    # Factorization of the product: exponents add; both keys are sorted by
-    # prime position.
+    factor_of: dict = {}        # block -> density of its complement
+    miss = Fraction(1)          # density of the complement V_A
     out = []
-    i = j = 0
-    while i < len(key_a) and j < len(key_c):
-        pa, ea = key_a[i]
-        pc, ec = key_c[j]
-        if pa == pc:
-            out.append((pa, ea + ec))
-            i += 1
-            j += 1
-        elif pa < pc:
-            out.append(key_a[i])
-            i += 1
-        else:
-            out.append(key_c[j])
-            j += 1
-    out.extend(key_a[i:])
-    out.extend(key_c[j:])
-    return tuple(out)
+    for merged, block in _grow_blocks(members[:r_max], subset_cap):
+        if block is not None:
+            for old in merged:
+                miss /= factor_of.pop(old)
+            factor_of[block] = 1 - _union_density(block)
+            miss *= factor_of[block]
+        out.append(1 - miss)
+    return out
 
 
-def _multiples_mask(K: NumberField, X: int, members: list[Ideal]) -> np.ndarray:
-    """Boolean membership mask for M_A over the norm-ordered ideal table.
+# ---------------------------------------------------------------------------
+# Counting at a norm bound
+# ---------------------------------------------------------------------------
 
-    For Q the table is just 1..X and multiples are marked by strided
-    writes; for quadratic fields every multiple a*c is marked through the
-    key index of the enumeration table.
+def _norm_counts(subject: AFamily | Callable[[Ideal], bool], K: NumberField,
+                 X: int, h: np.ndarray) -> np.ndarray:
+    """c[n] = number of ideals of norm n <= X in the counted set.
+
+    ``h`` holds the per-norm ideal counts of K up to X.  Over Q the array
+    is indexed by the ideals themselves, so the multiples of each member
+    are marked by strided writes.  Over quadratic fields explicit and
+    prime-power families add each lcm term's shifted counts, and anything
+    else is tested ideal by ideal.
     """
-    if K.is_rational:
-        mask = np.zeros(X, dtype=bool)       # position i <-> ideal (i+1)
-        for a in members:
-            n = a.norm
-            if n <= X:
-                mask[n - 1:: n] = True
-        return mask
-    table = _ideal_table(K, X)
-    mask = np.zeros(len(table.keys), dtype=bool)
-    keys = table.keys
-    index = table.index
-    for a in members:
-        if a.norm > X:
-            continue
-        key_a = _table_key(table, a)
-        limit = X // a.norm
-        stop = int(np.searchsorted(table.norms, limit, side="right"))
-        for i in range(stop):
-            mask[index[_merge_product(key_a, keys[i])]] = True
-    return mask
+    c = np.zeros(X + 1, dtype=np.int64)
+    if isinstance(subject, AFamily) and K.is_rational:
+        if isinstance(subject, NormIntervalFamily):
+            norms = (n for lo, hi in subject.intervals
+                     for n in range(lo + 1, min(hi, X) + 1))
+        else:
+            norms = (a.norm for a in subject.members_up_to(X))
+        for n in norms:
+            if not c[n]:            # else its multiples are marked already
+                c[n::n] = 1
+    elif isinstance(subject, (ExplicitFamily, PrimePowerFamily)):
+        for n, g in _ie_terms(subject.members_up_to(X), X):
+            c[n::n] += g * h[1:X // n + 1]
+    else:
+        pred = subject.is_multiple if isinstance(subject, AFamily) else subject
+        for b in enumerate_ideals(K, X):
+            if pred(b):
+                c[b.norm] += 1
+    return c
 
 
 def sieve_multiples_density(A: AFamily | Sequence[Ideal], X: int,
                             K: NumberField | None = None) -> Fraction:
     """Exact share of ideals of norm <= X that are multiples of the family.
 
-    Counts by marking every multiple during an enumeration pass; the
-    result is the exact rational count / H(X).
+    Counts every member of norm <= X on the same per-norm array as
+    ``density_profile``.  The result is the exact rational count / H(X).
     """
     if X < 1:
         raise ValueError("X must be >= 1")
-    members = _member_list(A, bound=X)
-    members = minimal_members(members)
-    if K is None:
-        if isinstance(A, AFamily):
-            K = A.field
-        elif members:
-            K = members[0].field
-        else:
+    if not isinstance(A, AFamily):
+        if K is None and not A:
             raise ValueError("empty member list needs an explicit field")
-    if not members:
-        return Fraction(0)
-    mask = _multiples_mask(K, X, members)
-    total = len(mask)
-    return Fraction(int(mask.sum()), total)
+        A = ExplicitFamily(field=K if K is not None else A[0].field,
+                           members=tuple(A))
+    K = A.field if K is None else K
+    counter = count_ideals(K, X)
+    count = int(_norm_counts(A, K, X, counter.h).sum())
+    return Fraction(count, int(counter.H[X]))
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +273,18 @@ def restrict_family(A: AFamily, k: int) -> ExplicitFamily:
 
 @dataclass(frozen=True)
 class MultDensityState:
-    """B_k = dens(M_{A'}) for the restriction A' to the first k primes."""
+    """B_k = dens(M_{A'}) for the restriction A' to the first k primes.
+
+    ``method`` is "inclusion-exclusion" when B_k is exact, or "sieve" when
+    the restriction defeated it and B_k is the finite-X sieve ratio at the
+    family's truncation bound.
+    """
 
     k: int
     euler_product: EulerProductState
     b_k: Fraction
     restricted_members: tuple[Ideal, ...]
+    method: str
 
 
 def multiplicative_density(A: AFamily, k: int,
@@ -304,16 +292,20 @@ def multiplicative_density(A: AFamily, k: int,
     """Multiplicative density step B_k, computed as dens(M_{A'}).
 
     Falls back to the sieve count (at the family truncation bound) if the
-    restricted family defeats exact inclusion-exclusion.
+    restricted family defeats exact inclusion-exclusion, and says so in
+    the state's ``method``.
     """
     restricted = restrict_family(A, k)
     try:
         b_k = finite_ie_density(restricted, subset_cap=subset_cap)
+        method = "inclusion-exclusion"
     except TooLarge:
         b_k = sieve_multiples_density(restricted, X=A.truncation)
+        method = "sieve"
     pi_k = partial_euler_product(A.field, k=k)
     return MultDensityState(k=k, euler_product=pi_k, b_k=b_k,
-                            restricted_members=restricted.members)
+                            restricted_members=restricted.members,
+                            method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +373,27 @@ def _sample_points(X: int, n_samples: int) -> np.ndarray:
     return xs
 
 
+def _log_sums(weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Sum of weights[n] / n over n <= x at each x in xs.
+
+    Added in ascending norm order, so 0/1 weights give the same floats as
+    adding 1/n over the members one by one.
+    """
+    buf = np.arange(len(weights), dtype=np.float64)
+    np.divide(weights[1:], buf[1:], out=buf[1:])
+    buf[0] = 0.0
+    return np.cumsum(buf, out=buf)[xs]
+
+
 def density_profile(subject: AFamily | Callable[[Ideal], bool],
                     K: NumberField | None = None, X: int = 10**4,
                     n_samples: int = 24) -> DensityReport:
     """Single-pass natural and logarithmic density profile up to norm X.
 
-    ``subject`` is either a family (profiling M_A) or an arbitrary
-    membership predicate on ideals.  Counts are exact integers; harmonic
-    sums are accumulated in floating point.
+    ``subject`` is either a family (profiling M_A, from every member of
+    norm <= X) or an arbitrary membership predicate on ideals.  Counts are
+    exact integers from per-norm arrays; harmonic sums are accumulated in
+    floating point.
     """
     if X < 100:
         raise ValueError("X must be >= 100")
@@ -399,38 +404,16 @@ def density_profile(subject: AFamily | Callable[[Ideal], bool],
     elif K is None:
         raise ValueError("a field is required with a bare predicate")
 
-    if isinstance(subject, AFamily):
-        members = minimal_members(subject.members_up_to(
-            min(X, subject.truncation)))
-        mask = _multiples_mask(K, X, members)
-        if K.is_rational:
-            norms = np.arange(1, X + 1, dtype=np.int64)
-        else:
-            norms = _ideal_table(K, X).norms
-    elif K.is_rational:
-        from .ideals import integer_ideal
-        norms = np.arange(1, X + 1, dtype=np.int64)
-        mask = np.fromiter((subject(integer_ideal(K, int(n))) for n in norms),
-                           dtype=bool, count=len(norms))
-    else:
-        table = _ideal_table(K, X)
-        norms = table.norms
-        mask = np.fromiter(
-            (subject(_ideal_from_key(table, key)) for key in table.keys),
-            dtype=bool, count=len(table.keys))
-
-    inv = 1.0 / norms
-    cum_members = np.cumsum(mask)
-    cum_total = np.arange(1, len(norms) + 1)
-    cum_log_num = np.cumsum(np.where(mask, inv, 0.0))
-    cum_log_den = np.cumsum(inv)
-
+    counter = count_ideals(K, X)
+    counts = _norm_counts(subject, K, X, counter.h)
     xs = _sample_points(X, n_samples)
-    pos = np.searchsorted(norms, xs, side="right") - 1
-    member_counts = tuple(int(cum_members[i]) for i in pos)
-    total_counts = tuple(int(cum_total[i]) for i in pos)
+    log_num = _log_sums(counts, xs)
+    log_den = _log_sums(counter.h, xs)
+    np.cumsum(counts, out=counts)
+    member_counts = tuple(int(counts[x]) for x in xs)
+    total_counts = tuple(int(counter.H[x]) for x in xs)
     natural = tuple(Fraction(m, t) for m, t in zip(member_counts, total_counts))
-    log_ratios = tuple(float(cum_log_num[i] / cum_log_den[i]) for i in pos)
+    log_ratios = tuple(float(n / d) for n, d in zip(log_num, log_den))
     return DensityReport(field=K, X=X, sample_points=tuple(int(x) for x in xs),
                          member_counts=member_counts, total_counts=total_counts,
                          natural_ratios=natural, log_ratios=log_ratios)

@@ -20,6 +20,7 @@ from idealdensity import experiments as ex
 from idealdensity.ideals import (
     enumeration_norm_counts,
     gaussian_lattice_counts,
+    gaussian_lattice_H,
 )
 
 from conftest import int_family, random_explicit_family
@@ -96,6 +97,16 @@ def _floor_effect_bound(members, X):
     return 2 * len(members) * worst / X
 
 
+def _subset_sum_ratio(K, members, X):
+    """Exact sieve ratio: sum of +-H(X // N(lcm S)) / H(X) over subsets S."""
+    H = (lambda x: x) if K.is_rational else gaussian_lattice_H
+    count = 0
+    for r in range(1, len(members) + 1):
+        for sub in itertools.combinations(members, r):
+            count += (-1) ** (r + 1) * H(X // idd.intersect(list(sub)).norm)
+    return Fraction(count, H(X))
+
+
 def test_criterion_05_finite_ie_vs_sieve(capsys, fields):
     Q, Qi = fields
     ok = idd.finite_ie_density(int_family(Q, 2, 3)) == Fraction(2, 3)
@@ -113,6 +124,7 @@ def test_criterion_05_finite_ie_vs_sieve(capsys, fields):
             sieve = idd.sieve_multiples_density(fam, X)
             bound = _floor_effect_bound(list(fam.members), X)
             ok = ok and abs(float(sieve - exact)) <= bound
+            ok = ok and sieve == _subset_sum_ratio(K, list(fam.members), X)
     report(capsys, 5, ok)
 
 

@@ -136,6 +136,25 @@ class TestDensity:
         assert code == 0
         assert read_summary(out_path)["summary"]["A_exact"] == "0"
 
+    @pytest.mark.parametrize("field,members", [
+        ("Q", [1, 2, 4]),
+        ("Q(sqrt -1)", [[], [[2, 0, 1]], [[2, 0, 2]], [[2, 0, 1], [5, 0, 1]]]),
+    ])
+    def test_unit_member_makes_every_ideal_a_multiple(self, capsys, tmp_path,
+                                                      field, members):
+        aset = write_aset(tmp_path, {"field": field, "kind": "explicit",
+                                     "members": members})
+        out_path = tmp_path / "density.csv"
+        code, _, _ = run(capsys, "density", "--field", field,
+                         "--aset", str(aset), "--max-norm", "1000",
+                         "--out", str(out_path))
+        assert code == 0
+        rows = read_csv(out_path)[1:]
+        assert rows and all(r[1] == r[2] for r in rows)
+        summary = read_summary(out_path)["summary"]
+        assert summary["A_exact"] == "1"
+        assert summary["natural_ratio"] == summary["log_ratio"] == 1.0
+
     def test_missing_aset_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "density", "--aset",
                            str(tmp_path / "nope.json"), "--max-norm", "1000",

@@ -1,0 +1,169 @@
+"""Brute-force oracles for counting multiples at a norm bound.
+
+Every count the per-norm counting core returns is checked against
+``enumerate_ideals`` plus ``is_multiple`` (or the predicate itself), over Q
+and random quadratic fields Q(sqrt m), m squarefree in [-50, 50], real
+ones included.
+"""
+
+import bisect
+import functools
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import idealdensity as idd
+from idealdensity.density import SUBSET_CAP
+from idealdensity.errors import DuplicateMembers, TooLarge
+
+#: Largest bound of the brute-force enumerations.
+BRUTE_X = 3000
+
+SQUAREFREE_M = [m for m in range(-50, 51) if m not in (0, 1)
+                and all(m % (p * p) for p in (2, 3, 5, 7))]
+
+PROPERTY_SETTINGS = settings(
+    max_examples=40, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow])
+
+
+@functools.lru_cache(maxsize=None)
+def field(m):
+    if m is None:
+        return idd.make_rational_field()
+    return idd.make_quadratic_field(m)
+
+
+@functools.lru_cache(maxsize=None)
+def brute_ideals(K):
+    ideals = idd.enumerate_ideals(K, BRUTE_X)
+    return ideals, [b.norm for b in ideals]
+
+
+@functools.lru_cache(maxsize=None)
+def member_pool(K):
+    return [b for b in brute_ideals(K)[0] if not b.is_unit and b.norm <= 60]
+
+
+def brute_profile(K, X, member):
+    """(norms of the counted ideals, norms of all ideals), up to X."""
+    ideals, norms = brute_ideals(K)
+    upto = ideals[:bisect.bisect_right(norms, X)]
+    return [b.norm for b in upto if member(b)], [b.norm for b in upto]
+
+
+def assert_matches_brute_force(report, K, member):
+    hits, all_norms = brute_profile(K, report.X, member)
+    for x, m, t, r in zip(report.sample_points, report.member_counts,
+                          report.total_counts, report.log_ratios):
+        assert m == bisect.bisect_right(hits, x)
+        assert t == bisect.bisect_right(all_norms, x)
+        num = math.fsum(1 / n for n in hits if n <= x)
+        den = math.fsum(1 / n for n in all_norms if n <= x)
+        assert r == pytest.approx(num / den, rel=1e-12, abs=1e-15)
+
+
+fields = st.sampled_from([None] + SQUAREFREE_M).map(field)
+
+
+@PROPERTY_SETTINGS
+@given(K=fields, data=st.data())
+def test_explicit_family_counts_match_brute_force(K, data):
+    pool = member_pool(K) + [idd.unit_ideal(K)]
+    members = data.draw(st.lists(st.sampled_from(pool),
+                                 min_size=1, max_size=5, unique=True))
+    X = data.draw(st.integers(100, BRUTE_X))
+    fam = idd.ExplicitFamily(field=K, members=tuple(members))
+    hits, all_norms = brute_profile(K, X, fam.is_multiple)
+    assert idd.sieve_multiples_density(fam, X) == Fraction(len(hits),
+                                                          len(all_norms))
+    assert_matches_brute_force(idd.density_profile(fam, X=X), K,
+                               fam.is_multiple)
+
+
+@PROPERTY_SETTINGS
+@given(K=fields, data=st.data())
+def test_incremental_a_limit_equals_prefix_densities(K, data):
+    pool = member_pool(K)[:30] + [idd.unit_ideal(K)]
+    members = sorted(data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                        max_size=8)), key=idd.Ideal.sort_key)
+    cap = data.draw(st.integers(2, 8))
+    expected, error = [], None
+    for r in range(1, len(members) + 1):
+        try:
+            expected.append(idd.finite_ie_density(members[:r], subset_cap=cap))
+        except (DuplicateMembers, TooLarge) as exc:
+            error = type(exc)
+            break
+    if error is None:
+        assert idd.a_limit(members, len(members), subset_cap=cap) == expected
+    else:
+        with pytest.raises(error):
+            idd.a_limit(members, len(members), subset_cap=cap)
+
+
+@PROPERTY_SETTINGS
+@given(K=fields, X=st.integers(100, 2000))
+def test_entangled_family_over_the_cap_counts_exactly(K, X):
+    # 21 members P*Q_j sharing the smallest prime P form one block above
+    # SUBSET_CAP; counting at a bound needs no cap.
+    first, *others = idd.primes_up_to_norm(K, 400)[:22]
+    fam = idd.ExplicitFamily(field=K, members=tuple(
+        idd.make_ideal(K, [(first, 1), (q, 1)]) for q in others))
+    assert len(fam.members) == 21 > SUBSET_CAP
+    with pytest.raises(TooLarge):
+        idd.finite_ie_density(fam)
+    hits, all_norms = brute_profile(K, X, fam.is_multiple)
+    assert idd.sieve_multiples_density(fam, X) == Fraction(len(hits),
+                                                          len(all_norms))
+    assert_matches_brute_force(idd.density_profile(fam, X=X), K,
+                               fam.is_multiple)
+
+
+@pytest.mark.parametrize("m", [None, -1, -5, 5])
+def test_unit_member_makes_every_ideal_a_multiple(m):
+    K = field(m)
+    P, Q = idd.primes_up_to_norm(K, 20)[:2]
+    fam = idd.ExplicitFamily(field=K, members=(
+        idd.unit_ideal(K), idd.make_ideal(K, [(P, 1)]),
+        idd.make_ideal(K, [(P, 2)]), idd.make_ideal(K, [(P, 1), (Q, 1)])))
+    assert idd.sieve_multiples_density(fam, 1000) == 1
+    report = idd.density_profile(fam, X=1000)
+    assert report.member_counts == report.total_counts
+    assert idd.finite_ie_density(fam) == 1
+    assert idd.a_limit(fam, 4) == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("m", [None, -1, -5, 5])
+def test_wide_entangled_family_counts_exactly(m):
+    # Every prime of norm <= X/2 times the smallest one: lcm terms of many
+    # members, all sharing one prime.
+    K, X = field(m), BRUTE_X
+    first, *others = idd.primes_up_to_norm(K, X // 2)
+    fam = idd.ExplicitFamily(field=K, members=tuple(
+        idd.make_ideal(K, [(first, 1), (q, 1)]) for q in others))
+    assert len(fam.members) > 150
+    hits, all_norms = brute_profile(K, X, fam.is_multiple)
+    assert idd.sieve_multiples_density(fam, X) == Fraction(len(hits),
+                                                          len(all_norms))
+    assert_matches_brute_force(idd.density_profile(fam, X=X), K,
+                               fam.is_multiple)
+
+
+def test_bare_predicate_over_gaussian_field(Qi):
+    def member(b):
+        return b.norm % 5 == 0 or b.max_exponent() >= 2
+
+    report = idd.density_profile(member, K=Qi, X=2000)
+    assert_matches_brute_force(report, Qi, member)
+
+
+def test_norm_intervals_over_gaussian_field(Qi):
+    fam = idd.NormIntervalFamily(field=Qi, intervals=((8, 13), (40, 60)))
+    report = idd.density_profile(fam, X=2000)
+    assert_matches_brute_force(report, Qi, fam.is_multiple)
+    hits, all_norms = brute_profile(Qi, 2000, fam.is_multiple)
+    assert idd.sieve_multiples_density(fam, 2000) == Fraction(len(hits),
+                                                             len(all_norms))

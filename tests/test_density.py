@@ -189,6 +189,24 @@ class TestRestrictAndMultiplicative:
         assert state.b_k == 0
         assert state.euler_product.exact == 1
 
+    def test_method_inclusion_exclusion(self, Q):
+        state = idd.multiplicative_density(int_family(Q, 4, 6, 35), 2)
+        assert state.method == "inclusion-exclusion"
+        assert state.b_k == idd.finite_ie_density(int_family(Q, 4, 6))
+
+    def test_method_sieve_beyond_cap(self, Q):
+        # 21 members 2p over the first 22 primes form one block over the cap
+        odd = list(primerange(3, 80))
+        fam = int_family(Q, *(2 * p for p in odd))
+        state = idd.multiplicative_density(fam, 22)
+        assert len(odd) == 21 and len(state.restricted_members) == 21
+        assert state.method == "sieve"
+        X = fam.truncation
+        marked = np.zeros(X + 1, dtype=bool)
+        for p in odd:
+            marked[2 * p::2 * p] = True
+        assert state.b_k == Fraction(int(marked.sum()), X)
+
 
 class TestDensityProfile:
     def test_rational_even_numbers(self, Q):
@@ -232,6 +250,18 @@ class TestDensityProfile:
         assert float(rep.natural_ratios[-1]) == pytest.approx(
             6 / math.pi**2, abs=1e-3)
         assert rep.log_ratios[-1] == pytest.approx(6 / math.pi**2, abs=5e-2)
+
+    def test_counts_members_beyond_truncation(self, Q):
+        # every member of norm <= X counts, whatever the family truncation
+        fam = idd.PrimePowerFamily(field=Q, l=2, truncation=100)
+        X = 10**4
+        marked = np.zeros(X + 1, dtype=bool)
+        for p in primerange(2, 101):
+            marked[p * p::p * p] = True
+        assert int(marked.sum()) == 3917
+        rep = idd.density_profile(fam, X=X)
+        assert rep.member_counts[-1] == 3917
+        assert idd.sieve_multiples_density(fam, X) == Fraction(3917, X)
 
     def test_validation(self, Q):
         with pytest.raises(ValueError):
