@@ -52,6 +52,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def _fmt(value) -> str:
     if isinstance(value, Fraction):
         value = float(value)
@@ -115,8 +127,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_mertens(args) -> int:
-    if args.cutoff < 10:
-        raise UsageError("--cutoff must be >= 10")
     K = parse_field(args.field)
     try:
         alpha = analytic_residue_imag_quadratic(K)
@@ -217,7 +227,7 @@ def build_parser() -> _Parser:
                        help="accepted for interface compatibility; results "
                             "are independent of it")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=30)
+        p.add_argument("--samples", type=_int_at_least(1), default=30)
         if out_required:
             p.add_argument("--out", required=True, type=Path)
 
@@ -227,26 +237,26 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("count", help="ideal counts H(x) up to a bound")
     common(p)
-    p.add_argument("--max-norm", type=int, required=True)
+    p.add_argument("--max-norm", type=_int_at_least(1), required=True)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("mertens", help="partial Euler products vs C log x")
     common(p)
-    p.add_argument("--cutoff", type=int, required=True)
+    p.add_argument("--cutoff", type=_int_at_least(10), required=True)
     p.set_defaults(func=cmd_mertens)
 
     p = sub.add_parser("density", help="density profile of an ideal family")
     common(p)
     p.add_argument("--aset", required=True, type=Path,
                    help="JSON family specification file")
-    p.add_argument("--max-norm", type=int, required=True)
+    p.add_argument("--max-norm", type=_int_at_least(1), required=True)
     p.add_argument("--r-max", type=int, default=8)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("experiment", help="run a canned scenario")
     p.add_argument("name", help="primepower-free | main-theorem | besicovitch")
     common(p)
-    p.add_argument("--max-norm", type=int, default=10**6)
+    p.add_argument("--max-norm", type=_int_at_least(1), default=10**6)
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--aset", type=Path)
     p.add_argument("--k-max", type=int, default=8)
@@ -270,8 +280,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OverflowError, BoundTooSmall, BoundsExceedX, TooLarge,
-            SNotGreaterThanOne) as exc:
+    except (ValueError, OverflowError, BoundTooSmall, BoundsExceedX,
+            TooLarge, SNotGreaterThanOne) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except IdealDensityError as exc:

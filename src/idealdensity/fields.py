@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from sympy import factorint, isprime
 
 from .errors import (
     DegenerateM,
@@ -22,6 +21,7 @@ from .errors import (
     NotNegative,
     NotPrime,
     NotSquarefree,
+    TooLarge,
     UnsupportedField,
 )
 
@@ -76,6 +76,66 @@ class PrimeIdeal:
     conjugate_index: int
     e: int                    # ramification index
     f: int                    # residue degree
+
+
+#: Miller-Rabin with the prime bases up to 41 is deterministic below
+#: _MR_LIMIT (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+#: factorint divides by every integer up to this bound before testing
+#: the cofactor for primality.
+_TRIAL_LIMIT = 10**6
+
+
+def isprime(n: int) -> bool:
+    """Deterministic primality test; raises TooLarge for a probable prime
+    at or above 3.3e24, where the Miller-Rabin bases are not proven."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_LIMIT:
+        raise TooLarge(f"cannot prove {n} prime (above {_MR_LIMIT})")
+    return True
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, primes ascending.
+
+    Trial division up to 10^6, then a primality test of the cofactor: a
+    composite cofactor (two prime factors above 10^6) raises TooLarge.
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    factors: dict[int, int] = {}
+    d = 2
+    while d <= _TRIAL_LIMIT and d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n, e = n // d, e + 1
+            factors[d] = e
+        d += 1 if d == 2 else 2
+    if n > 1:
+        if not isprime(n):
+            raise TooLarge(f"cannot factor {n}: no prime factor below "
+                           f"{_TRIAL_LIMIT}")
+        factors[n] = 1
+    return factors
 
 
 def _squarefree(m: int) -> bool:
@@ -149,25 +209,13 @@ def kronecker_symbol(D: int, n: int) -> int:
     return result * _jacobi(D % n, n)
 
 
-def _symbol_at_prime(D: int, p: int) -> int:
-    # Fast Kronecker symbol at a prime: Euler's criterion for odd p.
-    if p == 2:
-        if D % 2 == 0:
-            return 0
-        return 1 if D % 8 == 1 else -1
-    r = pow(D % p, (p - 1) // 2, p)
-    if r == 0:
-        return 0
-    return 1 if r == 1 else -1
-
-
 def split_prime(K: NumberField, p: int) -> list[tuple[PrimeIdeal, int]]:
     """Factor (p) in O_K; returns (prime ideal, exponent in (p)) pairs."""
     if p < 2 or not isprime(p):
         raise NotPrime(f"{p} is not a rational prime")
     if K.is_rational:
         return [(PrimeIdeal(norm=p, p=p, conjugate_index=0, e=1, f=1), 1)]
-    s = _symbol_at_prime(K.discriminant, p)
+    s = kronecker_symbol(K.discriminant, p)
     if s == 1:
         return [
             (PrimeIdeal(norm=p, p=p, conjugate_index=0, e=1, f=1), 1),
@@ -176,6 +224,20 @@ def split_prime(K: NumberField, p: int) -> list[tuple[PrimeIdeal, int]]:
     if s == -1:
         return [(PrimeIdeal(norm=p * p, p=p, conjugate_index=0, e=1, f=2), 1)]
     return [(PrimeIdeal(norm=p, p=p, conjugate_index=0, e=2, f=1), 2)]
+
+
+def _symbols_at_primes(D: int, ps: np.ndarray) -> np.ndarray:
+    # kronecker_symbol(D, p) at every prime of an int64 array (p^2 must
+    # fit): Euler's criterion by vectorised square-and-multiply, and the
+    # Kronecker rule at p = 2.
+    base, e = D % ps, (ps - 1) // 2
+    r = np.ones_like(ps)
+    while e.any():
+        r = np.where(e & 1, r * base % ps, r)
+        base, e = base * base % ps, e >> 1
+    s = np.where(r == 1, 1, np.where(r == 0, 0, -1))
+    s[ps == 2] = 0 if D % 2 == 0 else (-1 if D % 8 in (3, 5) else 1)
+    return s
 
 
 def rational_primes_up_to(n: int) -> np.ndarray:
@@ -190,30 +252,46 @@ def rational_primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
+def _prime_ideal_columns(K: NumberField, X: int) -> tuple[np.ndarray, ...]:
+    # (norm, p, conjugate_index, e) of every prime ideal of norm <= X, as
+    # int64 arrays in (norm, p, index) order.  A split p appears twice,
+    # a ramified p once, an inert p once as p^2 if p^2 <= X.
+    ps = rational_primes_up_to(X)
+    if K.is_rational:
+        return ps, ps, np.zeros_like(ps), np.ones_like(ps)
+    s = _symbols_at_primes(K.discriminant, ps)
+    lin_p = np.repeat(ps, s + 1)
+    lin_conj = np.zeros_like(lin_p)
+    lin_conj[1:] = lin_p[1:] == lin_p[:-1]
+    inert = ps[(s == -1) & (ps <= math.isqrt(X))]
+    norm = np.concatenate([lin_p, inert * inert])
+    order = np.argsort(norm, kind="stable")
+    columns = (norm, np.concatenate([lin_p, inert]),
+               np.concatenate([lin_conj, np.zeros_like(inert)]),
+               np.concatenate([np.repeat(2 - s, s + 1), np.ones_like(inert)]))
+    return tuple(c[order] for c in columns)
+
+
+@lru_cache(maxsize=16)
+def prime_norm_array(K: NumberField, X: int) -> np.ndarray:
+    """Norms of the prime ideals of O_K of norm <= X, one entry per prime
+    ideal, ascending (read-only int64 array)."""
+    if X < 1:
+        raise ValueError("X must be >= 1")
+    norm = _prime_ideal_columns(K, X)[0]
+    norm.flags.writeable = False
+    return norm
+
+
 @lru_cache(maxsize=16)
 def primes_up_to_norm(K: NumberField, X: int) -> tuple[PrimeIdeal, ...]:
     """All prime ideals of O_K with norm <= X, sorted by (norm, p, index)."""
     if X < 1:
         raise ValueError("X must be >= 1")
-    out: list[PrimeIdeal] = []
-    if K.is_rational:
-        for p in rational_primes_up_to(X):
-            out.append(PrimeIdeal(norm=int(p), p=int(p), conjugate_index=0,
-                                  e=1, f=1))
-        return tuple(out)
-    D = K.discriminant
-    for p in rational_primes_up_to(X):
-        p = int(p)
-        s = _symbol_at_prime(D, p)
-        if s == 1:
-            out.append(PrimeIdeal(norm=p, p=p, conjugate_index=0, e=1, f=1))
-            out.append(PrimeIdeal(norm=p, p=p, conjugate_index=1, e=1, f=1))
-        elif s == 0:
-            out.append(PrimeIdeal(norm=p, p=p, conjugate_index=0, e=2, f=1))
-        elif p * p <= X:
-            out.append(PrimeIdeal(norm=p * p, p=p, conjugate_index=0, e=1, f=2))
-    out.sort()
-    return tuple(out)
+    norm, p, conj, e = _prime_ideal_columns(K, X)
+    f = np.where(norm == p, 1, 2)
+    return tuple(map(PrimeIdeal, norm.tolist(), p.tolist(), conj.tolist(),
+                     e.tolist(), f.tolist()))
 
 
 def first_prime_ideals(K: NumberField, k: int) -> tuple[PrimeIdeal, ...]:
@@ -221,11 +299,9 @@ def first_prime_ideals(K: NumberField, k: int) -> tuple[PrimeIdeal, ...]:
     if k == 0:
         return ()
     bound = 64
-    while True:
-        primes = primes_up_to_norm(K, bound)
-        if len(primes) >= k:
-            return primes[:k]
+    while len(norm := _prime_ideal_columns(K, bound)[0]) < k:
         bound *= 4
+    return primes_up_to_norm(K, int(norm[k - 1]))[:k]
 
 
 def is_fundamental_discriminant(D: int) -> bool:

@@ -4,7 +4,9 @@ Every nonzero integral ideal is stored as its sorted prime factorization,
 so divisibility, gcd, lcm (= intersection) and norms are exact
 exponent-vector operations.  Counting by norm is done twice, by a
 multiplicative sieve and by exhaustive enumeration, so each route can
-check the other.
+check the other.  Both read only the prime-ideal norms
+(``fields.prime_norm_array``).  The sieve is numpy slice updates for
+norms up to sqrt X and one scatter per cofactor for all larger norms.
 """
 
 from __future__ import annotations
@@ -15,10 +17,16 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from sympy import factorint
 
 from .errors import BoundTooSmall, EmptySet, FieldMismatch
-from .fields import NumberField, PrimeIdeal, primes_up_to_norm, split_prime
+from .fields import (
+    NumberField,
+    PrimeIdeal,
+    factorint,
+    prime_norm_array,
+    primes_up_to_norm,
+    split_prime,
+)
 
 
 @dataclass(frozen=True)
@@ -133,11 +141,6 @@ def divides(a: Ideal, b: Ideal) -> bool:
     return all(exps_b.get(pr, 0) >= e for pr, e in a.factors)
 
 
-def _prime_norm_list(K: NumberField, X: int) -> list[int]:
-    # One entry per prime ideal of norm <= X, ascending.
-    return [pr.norm for pr in primes_up_to_norm(K, X)]
-
-
 @dataclass(frozen=True)
 class NormCounter:
     """Exact per-norm ideal counts h(k) and cumulative counts H(x), k,x <= X."""
@@ -162,21 +165,33 @@ class NormCounter:
 def count_ideals(K: NumberField, X: int) -> NormCounter:
     """Exact norm counts up to X by a multiplicative sieve.
 
-    Convolves the geometric local factor of every prime ideal norm q into
-    the count array in one ascending in-place pass per prime ideal.
+    Every prime-ideal norm q multiplies the count series by the local
+    factor 1/(1 - t^q).  A small norm (q^2 <= X) runs the ascending
+    in-place update h[q k] += h[k], in slice blocks k in [q^i, q^(i+1))
+    whose reads the block itself never writes.  A large norm (q^2 > X)
+    divides an ideal of norm <= X at most once and never beside another
+    large one, so once the small norms are in, each cofactor j adds
+    mult(q) * h[j] to h[q j] for every large q <= X/j in one scatter.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
-    h = [0] * (X + 1)
+    norms = prime_norm_array(K, X)
+    n_small = int(np.searchsorted(norms, math.isqrt(X), side="right"))
+    h = np.zeros(X + 1, dtype=np.int64)
     h[1] = 1
-    for q in _prime_norm_list(K, X):
-        lim = X // q
-        idx = q
-        for k in range(1, lim + 1):
-            h[idx] += h[k]
-            idx += q
-    arr = np.array(h, dtype=np.int64)
-    return NormCounter(field=K, X=X, h=arr, H=np.cumsum(arr))
+    for q in norms[:n_small].tolist():
+        top = X // q + 1
+        lo = 1
+        while lo < top:
+            hi = min(lo * q, top)
+            h[lo * q:hi * q:q] += h[lo:hi]
+            lo = hi
+    large, mult = np.unique(norms[n_small:], return_counts=True)
+    if large.size:
+        for j in np.flatnonzero(h[:X // int(large[0]) + 1]).tolist():
+            n = int(np.searchsorted(large, X // j, side="right"))
+            h[large[:n] * j] += mult[:n] * h[j]
+    return NormCounter(field=K, X=X, h=h, H=np.cumsum(h))
 
 
 def enumeration_norm_counts(K: NumberField, X: int) -> np.ndarray:
@@ -184,7 +199,7 @@ def enumeration_norm_counts(K: NumberField, X: int) -> np.ndarray:
 
     Independent of the multiplicative sieve; used to cross-check it.
     """
-    qs = _prime_norm_list(K, X)
+    qs = prime_norm_array(K, X).tolist()
     counts = np.zeros(X + 1, dtype=np.int64)
     n_primes = len(qs)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SNotGreaterThanOne
-from .fields import EULER_GAMMA, NumberField, first_prime_ideals, primes_up_to_norm
+from .fields import EULER_GAMMA, NumberField, first_prime_ideals, prime_norm_array
 from .ideals import count_ideals
 
 #: Largest prime count for which the Euler product is kept as a Fraction.
@@ -60,7 +60,7 @@ def partial_euler_product(K: NumberField, k: int | None = None,
         return _euler_product(K, norms, None)
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    norms = [pr.norm for pr in primes_up_to_norm(K, cutoff)]
+    norms = prime_norm_array(K, cutoff).tolist()
     return _euler_product(K, norms, cutoff)
 
 
@@ -89,11 +89,12 @@ def mertens_target(alpha_K: float) -> float:
 
 
 def dedekind_zeta(K: NumberField, s: float, X: int) -> tuple[float, float]:
-    """Truncated Dedekind zeta value at s > 1 with a certified-style tail bound.
+    """Truncated Dedekind zeta value at s > 1 with an empirical tail estimate.
 
     Returns (value, tail_bound) with value = sum_{k<=X} h(k)/k^s.  The tail
-    bound uses the empirical upper envelope of H(x)/x over [X/10, X] with a
-    safety factor 2, so the full zeta value lies in [value, value+tail_bound].
+    estimate is an empirical envelope, not a proven bound: it takes the
+    largest H(x)/x sampled over [X/10, X], times a safety factor 2, as the
+    ideal density beyond X.
     """
     if s <= 1:
         raise SNotGreaterThanOne("truncated zeta sums require s > 1")

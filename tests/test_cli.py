@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,16 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(*argv):
+    """Run a Python command line with the package's src/ on the path."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def write_aset(tmp_path, doc, name="aset.json"):
@@ -220,3 +234,27 @@ class TestDeterminism:
                             out_path.with_suffix(".summary.json")
                             .read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv,expected", [
+        (["count", "--max-norm", "0"], 1),
+        (["count", "--max-norm", "100", "--samples", "0"], 1),
+        (["mertens", "--cutoff", "9"], 1),
+        (["experiment", "primepower-free", "--max-norm", "100"], 2),
+        (["experiment", "primepower-free", "--max-norm", "10000",
+          "--l", "1"], 2),
+    ])
+    def test_one_message_line_and_exit_code(self, tmp_path, argv, expected):
+        proc = run_process("-m", "idealdensity.cli", *argv,
+                           "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == expected
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_import_loads_no_sympy():
+    proc = run_process("-c", "import idealdensity.cli, sys; "
+                             "assert 'sympy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr

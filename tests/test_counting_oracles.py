@@ -3,7 +3,9 @@
 Every count the per-norm counting core returns is checked against
 ``enumerate_ideals`` plus ``is_multiple`` (or the predicate itself), over Q
 and random quadratic fields Q(sqrt m), m squarefree in [-50, 50], real
-ones included.
+ones included.  The prime-norm arrays and the numpy ideal-count sieve
+beneath it are checked against scalar splitting, enumeration and the
+Gaussian lattice count, and the in-house factorization against sympy.
 """
 
 import bisect
@@ -11,12 +13,16 @@ import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import idealdensity as idd
+from idealdensity import fields as fields_module
 from idealdensity.density import SUBSET_CAP
 from idealdensity.errors import DuplicateMembers, TooLarge
+from idealdensity.ideals import enumeration_norm_counts, gaussian_lattice_counts
 
 #: Largest bound of the brute-force enumerations.
 BRUTE_X = 3000
@@ -167,3 +173,58 @@ def test_norm_intervals_over_gaussian_field(Qi):
     hits, all_norms = brute_profile(Qi, 2000, fam.is_multiple)
     assert idd.sieve_multiples_density(fam, 2000) == Fraction(len(hits),
                                                              len(all_norms))
+
+
+@PROPERTY_SETTINGS
+@given(K=fields, X=st.integers(1, 5000))
+def test_prime_norm_array_matches_scalar_splitting(K, X):
+    expected = sorted(pr for p in sympy.primerange(2, X + 1)
+                      for pr, _ in idd.split_prime(K, p) if pr.norm <= X)
+    assert fields_module.prime_norm_array(K, X).tolist() == [
+        pr.norm for pr in expected]
+    assert idd.primes_up_to_norm(K, X) == tuple(expected)
+
+
+@PROPERTY_SETTINGS
+@given(K=fields, X=st.integers(1, 5000))
+def test_sieve_matches_enumeration(K, X):
+    counter = idd.count_ideals(K, X)
+    assert np.array_equal(counter.h, enumeration_norm_counts(K, X))
+    assert np.array_equal(counter.H, np.cumsum(counter.h))
+
+
+@pytest.mark.parametrize("X", [10**4 + 1, 65537])
+def test_sieve_matches_gaussian_lattice_above_large_norms(Qi, X):
+    # Norms above sqrt X go in by the per-cofactor scatter.
+    assert fields_module.prime_norm_array(Qi, X)[-1] > math.isqrt(X)
+    assert np.array_equal(idd.count_ideals(Qi, X).h,
+                          gaussian_lattice_counts(X))
+
+
+FACTOR_EDGE_CASES = [
+    1, 2, 3, 4, 9, 49, 999983 ** 2, 999983, 1000003, 1000033,
+    999983 * 1000003, 2 * 1000003, 561, 41041, 825265,
+    3215031751,            # strong pseudoprime to bases 2, 3, 5 and 7
+    2 ** 61 - 1,
+]
+
+
+@pytest.mark.parametrize("n", FACTOR_EDGE_CASES)
+def test_factorization_edge_cases_match_sympy(n):
+    assert fields_module.factorint(n) == sympy.factorint(n)
+    assert fields_module.isprime(n) == sympy.isprime(n)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 10**12 - 1))
+def test_factorization_matches_sympy(n):
+    assert fields_module.factorint(n) == sympy.factorint(n)
+    assert fields_module.isprime(n) == sympy.isprime(n)
+
+
+def test_factorization_beyond_reach_raises_too_large():
+    with pytest.raises(TooLarge):
+        fields_module.factorint(1000003 * 1000033)
+    with pytest.raises(TooLarge):
+        fields_module.isprime(2 ** 89 - 1)       # prime above 3.3e24
+    assert not fields_module.isprime((2 ** 89 - 1) * (2 ** 61 - 1))

@@ -1,9 +1,10 @@
 import math
 
 import pytest
-from sympy import factorint
+from sympy import factorint, primerange
 
 import idealdensity as idd
+from idealdensity.fields import first_prime_ideals
 from idealdensity.errors import (
     DegenerateM,
     NotFundamental,
@@ -141,6 +142,12 @@ class TestPrimeNumbering:
         big = idd.primes_up_to_norm(K, 500)
         small = idd.primes_up_to_norm(K, 80)
         assert tuple(pr for pr in big if pr.norm <= 80) == small
+
+    def test_first_prime_ideals_adds_one_cache_entry(self, Q):
+        idd.primes_up_to_norm.cache_clear()
+        primes = first_prime_ideals(Q, 100)
+        assert idd.primes_up_to_norm.cache_info().currsize <= 1
+        assert [pr.norm for pr in primes] == list(primerange(2, 542))
 
     def test_sorted_by_norm(self, Qi):
         primes = idd.primes_up_to_norm(Qi, 1000)
