@@ -49,6 +49,7 @@ from .ideals import (
 from .zeta import (
     EulerProductState,
     dedekind_zeta,
+    euler_products_at,
     harmonic_ideal_sum,
     mertens_ratio,
     mertens_target,

@@ -35,7 +35,7 @@ from .fields import (
     parse_field,
 )
 from .ideals import count_ideals
-from .zeta import mertens_ratio, mertens_target, partial_euler_product
+from .zeta import euler_products_at, mertens_target
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,13 +135,11 @@ def cmd_mertens(args) -> int:
             min(args.cutoff, 10**6)) / min(args.cutoff, 10**6)
     target = mertens_target(alpha)
     cutoffs = [c for c in _sample_points(args.cutoff, args.samples) if c >= 10]
-    rows = []
-    for c in cutoffs:
-        value = partial_euler_product(K, cutoff=c).value
-        rows.append((c, value, value / math.log(c), target))
+    rows = [(c, pi.value, pi.value / math.log(c), target)
+            for c, pi in zip(cutoffs, euler_products_at(K, cutoffs))]
     _write_csv(args.out, ("cutoff", "euler_product", "ratio", "target"), rows)
-    _write_summary(args, "mertens",
-                   {"ratio": mertens_ratio(K, args.cutoff), "target": target})
+    # The last sample point is the cutoff itself.
+    _write_summary(args, "mertens", {"ratio": rows[-1][2], "target": target})
     return EXIT_OK
 
 

@@ -5,13 +5,16 @@ limit sequence A_r, the multiplicative densities B_k over prime-ideal
 prefixes, exact finite-X counts of multiples, and empirical natural and
 logarithmic density profiles.
 
-Counting at a norm bound X works on per-norm arrays.  Over Q the array is
-indexed by the ideals themselves, and each member's multiples are marked
-by strided writes.  Over quadratic fields the multiples of an ideal of
-norm m are counted by h shifted by m, so inclusion-exclusion over the lcms
-of explicit and prime-power families gives exact per-norm counts without
-touching individual ideals.  Only norm-interval families over quadratic
-fields and bare predicates enumerate the ideals one by one.
+Counting at a norm bound X is needed only at the sample points x of a
+profile (and at X for the sieve ratio).  Over quadratic fields the
+multiples of an ideal of norm n with norm <= x are H(x // n) ideals whose
+harmonic sum is L(x // n) / n, where H and the harmonic prefix L of the
+field are kept by its ``NormCounter``; so inclusion-exclusion over the
+lcms of explicit and prime-power families gives exact counts from one
+short vector of terms per sample point, with no array of length X.  Over
+Q each member's multiples are marked by strided writes on one per-norm
+array, indexed by the ideals themselves.  Only norm-interval families
+over quadratic fields and bare predicates enumerate the ideals one by one.
 """
 
 from __future__ import annotations
@@ -31,7 +34,14 @@ from .families import (
     minimal_members,  # noqa: F401  (bench/spans.py traces this binding)
 )
 from .fields import NumberField, first_prime_ideals
-from .ideals import Ideal, count_ideals, divides, enumerate_ideals, make_ideal
+from .ideals import (
+    Ideal,
+    NormCounter,
+    count_ideals,
+    divides,
+    enumerate_ideals,
+    make_ideal,
+)
 from .zeta import EulerProductState, partial_euler_product
 
 #: Largest family block handled by exact inclusion-exclusion (2^cap subsets).
@@ -195,18 +205,35 @@ def a_limit(A: AFamily | Sequence[Ideal], r_max: int,
 # Counting at a norm bound
 # ---------------------------------------------------------------------------
 
-def _norm_counts(subject: AFamily | Callable[[Ideal], bool], K: NumberField,
-                 X: int, h: np.ndarray) -> np.ndarray:
-    """c[n] = number of ideals of norm n <= X in the counted set.
+def _member_sums(subject: AFamily | Callable[[Ideal], bool],
+                 counter: NormCounter, xs: np.ndarray, logs: bool = True
+                 ) -> tuple[list[int], list[float] | None]:
+    """Member counts, and sums of 1/N(b) over members b, at each x in xs.
 
-    ``h`` holds the per-norm ideal counts of K up to X.  Over Q the array
-    is indexed by the ideals themselves, so the multiples of each member
-    are marked by strided writes.  Over quadratic fields explicit and
-    prime-power families add each lcm term's shifted counts, and anything
-    else is tested ideal by ideal.
+    ``counter`` holds the ideal counts of the field up to X = xs[-1].
+    Over quadratic fields, explicit and prime-power families are summed
+    over their lcm terms (n, g): the multiples of an ideal of norm n with
+    norm <= x are the ideals of norm <= x // n times it, so they add
+    g * H[x // n] to the count and g/n * L[x // n] to the harmonic sum.
+    Every other subject is counted on a per-norm array: over Q by strided
+    marks (the array is indexed by the ideals themselves), otherwise ideal
+    by ideal.  Its harmonic sums are added in ascending norm order, so
+    0/1 marks give the same floats as adding 1/n over the members one by
+    one.  With ``logs`` false the harmonic sums are not computed.
     """
-    c = np.zeros(X + 1, dtype=np.int64)
+    K, X = counter.field, int(xs[-1])
+    if (isinstance(subject, (ExplicitFamily, PrimePowerFamily))
+            and not K.is_rational):
+        terms = _ie_terms(subject.members_up_to(X), X)
+        ns = np.array([n for n, _ in terms], dtype=np.int64)
+        gs = np.array([g for _, g in terms], dtype=np.int64)
+        counts = [int(gs @ counter.H[x // ns]) for x in xs.tolist()]
+        if not logs:
+            return counts, None
+        w, L = gs / ns, counter.L
+        return counts, [float((w * L[x // ns]).sum()) for x in xs.tolist()]
     if isinstance(subject, AFamily) and K.is_rational:
+        c = np.zeros(X + 1, dtype=bool)
         if isinstance(subject, NormIntervalFamily):
             norms = (n for lo, hi in subject.intervals
                      for n in range(lo + 1, min(hi, X) + 1))
@@ -214,24 +241,28 @@ def _norm_counts(subject: AFamily | Callable[[Ideal], bool], K: NumberField,
             norms = (a.norm for a in subject.members_up_to(X))
         for n in norms:
             if not c[n]:            # else its multiples are marked already
-                c[n::n] = 1
-    elif isinstance(subject, (ExplicitFamily, PrimePowerFamily)):
-        for n, g in _ie_terms(subject.members_up_to(X), X):
-            c[n::n] += g * h[1:X // n + 1]
+                c[n::n] = True
     else:
+        c = np.zeros(X + 1, dtype=np.int64)
         pred = subject.is_multiple if isinstance(subject, AFamily) else subject
         for b in enumerate_ideals(K, X):
             if pred(b):
                 c[b.norm] += 1
-    return c
+    starts = np.concatenate(([0], xs[:-1] + 1))
+    counts = np.cumsum(np.add.reduceat(c, starts, dtype=np.int64)).tolist()
+    if not logs:
+        return counts, None
+    buf = np.arange(X + 1, dtype=np.float64)
+    np.divide(c[1:], buf[1:], out=buf[1:])
+    return counts, np.cumsum(buf, out=buf)[xs].tolist()
 
 
 def sieve_multiples_density(A: AFamily | Sequence[Ideal], X: int,
                             K: NumberField | None = None) -> Fraction:
     """Exact share of ideals of norm <= X that are multiples of the family.
 
-    Counts every member of norm <= X on the same per-norm array as
-    ``density_profile``.  The result is the exact rational count / H(X).
+    Counts every member of norm <= X the same way as ``density_profile``.
+    The result is the exact rational count / H(X).
     """
     if X < 1:
         raise ValueError("X must be >= 1")
@@ -242,8 +273,8 @@ def sieve_multiples_density(A: AFamily | Sequence[Ideal], X: int,
                            members=tuple(A))
     K = A.field if K is None else K
     counter = count_ideals(K, X)
-    count = int(_norm_counts(A, K, X, counter.h).sum())
-    return Fraction(count, int(counter.H[X]))
+    (count,), _ = _member_sums(A, counter, np.array([X]), logs=False)
+    return Fraction(count, counter.H_of(X))
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +404,6 @@ def _sample_points(X: int, n_samples: int) -> np.ndarray:
     return xs
 
 
-def _log_sums(weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Sum of weights[n] / n over n <= x at each x in xs.
-
-    Added in ascending norm order, so 0/1 weights give the same floats as
-    adding 1/n over the members one by one.
-    """
-    buf = np.arange(len(weights), dtype=np.float64)
-    np.divide(weights[1:], buf[1:], out=buf[1:])
-    buf[0] = 0.0
-    return np.cumsum(buf, out=buf)[xs]
-
-
 def density_profile(subject: AFamily | Callable[[Ideal], bool],
                     K: NumberField | None = None, X: int = 10**4,
                     n_samples: int = 24) -> DensityReport:
@@ -392,8 +411,8 @@ def density_profile(subject: AFamily | Callable[[Ideal], bool],
 
     ``subject`` is either a family (profiling M_A, from every member of
     norm <= X) or an arbitrary membership predicate on ideals.  Counts are
-    exact integers from per-norm arrays; harmonic sums are accumulated in
-    floating point.
+    exact integers; harmonic sums are floating point, and the field's own
+    come from the counter's cached prefix L.
     """
     if X < 100:
         raise ValueError("X must be >= 100")
@@ -405,17 +424,16 @@ def density_profile(subject: AFamily | Callable[[Ideal], bool],
         raise ValueError("a field is required with a bare predicate")
 
     counter = count_ideals(K, X)
-    counts = _norm_counts(subject, K, X, counter.h)
     xs = _sample_points(X, n_samples)
-    log_num = _log_sums(counts, xs)
-    log_den = _log_sums(counter.h, xs)
-    np.cumsum(counts, out=counts)
-    member_counts = tuple(int(counts[x]) for x in xs)
-    total_counts = tuple(int(counter.H[x]) for x in xs)
+    # Members first: over Q their per-norm arrays are freed before L is
+    # built, if this is the first profile on the counter.
+    member_counts, log_num = _member_sums(subject, counter, xs)
+    total_counts = counter.H[xs].tolist()
     natural = tuple(Fraction(m, t) for m, t in zip(member_counts, total_counts))
-    log_ratios = tuple(float(n / d) for n, d in zip(log_num, log_den))
+    log_ratios = tuple(n / d for n, d in zip(log_num, counter.L[xs].tolist()))
     return DensityReport(field=K, X=X, sample_points=tuple(int(x) for x in xs),
-                         member_counts=member_counts, total_counts=total_counts,
+                         member_counts=tuple(member_counts),
+                         total_counts=tuple(total_counts),
                          natural_ratios=natural, log_ratios=log_ratios)
 
 

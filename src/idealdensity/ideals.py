@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -141,17 +141,45 @@ def divides(a: Ideal, b: Ideal) -> bool:
     return all(exps_b.get(pr, 0) >= e for pr, e in a.factors)
 
 
+#: Norms per block when the harmonic prefix L is built, so that no int64
+#: array of length X is needed beside L itself.
+_L_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class NormCounter:
-    """Exact per-norm ideal counts h(k) and cumulative counts H(x), k,x <= X."""
+    """Exact cumulative ideal counts H(x) = #{a : N(a) <= x}, x <= X.
+
+    ``H`` is the only array stored (H[0] = 0).  The per-norm counts
+    ``h`` are derived from it on each read, and the harmonic prefix
+    ``L[x] = sum_{k<=x} h(k)/k`` is built on first read and kept; both
+    are read at the points floor(x/n) when families are counted.
+    """
 
     field: NumberField
     X: int
-    h: np.ndarray             # h[k], index 0 unused
-    H: np.ndarray             # H[x] = sum_{k<=x} h[k], H[0] = 0
+    H: np.ndarray
+
+    @property
+    def h(self) -> np.ndarray:
+        """h[k] = H[k] - H[k-1], the number of ideals of norm k (h[0] = 0)."""
+        h = np.empty_like(self.H)
+        h[0] = 0
+        np.subtract(self.H[1:], self.H[:-1], out=h[1:])
+        return h
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        """L[x] = sum of h(k)/k over k <= x, added in ascending k (L[0] = 0)."""
+        L = np.arange(self.X + 1, dtype=np.float64)
+        for lo in range(1, self.X + 1, _L_BLOCK):
+            hi = min(lo + _L_BLOCK, self.X + 1)
+            np.divide(self.H[lo:hi] - self.H[lo - 1:hi - 1], L[lo:hi],
+                      out=L[lo:hi])
+        return np.cumsum(L, out=L)
 
     def h_of(self, k: int) -> int:
-        return int(self.h[k])
+        return int(self.H[k] - self.H[k - 1]) if k >= 1 else 0
 
     def H_of(self, x: int) -> int:
         if x >= self.X:
@@ -172,6 +200,7 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
     divides an ideal of norm <= X at most once and never beside another
     large one, so once the small norms are in, each cofactor j adds
     mult(q) * h[j] to h[q j] for every large q <= X/j in one scatter.
+    A final in-place cumulative sum turns h into H.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
@@ -191,7 +220,7 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
         for j in np.flatnonzero(h[:X // int(large[0]) + 1]).tolist():
             n = int(np.searchsorted(large, X // j, side="right"))
             h[large[:n] * j] += mult[:n] * h[j]
-    return NormCounter(field=K, X=X, h=h, H=np.cumsum(h))
+    return NormCounter(field=K, X=X, H=np.cumsum(h, out=h))
 
 
 def enumeration_norm_counts(K: NumberField, X: int) -> np.ndarray:

@@ -32,20 +32,38 @@ class EulerProductState:
     exact: Fraction | None       # exact value when k is small enough
 
 
-def _euler_product(K: NumberField, norms: list[int],
-                   cutoff: int | None) -> EulerProductState:
-    k = len(norms)
+def _euler_product(K: NumberField, norms: list[int], logs: list[float],
+                   k: int, cutoff: int | None) -> EulerProductState:
+    """The product over norms[:k]; ``logs`` holds log1p(-1/q) for each norm."""
     exact = None
     if k <= _EXACT_PRIME_LIMIT:
         exact = Fraction(1)
-        for q in norms:
+        for q in norms[:k]:
             exact *= Fraction(q, q - 1)
         value = float(exact)
     else:
-        log_value = -math.fsum(math.log1p(-1.0 / q) for q in norms)
-        value = math.exp(log_value)
+        value = math.exp(-math.fsum(logs[:k]))
     return EulerProductState(field=K, k=k, cutoff=cutoff, value=value,
                              exact=exact)
+
+
+def euler_products_at(K: NumberField,
+                      cutoffs: list[int]) -> list[EulerProductState]:
+    """Partial Euler products over all prime ideals of norm <= c, for each c.
+
+    One prime-norm array at the largest cutoff, and one list of log
+    factors, serve every cutoff; each product is the cutoff's prefix.
+    """
+    if not cutoffs:
+        return []
+    if min(cutoffs) < 2:
+        raise ValueError("cutoff must be >= 2")
+    norms = prime_norm_array(K, max(cutoffs))
+    ks = np.searchsorted(norms, cutoffs, side="right").tolist()
+    norms = norms.tolist()
+    logs = [math.log1p(-1.0 / q) for q in norms]
+    return [_euler_product(K, norms, logs, k, c)
+            for k, c in zip(ks, cutoffs)]
 
 
 def partial_euler_product(K: NumberField, k: int | None = None,
@@ -53,24 +71,22 @@ def partial_euler_product(K: NumberField, k: int | None = None,
     """Product of (1 - 1/N(p))^-1 over the first k primes or all of norm <= cutoff."""
     if (k is None) == (cutoff is None):
         raise ValueError("specify exactly one of k and cutoff")
-    if k is not None:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        norms = [pr.norm for pr in first_prime_ideals(K, k)]
-        return _euler_product(K, norms, None)
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    norms = prime_norm_array(K, cutoff).tolist()
-    return _euler_product(K, norms, cutoff)
+    if cutoff is not None:
+        return euler_products_at(K, [cutoff])[0]
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    norms = [pr.norm for pr in first_prime_ideals(K, k)]
+    logs = [math.log1p(-1.0 / q) for q in norms]
+    return _euler_product(K, norms, logs, len(norms), None)
 
 
 def harmonic_ideal_sum(K: NumberField, x: int) -> float:
     """Exact finite sum of 1/N(a) over ideals of norm <= x, compensated."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    counter = count_ideals(K, int(x))
-    h = counter.h
-    return math.fsum(int(h[k]) / k for k in range(1, int(x) + 1) if h[k])
+    h = count_ideals(K, int(x)).h
+    nz = np.flatnonzero(h)
+    return math.fsum((h[nz] / nz).tolist())
 
 
 def mertens_ratio(K: NumberField, cutoff: int) -> float:
@@ -102,7 +118,9 @@ def dedekind_zeta(K: NumberField, s: float, X: int) -> tuple[float, float]:
         raise ValueError("X must be >= 10")
     counter = count_ideals(K, X)
     ks = np.arange(1, X + 1, dtype=np.float64)
-    value = float(np.sum(counter.h[1:] / ks ** s))
+    np.power(ks, s, out=ks)
+    np.divide(counter.h[1:], ks, out=ks)
+    value = float(np.sum(ks))
     xs = np.unique(np.geomspace(max(1, X // 10), X, 32).astype(np.int64))
     c_upper = max(counter.H_of(int(x)) / int(x) for x in xs)
     tail_bound = 2.0 * c_upper * (s / (s - 1.0)) * X ** (1.0 - s)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from sympy import primerange
 
 import idealdensity as idd
+from idealdensity.density import _member_sums
 from idealdensity.errors import DuplicateMembers, TooLarge
 from idealdensity.zeta import rankin_tail_bound
 
@@ -268,6 +270,60 @@ class TestDensityProfile:
             idd.density_profile(int_family(Q, 2), X=50)
         with pytest.raises(ValueError):
             idd.density_profile(lambda i: True, X=1000)
+
+
+class TestSamplePointSums:
+    """``density._member_sums`` against per-norm sums built here."""
+
+    def test_rational_log_numerators_are_sequential_sums(self, Q):
+        fam = int_family(Q, 4, 6, 9, 10, 35)
+        X = 5000
+        counter = idd.count_ideals(Q, X)
+        xs = np.array([10, 11, 99, 1000, 2500, 4999, X])
+        counts, log_sums = _member_sums(fam, counter, xs)
+        marked = [any(n % m == 0 for m in (4, 6, 9, 10, 35))
+                  for n in range(X + 1)]
+        total, sums = 0.0, [0.0]
+        for n in range(1, X + 1):
+            if marked[n]:
+                total += 1 / n
+            sums.append(total)
+        assert log_sums == [sums[x] for x in xs]
+        assert counts == [sum(marked[1:x + 1]) for x in xs]
+        rep = idd.density_profile(fam, X=X)
+        assert rep.log_ratios == tuple(
+            sums[x] / counter.L[x] for x in rep.sample_points)
+
+    def test_entangled_gaussian_terms_match_per_norm_counts(self, Qi):
+        primes = idd.primes_up_to_norm(Qi, 29)[:8]
+        members = [idd.make_ideal(Qi, [(p, 1), (q, 1)])
+                   for i, p in enumerate(primes) for q in primes[i + 1:]]
+        members += [idd.make_ideal(Qi, [(p, 3)]) for p in primes[:3]]
+        fam = idd.ExplicitFamily(field=Qi, members=tuple(members))
+        X = 4000
+        per_norm = np.zeros(X + 1, dtype=np.int64)
+        for b in idd.enumerate_ideals(Qi, X):
+            if fam.is_multiple(b):
+                per_norm[b.norm] += 1
+        xs = np.arange(1, X + 1)
+        counts, log_sums = _member_sums(fam, idd.count_ideals(Qi, X), xs)
+        assert counts == np.cumsum(per_norm)[1:].tolist()
+        expected = np.cumsum(per_norm[1:] / xs)
+        assert np.allclose(log_sums, expected, rtol=1e-12, atol=0)
+
+    def test_explicit_profile_allocates_no_norm_array(self, Qi):
+        X = 10**5
+        counter = idd.count_ideals(Qi, X)
+        assert counter.L[X] > 0     # warm: H and L are built and cached
+        fam = idd.ExplicitFamily(field=Qi, members=tuple(
+            m for m in idd.enumerate_ideals(Qi, 50)[1:8]))
+        tracemalloc.start()
+        try:
+            idd.density_profile(fam, X=X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X * 8 / 4
 
 
 class TestDensityInequality:

@@ -154,6 +154,35 @@ class TestNormCounter:
         assert gaussian_lattice_H(2000) == c.H_of(2000)
 
 
+class TestStoredCounts:
+    """NormCounter keeps H only; h is derived and L is built on first read."""
+
+    @pytest.mark.parametrize("m", [1, -1, 5, -5, 13])
+    def test_h_equals_enumeration(self, m):
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        c = idd.ideals.count_ideals.__wrapped__(K, 3000)
+        assert np.array_equal(c.h, enumeration_norm_counts(K, 3000))
+        assert np.array_equal(c.H, np.cumsum(c.h))
+
+    @pytest.mark.parametrize("m", [1, -1, 5])
+    def test_L_is_the_ascending_harmonic_prefix(self, m):
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        X = 20000           # more than one block of the L build
+        c = idd.ideals.count_ideals.__wrapped__(K, X)
+        h = c.h.tolist()
+        expected = list(itertools.accumulate(
+            (h[k] / k for k in range(1, X + 1)), initial=0.0))
+        assert c.L.tolist() == expected
+
+    def test_L_is_built_on_first_read(self, Qi):
+        c = idd.ideals.count_ideals.__wrapped__(Qi, 1000)
+        assert "L" not in vars(c)
+        assert c.h[1] == 1
+        assert "L" not in vars(c)
+        L = c.L
+        assert vars(c)["L"] is L and c.L is L
+
+
 class TestMultiplesCount:
     def test_rational(self, Q):
         assert idd.multiples_count(idd.integer_ideal(Q, 3), 10) == 3

@@ -25,6 +25,43 @@ class TestHarmonicIdealSum:
         assert idd.harmonic_ideal_sum(Qi, 10) == pytest.approx(expected)
 
 
+    @pytest.mark.parametrize("m", [1, -1, 5])
+    def test_equals_the_generator_sum(self, m):
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        x = 10**4
+        h = idd.count_ideals(K, x).h
+        expected = math.fsum(int(h[k]) / k for k in range(1, x + 1) if h[k])
+        assert idd.harmonic_ideal_sum(K, x) == expected
+
+
+class TestEulerProductsAt:
+    CUTOFFS = [10, 50, 311, 1000, 4096, 10**5, 12]
+
+    @pytest.mark.parametrize("m", [1, -1, 5])
+    def test_equals_per_cutoff_products(self, m):
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        states = idd.euler_products_at(K, self.CUTOFFS)
+        norms = [pr.norm for pr in idd.primes_up_to_norm(K, max(self.CUTOFFS))]
+        for c, state in zip(self.CUTOFFS, states):
+            single = idd.partial_euler_product(K, cutoff=c)
+            qs = [q for q in norms if q <= c]
+            assert (state.k, state.cutoff) == (len(qs), c)
+            assert state.value == single.value
+            if state.k <= 64:
+                exact = math.prod((Fraction(q, q - 1) for q in qs),
+                                  start=Fraction(1))
+                assert state.exact == single.exact == exact
+            else:
+                assert state.exact is None
+                assert state.value == math.exp(
+                    -math.fsum(math.log1p(-1.0 / q) for q in qs))
+
+    def test_validation(self, Q):
+        assert idd.euler_products_at(Q, []) == []
+        with pytest.raises(ValueError):
+            idd.euler_products_at(Q, [10, 1])
+
+
 class TestEulerProduct:
     def test_rational_cutoff(self, Q):
         state = idd.partial_euler_product(Q, cutoff=10)
