@@ -29,7 +29,6 @@ from .errors import (
 )
 from .families import ExplicitFamily, parse_family
 from .fields import (
-    NumberField,
     analytic_residue_imag_quadratic,
     class_number_imag_quadratic,
     parse_field,
@@ -72,12 +71,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows) -> None:
+def write_csv(path, header, rows) -> None:
+    """A CSV table: the header row, then every row through ``_fmt``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def write_json(path, doc: dict) -> None:
+    """A JSON document with sorted keys; non-JSON values go through ``_fmt``."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_fmt)
+        fh.write("\n")
 
 
 def _run_config(args, command: str) -> dict:
@@ -119,7 +126,7 @@ def cmd_count(args) -> int:
     counter = count_ideals(K, args.max_norm)
     rows = [(x, counter.H_of(x), counter.H_of(x) / x)
             for x in _sample_points(args.max_norm, args.samples)]
-    _write_csv(args.out, ("x", "H", "H_over_x"), rows)
+    write_csv(args.out, ("x", "H", "H_over_x"), rows)
     _write_summary(args, "count", {"H": counter.H_of(args.max_norm),
                                    "c_hat": counter.H_of(args.max_norm)
                                    / args.max_norm})
@@ -137,7 +144,7 @@ def cmd_mertens(args) -> int:
     cutoffs = [c for c in _sample_points(args.cutoff, args.samples) if c >= 10]
     rows = [(c, pi.value, pi.value / math.log(c), target)
             for c, pi in zip(cutoffs, euler_products_at(K, cutoffs))]
-    _write_csv(args.out, ("cutoff", "euler_product", "ratio", "target"), rows)
+    write_csv(args.out, ("cutoff", "euler_product", "ratio", "target"), rows)
     # The last sample point is the cutoff itself.
     _write_summary(args, "mertens", {"ratio": rows[-1][2], "target": target})
     return EXIT_OK
@@ -152,8 +159,8 @@ def cmd_density(args) -> int:
     if not members:
         rows = [(x, 0, 0, 0.0, 0.0)
                 for x in _sample_points(X, args.samples)]
-        _write_csv(args.out, ("x", "multiple_count", "total_count",
-                              "natural_ratio", "log_ratio"), rows)
+        write_csv(args.out, ("x", "multiple_count", "total_count",
+                             "natural_ratio", "log_ratio"), rows)
         _write_summary(args, "density", {"A": 0.0, "A_exact": "0"})
         return EXIT_OK
     report = density_profile(family, X=X, n_samples=args.samples)
@@ -161,8 +168,8 @@ def cmd_density(args) -> int:
              report.total_counts[i], float(report.natural_ratios[i]),
              report.log_ratios[i])
             for i in range(len(report.sample_points))]
-    _write_csv(args.out, ("x", "multiple_count", "total_count",
-                          "natural_ratio", "log_ratio"), rows)
+    write_csv(args.out, ("x", "multiple_count", "total_count",
+                         "natural_ratio", "log_ratio"), rows)
     summary: dict = {"natural_ratio": float(report.natural_ratios[-1]),
                      "log_ratio": report.log_ratios[-1]}
     if isinstance(family, ExplicitFamily):
@@ -183,6 +190,8 @@ def cmd_experiment(args) -> int:
         result = experiments.primepower_free_experiment(
             K, l=args.l, X=args.max_norm, n_samples=args.samples)
     elif args.name == "main-theorem":
+        if args.aset is None:
+            raise UsageError("main-theorem needs --aset")
         with open(args.aset) as fh:
             family = parse_family(json.load(fh), K)
         result = experiments.main_theorem_experiment(
@@ -194,9 +203,9 @@ def cmd_experiment(args) -> int:
             X=args.max_norm, n_samples=args.samples)
     else:
         raise UsageError(f"unknown experiment {args.name!r}")
-    result.write_csv(args.out)
-    result.write_summary(_summary_path(args.out),
-                         config=_run_config(args, f"experiment {args.name}"))
+    write_csv(args.out, result.columns, result.rows)
+    write_json(_summary_path(args.out), result.summary_document(
+        _run_config(args, f"experiment {args.name}")))
     return EXIT_OK if result.verdict else EXIT_VERDICT
 
 
@@ -206,10 +215,8 @@ def _summary_path(out) -> Path:
 
 
 def _write_summary(args, command: str, summary: dict) -> None:
-    doc = {"config": _run_config(args, command), "summary": summary}
-    with open(_summary_path(args.out), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_fmt)
-        fh.write("\n")
+    write_json(_summary_path(args.out),
+               {"config": _run_config(args, command), "summary": summary})
 
 
 def build_parser() -> _Parser:
@@ -257,7 +264,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-norm", type=_int_at_least(1), default=10**6)
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--aset", type=Path)
-    p.add_argument("--k-max", type=int, default=8)
+    p.add_argument("--k-max", type=_int_at_least(1), default=8)
     p.add_argument("--r-max", type=int, default=8)
     p.add_argument("--t0", type=int, default=10)
     p.add_argument("--growth", type=int, default=3)

@@ -6,22 +6,23 @@ prefixes, exact finite-X counts of multiples, and empirical natural and
 logarithmic density profiles.
 
 Counting at a norm bound X is needed only at the sample points x of a
-profile (and at X for the sieve ratio).  Over quadratic fields the
-multiples of an ideal of norm n with norm <= x are H(x // n) ideals whose
-harmonic sum is L(x // n) / n, where H and the harmonic prefix L of the
-field are kept by its ``NormCounter``; so inclusion-exclusion over the
-lcms of explicit and prime-power families gives exact counts from one
-short vector of terms per sample point, with no array of length X.  Over
-Q each member's multiples are marked by strided writes on one per-norm
-array, indexed by the ideals themselves.  Only norm-interval families
-over quadratic fields and bare predicates enumerate the ideals one by one.
+profile (and at X for the sieve ratio), and never enumerates ideals.
+Over quadratic fields the multiples of an ideal of norm n with norm <= x
+are H(x // n) ideals whose harmonic sum is L(x // n) / n, where H and the
+harmonic prefix L of the field are kept by its ``NormCounter``; so
+inclusion-exclusion over the lcms of explicit and prime-power families
+gives exact counts from one short vector of terms per sample point.
+Every other count is a strided marking of norms on one array of length
+X: over Q the marked norms are the ideals themselves, and for norm
+intervals over any field of degree <= 2 membership depends on the norm
+alone, each marked norm n counting its h(n) ideals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,14 +35,7 @@ from .families import (
     minimal_members,  # noqa: F401  (bench/spans.py traces this binding)
 )
 from .fields import NumberField, first_prime_ideals
-from .ideals import (
-    Ideal,
-    NormCounter,
-    count_ideals,
-    divides,
-    enumerate_ideals,
-    make_ideal,
-)
+from .ideals import Ideal, NormCounter, count_ideals, divides, make_ideal
 from .zeta import EulerProductState, partial_euler_product
 
 #: Largest family block handled by exact inclusion-exclusion (2^cap subsets).
@@ -205,9 +199,8 @@ def a_limit(A: AFamily | Sequence[Ideal], r_max: int,
 # Counting at a norm bound
 # ---------------------------------------------------------------------------
 
-def _member_sums(subject: AFamily | Callable[[Ideal], bool],
-                 counter: NormCounter, xs: np.ndarray, logs: bool = True
-                 ) -> tuple[list[int], list[float] | None]:
+def _member_sums(A: AFamily, counter: NormCounter, xs: np.ndarray,
+                 logs: bool = True) -> tuple[list[int], list[float] | None]:
     """Member counts, and sums of 1/N(b) over members b, at each x in xs.
 
     ``counter`` holds the ideal counts of the field up to X = xs[-1].
@@ -215,16 +208,18 @@ def _member_sums(subject: AFamily | Callable[[Ideal], bool],
     over their lcm terms (n, g): the multiples of an ideal of norm n with
     norm <= x are the ideals of norm <= x // n times it, so they add
     g * H[x // n] to the count and g/n * L[x // n] to the harmonic sum.
-    Every other subject is counted on a per-norm array: over Q by strided
-    marks (the array is indexed by the ideals themselves), otherwise ideal
-    by ideal.  Its harmonic sums are added in ascending norm order, so
-    0/1 marks give the same floats as adding 1/n over the members one by
-    one.  With ``logs`` false the harmonic sums are not computed.
+    Every other family is counted by strided marks on a per-norm array.
+    Over Q it is indexed by the ideals themselves.  A norm-interval family
+    marks the multiples of each n in its intervals with h(n) > 0: in degree
+    <= 2 an ideal b has a divisor of norm n exactly when n | N(b) and
+    h(n) > 0, so a marked norm counts all of its h(n) ideals.  Harmonic
+    sums are added in ascending norm order, so the marks give the same
+    floats as adding 1/N(b) over the members one by one.  With ``logs``
+    false the harmonic sums are not computed.
     """
     K, X = counter.field, int(xs[-1])
-    if (isinstance(subject, (ExplicitFamily, PrimePowerFamily))
-            and not K.is_rational):
-        terms = _ie_terms(subject.members_up_to(X), X)
+    if not (K.is_rational or isinstance(A, NormIntervalFamily)):
+        terms = _ie_terms(A.members_up_to(X), X)
         ns = np.array([n for n, _ in terms], dtype=np.int64)
         gs = np.array([g for _, g in terms], dtype=np.int64)
         counts = [int(gs @ counter.H[x // ns]) for x in xs.tolist()]
@@ -232,22 +227,18 @@ def _member_sums(subject: AFamily | Callable[[Ideal], bool],
             return counts, None
         w, L = gs / ns, counter.L
         return counts, [float((w * L[x // ns]).sum()) for x in xs.tolist()]
-    if isinstance(subject, AFamily) and K.is_rational:
-        c = np.zeros(X + 1, dtype=bool)
-        if isinstance(subject, NormIntervalFamily):
-            norms = (n for lo, hi in subject.intervals
-                     for n in range(lo + 1, min(hi, X) + 1))
-        else:
-            norms = (a.norm for a in subject.members_up_to(X))
-        for n in norms:
-            if not c[n]:            # else its multiples are marked already
-                c[n::n] = True
+    c = np.zeros(X + 1, dtype=bool)
+    if isinstance(A, NormIntervalFamily):
+        norms = (n for lo, hi in A.intervals
+                 for n in range(lo + 1, min(hi, X) + 1) if counter.h_of(n))
     else:
-        c = np.zeros(X + 1, dtype=np.int64)
-        pred = subject.is_multiple if isinstance(subject, AFamily) else subject
-        for b in enumerate_ideals(K, X):
-            if pred(b):
-                c[b.norm] += 1
+        norms = (a.norm for a in A.members_up_to(X))
+    for n in norms:
+        if not c[n]:                # else its multiples are marked already
+            c[n::n] = True
+    if not K.is_rational:
+        h = counter.h
+        c = np.multiply(h, c, out=h)    # a marked norm counts its h(n) ideals
     starts = np.concatenate(([0], xs[:-1] + 1))
     counts = np.cumsum(np.add.reduceat(c, starts, dtype=np.int64)).tolist()
     if not logs:
@@ -404,30 +395,24 @@ def _sample_points(X: int, n_samples: int) -> np.ndarray:
     return xs
 
 
-def density_profile(subject: AFamily | Callable[[Ideal], bool],
-                    K: NumberField | None = None, X: int = 10**4,
+def density_profile(A: AFamily, X: int = 10**4,
                     n_samples: int = 24) -> DensityReport:
-    """Single-pass natural and logarithmic density profile up to norm X.
+    """Single-pass natural and logarithmic density profile of M_A up to X.
 
-    ``subject`` is either a family (profiling M_A, from every member of
-    norm <= X) or an arbitrary membership predicate on ideals.  Counts are
-    exact integers; harmonic sums are floating point, and the field's own
-    come from the counter's cached prefix L.
+    Every member of norm <= X counts, whatever the family's truncation.
+    Counts are exact integers; harmonic sums are floating point, and the
+    field's own come from the counter's cached prefix L.
     """
     if X < 100:
         raise ValueError("X must be >= 100")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    if isinstance(subject, AFamily):
-        K = subject.field
-    elif K is None:
-        raise ValueError("a field is required with a bare predicate")
-
+    K = A.field
     counter = count_ideals(K, X)
     xs = _sample_points(X, n_samples)
-    # Members first: over Q their per-norm arrays are freed before L is
-    # built, if this is the first profile on the counter.
-    member_counts, log_num = _member_sums(subject, counter, xs)
+    # Members first: marking arrays are freed before L is built, if this
+    # is the first profile on the counter.
+    member_counts, log_num = _member_sums(A, counter, xs)
     total_counts = counter.H[xs].tolist()
     natural = tuple(Fraction(m, t) for m, t in zip(member_counts, total_counts))
     log_ratios = tuple(n / d for n, d in zip(log_num, counter.L[xs].tolist()))

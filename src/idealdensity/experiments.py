@@ -1,11 +1,8 @@
-"""Canned reproducible experiment scenarios with CSV/JSON emission."""
+"""Canned reproducible experiment scenarios; ``cli`` writes their results."""
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 
 from .density import a_limit, density_profile, multiplicative_density
 from .errors import BoundsExceedX
@@ -19,16 +16,6 @@ NATURAL_TOL = 1e-2
 LOG_TOL = 5e-2
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, Fraction):
-        value = float(value)
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
 @dataclass
 class ExperimentResult:
     """Result tables of one scenario; every row carries its tolerance."""
@@ -40,25 +27,12 @@ class ExperimentResult:
     summary: dict = dataclass_field(default_factory=dict)
     verdict: bool = False
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([_fmt(v) for v in row])
-
     def summary_document(self, config: dict | None = None) -> dict:
         doc = {"scenario": self.name, "parameters": self.params,
                "summary": self.summary, "verdict": self.verdict}
         if config is not None:
             doc["config"] = config
         return doc
-
-    def write_summary(self, path, config: dict | None = None) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary_document(config), fh, indent=2,
-                      sort_keys=True, default=_fmt)
-            fh.write("\n")
 
 
 def primepower_free_experiment(K: NumberField, l: int, X: int,

@@ -244,9 +244,15 @@ class TestBadInput:
         (["experiment", "primepower-free", "--max-norm", "100"], 2),
         (["experiment", "primepower-free", "--max-norm", "10000",
           "--l", "1"], 2),
+        (["experiment", "main-theorem", "--aset", "{aset}", "--k-max", "0"],
+         1),
+        (["experiment", "main-theorem"], 1),
     ])
     def test_one_message_line_and_exit_code(self, tmp_path, argv, expected):
-        proc = run_process("-m", "idealdensity.cli", *argv,
+        aset = write_aset(tmp_path, {"field": "Q", "kind": "explicit",
+                                     "members": [2, 3]})
+        proc = run_process("-m", "idealdensity.cli",
+                           *(a.format(aset=aset) for a in argv),
                            "--out", str(tmp_path / "out.csv"))
         assert proc.returncode == expected
         assert "Traceback" not in proc.stderr

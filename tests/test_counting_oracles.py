@@ -1,11 +1,13 @@
 """Brute-force oracles for counting multiples at a norm bound.
 
 Every count the per-norm counting core returns is checked against
-``enumerate_ideals`` plus ``is_multiple`` (or the predicate itself), over Q
-and random quadratic fields Q(sqrt m), m squarefree in [-50, 50], real
-ones included.  The prime-norm arrays and the numpy ideal-count sieve
-beneath it are checked against scalar splitting, enumeration and the
-Gaussian lattice count, and the in-house factorization against sympy.
+``enumerate_ideals`` plus ``is_multiple``, over Q and random quadratic
+fields Q(sqrt m), m squarefree in [-50, 50], real ones and class numbers
+above 1 included.  So is the fact that norm-interval families rest on:
+the divisor norms of an ideal depend on its norm alone.  The prime-norm
+arrays and the numpy ideal-count sieve beneath it are checked against
+scalar splitting, enumeration and the Gaussian lattice count, and the
+in-house factorization against sympy.
 """
 
 import bisect
@@ -158,12 +160,24 @@ def test_wide_entangled_family_counts_exactly(m):
                                fam.is_multiple)
 
 
-def test_bare_predicate_over_gaussian_field(Qi):
+def test_irregular_gaussian_family_matches_brute_force(Qi):
+    # The multiples of a prime above 5 or of a prime square are the ideals
+    # whose norm is divisible by 5 or that have an exponent >= 2.
     def member(b):
         return b.norm % 5 == 0 or b.max_exponent() >= 2
 
-    report = idd.density_profile(member, K=Qi, X=2000)
-    assert_matches_brute_force(report, Qi, member)
+    X = 2000
+    primes = idd.primes_up_to_norm(Qi, math.isqrt(X))
+    fam = idd.ExplicitFamily(field=Qi, members=tuple(
+        [idd.make_ideal(Qi, [(pr, 1)]) for pr in primes if pr.p == 5]
+        + [idd.make_ideal(Qi, [(pr, 2)]) for pr in primes]))
+    ideals, norms = brute_ideals(Qi)
+    assert all(fam.is_multiple(b) == member(b)
+               for b in ideals[:bisect.bisect_right(norms, X)])
+    assert_matches_brute_force(idd.density_profile(fam, X=X), Qi, member)
+    hits, all_norms = brute_profile(Qi, X, member)
+    assert idd.sieve_multiples_density(fam, X) == Fraction(len(hits),
+                                                          len(all_norms))
 
 
 def test_norm_intervals_over_gaussian_field(Qi):
@@ -173,6 +187,35 @@ def test_norm_intervals_over_gaussian_field(Qi):
     hits, all_norms = brute_profile(Qi, 2000, fam.is_multiple)
     assert idd.sieve_multiples_density(fam, 2000) == Fraction(len(hits),
                                                              len(all_norms))
+
+
+@PROPERTY_SETTINGS
+@given(K=fields)
+def test_divisor_norms_depend_on_the_norm_alone(K):
+    # In degree <= 2 an ideal of norm n has a divisor of norm d exactly
+    # when d | n and some ideal has norm d.
+    h = idd.count_ideals(K, BRUTE_X).h
+    expected: dict[int, set[int]] = {}
+    for b in brute_ideals(K)[0]:
+        if b.norm not in expected:
+            expected[b.norm] = {d for d in sympy.divisors(b.norm) if h[d]}
+        assert set(b.divisor_norms()) == expected[b.norm]
+
+
+@PROPERTY_SETTINGS
+@given(K=fields, data=st.data())
+def test_norm_interval_family_counts_match_brute_force(K, data):
+    spans = data.draw(st.lists(st.tuples(st.integers(1, 300),
+                                         st.integers(1, 60)),
+                               min_size=1, max_size=3))
+    fam = idd.NormIntervalFamily(field=K, intervals=tuple(
+        (lo, lo + width) for lo, width in spans))
+    X = data.draw(st.integers(100, BRUTE_X))
+    hits, all_norms = brute_profile(K, X, fam.is_multiple)
+    assert idd.sieve_multiples_density(fam, X) == Fraction(len(hits),
+                                                          len(all_norms))
+    assert_matches_brute_force(idd.density_profile(fam, X=X), K,
+                               fam.is_multiple)
 
 
 @PROPERTY_SETTINGS

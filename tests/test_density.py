@@ -218,12 +218,22 @@ class TestDensityProfile:
         assert abs(rep.log_ratios[-1] - 0.5) < 5e-2
         assert float(rep.d_lower) == pytest.approx(0.5, abs=1e-2)
 
-    def test_predicate_path_matches_family_path(self, Q):
-        fam = int_family(Q, 2, 3)
-        rep_f = idd.density_profile(fam, X=2000)
-        rep_p = idd.density_profile(fam.is_multiple, K=Q, X=2000)
-        assert rep_f.natural_ratios == rep_p.natural_ratios
-        assert rep_f.log_ratios == rep_p.log_ratios
+    def test_rational_norm_intervals_match_brute_force(self, Q):
+        fam = idd.NormIntervalFamily(field=Q, intervals=((6, 9), (20, 23)))
+        X = 2000
+        marked = [n > 0 and any(n % d == 0 for lo, hi in fam.intervals
+                                for d in range(lo + 1, hi + 1))
+                  for n in range(X + 1)]
+        rep = idd.density_profile(fam, X=X)
+        for x, m, r in zip(rep.sample_points, rep.member_counts,
+                           rep.natural_ratios):
+            assert m == sum(marked[:x + 1])
+            assert r == Fraction(m, x)
+        hits = [n for n in range(1, X + 1) if marked[n]]
+        assert rep.log_ratios[-1] == pytest.approx(
+            math.fsum(1 / n for n in hits)
+            / math.fsum(1 / n for n in range(1, X + 1)), rel=1e-12)
+        assert idd.sieve_multiples_density(fam, X) == Fraction(len(hits), X)
 
     def test_gaussian_counts(self, Qi):
         pr2 = idd.primes_up_to_norm(Qi, 2)[0]
@@ -268,8 +278,6 @@ class TestDensityProfile:
     def test_validation(self, Q):
         with pytest.raises(ValueError):
             idd.density_profile(int_family(Q, 2), X=50)
-        with pytest.raises(ValueError):
-            idd.density_profile(lambda i: True, X=1000)
 
 
 class TestSamplePointSums:

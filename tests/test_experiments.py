@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import idealdensity as idd
-from idealdensity import experiments as ex
+from idealdensity import cli, experiments as ex
 from idealdensity.errors import BoundsExceedX
 
 from conftest import int_family
@@ -102,6 +103,21 @@ class TestBesicovitch:
             x = row[0]
             assert row[1] == int(divisors[1:x + 1].sum())
 
+    def test_gaussian_intervals_hold_only_marking_arrays(self, Qi):
+        # Norm intervals are counted by norm: a bool mark per norm, the
+        # int64 weights h(n) and the float64 harmonic buffer, at most three
+        # 8-byte arrays of length X + 1.
+        X = 2 * 10**5
+        assert idd.count_ideals(Qi, X).L[X] > 0     # warm: H and L cached
+        ex.besicovitch_experiment(Qi, X=10**4)      # warm: lazy imports
+        tracemalloc.start()
+        try:
+            ex.besicovitch_experiment(Qi, X=X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * (X + 1)
+
     def test_validation(self, Q):
         with pytest.raises(ValueError):
             ex.besicovitch_experiment(Q, T0=2)
@@ -113,7 +129,7 @@ class TestEmission:
     def test_csv_round_trip(self, Q, tmp_path):
         result = ex.primepower_free_experiment(Q, 2, 10**4, n_samples=6)
         path = tmp_path / "out.csv"
-        result.write_csv(path)
+        cli.write_csv(path, result.columns, result.rows)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(result.columns)
@@ -125,7 +141,7 @@ class TestEmission:
     def test_summary_json(self, Q, tmp_path):
         result = ex.besicovitch_experiment(Q, X=10**4, depth=2)
         path = tmp_path / "out.json"
-        result.write_summary(path, config={"threads": None})
+        cli.write_json(path, result.summary_document({"threads": None}))
         with open(path) as fh:
             doc = json.load(fh)
         assert doc["scenario"] == "besicovitch"
@@ -138,6 +154,6 @@ class TestEmission:
         for name in ("a.json", "b.json"):
             result = ex.primepower_free_experiment(Q, 2, 10**4, n_samples=6)
             p = tmp_path / name
-            result.write_summary(p)
+            cli.write_json(p, result.summary_document())
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]

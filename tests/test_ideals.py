@@ -58,18 +58,20 @@ class TestArithmetic:
         assert not idd.divides(idd.integer_ideal(Q, 4), idd.integer_ideal(Q, 6))
         assert idd.divides(idd.unit_ideal(Q), idd.integer_ideal(Q, 97))
 
-    @pytest.mark.parametrize("field_name,bound", [("Q", 60), ("Qi", 40)])
-    def test_gcd_lcm_norm_identity(self, field_name, bound, Q, Qi):
-        K = Q if field_name == "Q" else Qi
+    @pytest.mark.parametrize("field_name,bound", [
+        ("Q", 60), ("Qi", 40), ("Q(sqrt -5)", 40), ("Q(sqrt 5)", 40)])
+    def test_gcd_lcm_norm_identity(self, field_name, bound):
+        K = idd.parse_field("Q(sqrt -1)" if field_name == "Qi" else field_name)
         ideals = idd.enumerate_ideals(K, bound)
         for a, b in itertools.combinations_with_replacement(ideals, 2):
             g = idd.gcd(a, b)
             m = idd.intersect([a, b])
             assert g.norm * m.norm == a.norm * b.norm
 
-    @pytest.mark.parametrize("field_name", ["Q", "Qi"])
-    def test_divides_iff_quotient_exists(self, field_name, Q, Qi):
-        K = Q if field_name == "Q" else Qi
+    @pytest.mark.parametrize("field_name",
+                             ["Q", "Qi", "Q(sqrt -5)", "Q(sqrt 5)"])
+    def test_divides_iff_quotient_exists(self, field_name):
+        K = idd.parse_field("Q(sqrt -1)" if field_name == "Qi" else field_name)
         ideals = idd.enumerate_ideals(K, 30)
         for a, b in itertools.product(ideals, repeat=2):
             if idd.divides(a, b):
