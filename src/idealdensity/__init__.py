@@ -39,6 +39,8 @@ from .ideals import (
     enumerate_ideals,
     estimate_residue_constant,
     gcd,
+    ideal_count,
+    ideal_counts,
     integer_ideal,
     intersect,
     make_ideal,

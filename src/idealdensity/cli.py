@@ -27,13 +27,13 @@ from .errors import (
     SNotGreaterThanOne,
     TooLarge,
 )
-from .families import ExplicitFamily, parse_family
+from .families import ExplicitFamily, NormIntervalFamily, parse_family
 from .fields import (
     analytic_residue_imag_quadratic,
     class_number_imag_quadratic,
     parse_field,
 )
-from .ideals import count_ideals
+from .ideals import count_ideals, ideal_count, ideal_counts, run_starts
 from .zeta import euler_products_at, mertens_target
 
 EXIT_OK = 0
@@ -101,9 +101,10 @@ def _run_config(args, command: str) -> dict:
 def _sample_points(X: int, n: int) -> list[int]:
     if X <= n:
         return list(range(1, X + 1))
-    xs = np.unique(np.rint(np.geomspace(1, X, n)).astype(np.int64))
+    xs = np.rint(np.geomspace(1, X, n)).astype(np.int64)
+    xs = xs[run_starts(xs)]
     xs[-1] = X
-    return [int(x) for x in xs]
+    return xs.tolist()
 
 
 def cmd_field_info(args) -> int:
@@ -123,13 +124,13 @@ def cmd_field_info(args) -> int:
 
 def cmd_count(args) -> int:
     K = parse_field(args.field)
-    counter = count_ideals(K, args.max_norm)
-    rows = [(x, counter.H_of(x), counter.H_of(x) / x)
-            for x in _sample_points(args.max_norm, args.samples)]
-    write_csv(args.out, ("x", "H", "H_over_x"), rows)
-    _write_summary(args, "count", {"H": counter.H_of(args.max_norm),
-                                   "c_hat": counter.H_of(args.max_norm)
-                                   / args.max_norm})
+    xs = _sample_points(args.max_norm, args.samples)
+    Hs = ideal_counts(K, xs)
+    write_csv(args.out, ("x", "H", "H_over_x"),
+              [(x, H, H / x) for x, H in zip(xs, Hs)])
+    # The last sample point is the bound itself.
+    _write_summary(args, "count", {"H": Hs[-1],
+                                   "c_hat": Hs[-1] / args.max_norm})
     return EXIT_OK
 
 
@@ -138,8 +139,8 @@ def cmd_mertens(args) -> int:
     try:
         alpha = analytic_residue_imag_quadratic(K)
     except IdealDensityError:
-        alpha = count_ideals(K, min(args.cutoff, 10**6)).H_of(
-            min(args.cutoff, 10**6)) / min(args.cutoff, 10**6)
+        x = min(args.cutoff, 10**6)
+        alpha = ideal_count(K, x) / x
     target = mertens_target(alpha)
     cutoffs = [c for c in _sample_points(args.cutoff, args.samples) if c >= 10]
     rows = [(c, pi.value, pi.value / math.log(c), target)
@@ -150,13 +151,25 @@ def cmd_mertens(args) -> int:
     return EXIT_OK
 
 
+def _has_members(family, X: int) -> bool:
+    """Whether the family has a member of norm <= X.
+
+    A norm-interval family has one exactly when some n in (lo, min(hi, X)]
+    has h(n) > 0, read from the field's counter as H(min(hi, X)) > H(lo).
+    """
+    if isinstance(family, NormIntervalFamily):
+        counter = count_ideals(family.field, X)
+        return any(counter.H_of(min(hi, X)) > counter.H_of(lo)
+                   for lo, hi in family.intervals if lo < X)
+    return bool(family.members_up_to(X))
+
+
 def cmd_density(args) -> int:
     K = parse_field(args.field)
     with open(args.aset) as fh:
         family = parse_family(json.load(fh), K)
     X = args.max_norm
-    members = family.members_up_to(X)
-    if not members:
+    if not _has_members(family, X):
         rows = [(x, 0, 0, 0.0, 0.0)
                 for x in _sample_points(X, args.samples)]
         write_csv(args.out, ("x", "multiple_count", "total_count",
@@ -285,8 +298,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OverflowError, BoundTooSmall, BoundsExceedX,
-            TooLarge, SNotGreaterThanOne) as exc:
+    except (ValueError, OverflowError, MemoryError, BoundTooSmall,
+            BoundsExceedX, TooLarge, SNotGreaterThanOne) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except IdealDensityError as exc:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DuplicateMembers, TooLarge
+from .errors import DuplicateMembers, FieldMismatch, TooLarge
 from .families import (
     AFamily,
     ExplicitFamily,
@@ -35,7 +35,14 @@ from .families import (
     minimal_members,  # noqa: F401  (bench/spans.py traces this binding)
 )
 from .fields import NumberField, first_prime_ideals
-from .ideals import Ideal, NormCounter, count_ideals, divides, make_ideal
+from .ideals import (
+    Ideal,
+    NormCounter,
+    count_ideals,
+    divides,
+    make_ideal,
+    run_starts,
+)
 from .zeta import EulerProductState, partial_euler_product
 
 #: Largest family block handled by exact inclusion-exclusion (2^cap subsets).
@@ -253,17 +260,20 @@ def sieve_multiples_density(A: AFamily | Sequence[Ideal], X: int,
     """Exact share of ideals of norm <= X that are multiples of the family.
 
     Counts every member of norm <= X the same way as ``density_profile``.
-    The result is the exact rational count / H(X).
+    The result is the exact rational count / H(X).  ``K`` names the field
+    of an empty member list; a ``K`` other than the family's field raises
+    ``FieldMismatch``.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
     if not isinstance(A, AFamily):
         if K is None and not A:
             raise ValueError("empty member list needs an explicit field")
-        A = ExplicitFamily(field=K if K is not None else A[0].field,
-                           members=tuple(A))
-    K = A.field if K is None else K
-    counter = count_ideals(K, X)
+        A = ExplicitFamily(field=A[0].field if A else K, members=tuple(A))
+    if K is not None and K != A.field:
+        raise FieldMismatch(
+            f"family over {A.field.label()}, field {K.label()} given")
+    counter = count_ideals(A.field, X)
     (count,), _ = _member_sums(A, counter, np.array([X]), logs=False)
     return Fraction(count, counter.H_of(X))
 
@@ -390,7 +400,8 @@ class DensityReport:
 
 def _sample_points(X: int, n_samples: int) -> np.ndarray:
     lo = min(10, X)
-    xs = np.unique(np.rint(np.geomspace(lo, X, n_samples)).astype(np.int64))
+    xs = np.rint(np.geomspace(lo, X, n_samples)).astype(np.int64)
+    xs = xs[run_starts(xs)]
     xs[-1] = X
     return xs
 

@@ -259,7 +259,17 @@ def _prime_ideal_columns(K: NumberField, X: int) -> tuple[np.ndarray, ...]:
     ps = rational_primes_up_to(X)
     if K.is_rational:
         return ps, ps, np.zeros_like(ps), np.ones_like(ps)
-    s = _symbols_at_primes(K.discriminant, ps)
+    # chi_D(p) = kronecker_symbol(D, p) is a character mod |D|, so Euler's
+    # criterion runs only on the primes below |D|, each the first prime of
+    # its residue class, and every larger prime reads its class's symbol
+    # from the cached table of length |D|.  With |D| > X each class holds
+    # one prime and no table is built.
+    D = K.discriminant
+    below = int(np.searchsorted(ps, abs(D)))
+    s = _symbols_at_primes(D, ps[:below])
+    if below < ps.size:
+        chi, _ = kronecker_table(K, abs(D))
+        s = np.concatenate([s, chi[ps[below:] % abs(D)]])
     lin_p = np.repeat(ps, s + 1)
     lin_conj = np.zeros_like(lin_p)
     lin_conj[1:] = lin_p[1:] == lin_p[:-1]
@@ -292,6 +302,50 @@ def primes_up_to_norm(K: NumberField, X: int) -> tuple[PrimeIdeal, ...]:
     f = np.where(norm == p, 1, 2)
     return tuple(map(PrimeIdeal, norm.tolist(), p.tolist(), conj.tolist(),
                      e.tolist(), f.tolist()))
+
+
+@lru_cache(maxsize=8)
+def kronecker_table(K: NumberField, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """chi[k] = kronecker_symbol(D, k) and S[k] = chi[1] + ... + chi[k] for
+    0 <= k < n <= |D|, D the discriminant of the quadratic field K
+    (read-only arrays: chi int8, S the smallest signed integer type that
+    holds -n; chi[0] = 0).
+
+    chi(p) at a prime p < n is read from the prime-ideal norms below n: a
+    split p has two prime ideals of norm p, a ramified p one and an inert
+    p none.  These symbols are extended completely multiplicatively: a
+    prime p with p^2 < n multiplies chi[p^j::p^j] by chi(p) for every
+    power p^j < n, and a larger prime divides each k < n at most once, so,
+    with the small primes in, each cofactor j multiplies chi[p j] by
+    chi(p) for every larger p < n/j in one scatter.
+    """
+    if not 1 <= n <= abs(K.discriminant):
+        raise ValueError(f"table length {n} not in [1, |D|]")
+    ps = rational_primes_up_to(n - 1)
+    norms = prime_norm_array(K, max(n - 1, 1))
+    ideals_of_norm = np.zeros(n, dtype=np.int8)
+    ideals_of_norm[norms] = 1
+    ideals_of_norm[norms[1:][norms[1:] == norms[:-1]]] = 2
+    s = ideals_of_norm[ps] - 1
+    chi = np.ones(n, dtype=np.int8)
+    chi[0] = 0
+    n_small = int(np.searchsorted(ps, math.isqrt(n - 1), side="right"))
+    for p, sp in zip(ps[:n_small].tolist(), s[:n_small].tolist()):
+        if sp == 0:
+            chi[p::p] = 0
+        elif sp == -1:
+            q = p
+            while q < n:
+                np.negative(chi[q::q], out=chi[q::q])
+                q *= p
+    large, s_large = ps[n_small:], s[n_small:]
+    if large.size:
+        for j in range(1, (n - 1) // int(large[0]) + 1):
+            k = int(np.searchsorted(large, (n - 1) // j, side="right"))
+            chi[large[:k] * j] *= s_large[:k]
+    S = np.cumsum(chi, dtype=np.min_scalar_type(-n))     # |S[k]| <= k < n
+    chi.flags.writeable = S.flags.writeable = False
+    return chi, S
 
 
 def first_prime_ideals(K: NumberField, k: int) -> tuple[PrimeIdeal, ...]:

@@ -2,11 +2,16 @@
 
 Every nonzero integral ideal is stored as its sorted prime factorization,
 so divisibility, gcd, lcm (= intersection) and norms are exact
-exponent-vector operations.  Counting by norm is done twice, by a
-multiplicative sieve and by exhaustive enumeration, so each route can
-check the other.  Both read only the prime-ideal norms
-(``fields.prime_norm_array``).  The sieve is numpy slice updates for
-norms up to sqrt X and one scatter per cofactor for all larger norms.
+exponent-vector operations.  Counting by norm is done three ways, so
+each can check the others.  ``ideal_count`` gives H(x) at one point in
+O(sqrt x) by the Dirichlet hyperbola method over zeta_K = zeta L(s, chi_D)
+(H(x) = x over Q), for callers that read a few points.  ``count_ideals``
+keeps H on a whole range for callers that read it at many points: over a
+quadratic field it is a multiplicative sieve over the prime-ideal norms
+(``fields.prime_norm_array``), numpy slice updates for norms up to
+sqrt X and one scatter per cofactor for all larger norms, and over Q it
+is ``arange``.  Exhaustive enumeration over the same prime norms serves
+the tests.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BoundTooSmall, EmptySet, FieldMismatch
+from .errors import BoundTooSmall, EmptySet, FieldMismatch, TooLarge
 from .fields import (
     NumberField,
     PrimeIdeal,
     factorint,
+    kronecker_table,
     prime_norm_array,
     primes_up_to_norm,
     split_prime,
@@ -189,21 +195,37 @@ class NormCounter:
         return int(self.H[x]) if x >= 0 else 0
 
 
+def run_starts(a: np.ndarray) -> np.ndarray:
+    """Indices where the runs of equal values of a sorted array start.
+
+    ``a[run_starts(a)]`` is ``np.unique(a)`` for sorted ``a``, without the
+    import of ``numpy.ma`` that the first ``np.unique`` call makes.
+    """
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 @lru_cache(maxsize=8)
 def count_ideals(K: NumberField, X: int) -> NormCounter:
     """Exact norm counts up to X by a multiplicative sieve.
 
-    Every prime-ideal norm q multiplies the count series by the local
-    factor 1/(1 - t^q).  A small norm (q^2 <= X) runs the ascending
-    in-place update h[q k] += h[k], in slice blocks k in [q^i, q^(i+1))
-    whose reads the block itself never writes.  A large norm (q^2 > X)
-    divides an ideal of norm <= X at most once and never beside another
-    large one, so once the small norms are in, each cofactor j adds
-    mult(q) * h[j] to h[q j] for every large q <= X/j in one scatter.
-    A final in-place cumulative sum turns h into H.
+    Over Q every n >= 1 is the norm of exactly one ideal, so H is
+    ``arange(X + 1)`` and neither primes nor a sieve are needed.  Over a
+    quadratic field every prime-ideal norm q multiplies the count series
+    by the local factor 1/(1 - t^q).  A small norm (q^2 <= X) runs the
+    ascending in-place update h[q k] += h[k], in slice blocks k in
+    [q^i, q^(i+1)) whose reads the block itself never writes.  A large
+    norm (q^2 > X) divides an ideal of norm <= X at most once and never
+    beside another large one, so once the small norms are in, each
+    cofactor j adds mult(q) * h[j] to h[q j] for every large q <= X/j in
+    one scatter.  A final in-place cumulative sum turns h into H.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
+    if K.is_rational:
+        return NormCounter(field=K, X=X, H=np.arange(X + 1, dtype=np.int64))
     norms = prime_norm_array(K, X)
     n_small = int(np.searchsorted(norms, math.isqrt(X), side="right"))
     h = np.zeros(X + 1, dtype=np.int64)
@@ -215,12 +237,59 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
             hi = min(lo * q, top)
             h[lo * q:hi * q:q] += h[lo:hi]
             lo = hi
-    large, mult = np.unique(norms[n_small:], return_counts=True)
+    starts = run_starts(norms[n_small:])
+    large = norms[n_small:][starts]
+    mult = np.diff(starts, append=norms.size - n_small)
     if large.size:
         for j in np.flatnonzero(h[:X // int(large[0]) + 1]).tolist():
             n = int(np.searchsorted(large, X // j, side="right"))
             h[large[:n] * j] += mult[:n] * h[j]
     return NormCounter(field=K, X=X, H=np.cumsum(h, out=h))
+
+
+#: Divisors per block of the hyperbola sums, and the largest x they take:
+#: a block's sum of chi(d) floor(x/d) is at most x (1 + log 2^16) < 2^63
+#: in absolute value, so int64 holds it.
+_HYPERBOLA_BLOCK = 1 << 16
+_HYPERBOLA_LIMIT = 1 << 59
+
+
+def ideal_counts(K: NumberField, xs: Sequence[int]) -> list[int]:
+    """Exact H(x) = #{a : N(a) <= x} at each x in xs, without a sieve.
+
+    Over Q, H(x) = x.  Over a quadratic field zeta_K = zeta L(s, chi_D),
+    so h = 1 * chi_D and the Dirichlet hyperbola method gives, with
+    u = isqrt(x) and S the prefix sums of chi_D,
+
+        H(x) = sum_{d<=u} chi(d) floor(x/d) + sum_{m<=u} S(x // m) - u S(u),
+
+    O(sqrt x) work per point, added in fixed-size blocks.  chi_D and S
+    are read from one ``fields.kronecker_table`` of length
+    min(|D|, max(xs) + 1): chi_D has period |D| and sums to 0 over it.
+    """
+    xs = [max(int(x), 0) for x in xs]
+    if K.is_rational or not xs:
+        return xs
+    if max(xs) > _HYPERBOLA_LIMIT:
+        raise TooLarge(f"H(x) is evaluated for x <= {_HYPERBOLA_LIMIT} only")
+    chi, S = kronecker_table(K, min(abs(K.discriminant), max(xs) + 1))
+    n = chi.size
+    out = []
+    for x in xs:
+        u = math.isqrt(x)
+        total = -u * int(S[u % n])
+        for lo in range(1, u + 1, _HYPERBOLA_BLOCK):
+            d = np.arange(lo, min(lo + _HYPERBOLA_BLOCK, u + 1),
+                          dtype=np.int64)
+            q = x // d
+            total += int(chi[d % n] @ q) + int(S[q % n].sum())
+        out.append(total)
+    return out
+
+
+def ideal_count(K: NumberField, x: int) -> int:
+    """Exact H(x) = #{a : N(a) <= x} in O(sqrt x); see ``ideal_counts``."""
+    return ideal_counts(K, [x])[0]
 
 
 def enumeration_norm_counts(K: NumberField, X: int) -> np.ndarray:
@@ -291,7 +360,7 @@ def multiples_count(a: Ideal, X: int, counter: NormCounter | None = None) -> int
     if bound < 1:
         return 0
     if counter is None or counter.X < bound:
-        counter = count_ideals(a.field, X)
+        return ideal_count(a.field, bound)
     return counter.H_of(bound)
 
 
@@ -304,14 +373,14 @@ def estimate_residue_constant(K: NumberField, X: int,
     """
     if X < 100:
         raise BoundTooSmall("estimate_residue_constant needs X >= 100")
-    counter = count_ideals(K, X)
-    c_hat = counter.H_of(X) / X
-    xs = np.unique(np.geomspace(X // 10, X, n_samples).astype(np.int64))
+    grid = np.geomspace(X // 10, X, n_samples).astype(np.int64)
+    xs = grid[run_starts(grid)].tolist()
+    *Hs, H_X = ideal_counts(K, xs + [X])
+    c_hat = H_X / X
     d = K.degree
     kappa = 0.0
-    for x in xs:
-        x = int(x)
-        dev = abs(counter.H_of(x) / x - c_hat)
+    for x, H in zip(xs, Hs):
+        dev = abs(H / x - c_hat)
         kappa = max(kappa, dev * x ** (1.0 / d))
     return c_hat, kappa * X ** (-1.0 / d)
 

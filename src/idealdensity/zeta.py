@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SNotGreaterThanOne
 from .fields import EULER_GAMMA, NumberField, first_prime_ideals, prime_norm_array
-from .ideals import count_ideals
+from .ideals import count_ideals, run_starts
 
 #: Largest prime count for which the Euler product is kept as a Fraction.
 _EXACT_PRIME_LIMIT = 64
@@ -121,8 +121,8 @@ def dedekind_zeta(K: NumberField, s: float, X: int) -> tuple[float, float]:
     np.power(ks, s, out=ks)
     np.divide(counter.h[1:], ks, out=ks)
     value = float(np.sum(ks))
-    xs = np.unique(np.geomspace(max(1, X // 10), X, 32).astype(np.int64))
-    c_upper = max(counter.H_of(int(x)) / int(x) for x in xs)
+    xs = np.geomspace(max(1, X // 10), X, 32).astype(np.int64)
+    c_upper = max(counter.H_of(x) / x for x in xs[run_starts(xs)].tolist())
     tail_bound = 2.0 * c_upper * (s / (s - 1.0)) * X ** (1.0 - s)
     return value, tail_bound
 

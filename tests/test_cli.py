@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import idealdensity as idd
 from idealdensity import cli
 
 
@@ -87,6 +88,27 @@ class TestCount:
         assert code == 0
         rows = read_csv(out_path)
         assert rows[-1] == ["10", "9", "0.9"]
+
+    def test_gaussian_at_10_12_without_a_sieve(self, capsys, tmp_path):
+        out_path = tmp_path / "count.csv"
+        code, _, err = run(capsys, "count", "--field", "Q(sqrt -1)",
+                           "--max-norm", "1000000000000",
+                           "--out", str(out_path))
+        assert code == 0, err
+        assert read_summary(out_path)["summary"]["H"] == 785398162406
+        assert read_csv(out_path)[-1][:2] == ["1000000000000", "785398162406"]
+
+    def test_point_counts_build_no_counter(self, capsys, tmp_path,
+                                           monkeypatch):
+        def refuse(K, X):
+            raise AssertionError("sieve built for a point count")
+
+        monkeypatch.setattr(cli, "count_ideals", refuse)
+        for argv in (["count", "--field", "Q(sqrt 5)", "--max-norm", "5000"],
+                     ["mertens", "--field", "Q(sqrt 5)", "--cutoff", "5000"]):
+            code, _, err = run(capsys, *argv, "--out",
+                               str(tmp_path / "o.csv"))
+            assert code == 0, err
 
     def test_missing_out(self, capsys):
         code, _, err = run(capsys, "count", "--max-norm", "10")
@@ -169,6 +191,40 @@ class TestDensity:
         assert summary["A_exact"] == "1"
         assert summary["natural_ratio"] == summary["log_ratio"] == 1.0
 
+    @pytest.mark.parametrize("intervals,empty", [
+        ([[2, 3]], True),               # norm 3 is inert in Q(i)
+        ([[2, 3], [4, 5]], False),
+    ])
+    def test_norm_interval_family_over_gaussian_field(
+            self, capsys, tmp_path, monkeypatch, intervals, empty):
+        aset = write_aset(tmp_path, {"field": "Q(sqrt -1)",
+                                     "kind": "norm_intervals",
+                                     "intervals": intervals})
+        members_up_to = cli.NormIntervalFamily.members_up_to
+        calls = []
+        monkeypatch.setattr(
+            cli.NormIntervalFamily, "members_up_to",
+            lambda fam, bound: calls.append(bound)
+            or members_up_to(fam, bound))
+        out_path = tmp_path / "density.csv"
+        code, _, err = run(capsys, "density", "--field", "Q(sqrt -1)",
+                           "--aset", str(aset), "--max-norm", "1000",
+                           "--out", str(out_path))
+        assert code == 0, err
+        rows = read_csv(out_path)[1:]
+        summary = read_summary(out_path)["summary"]
+        if empty:
+            # The emptiness check reads H only; it enumerates no ideal.
+            assert calls == []
+            assert all(r[1:] == ["0", "0", "0", "0"] for r in rows)
+            assert summary == {"A": 0.0, "A_exact": "0"}
+        else:
+            fam = idd.parse_family(json.loads(aset.read_text()))
+            hits = sum(map(fam.is_multiple,
+                           idd.enumerate_ideals(fam.field, 1000)))
+            assert rows[-1][:2] == ["1000", str(hits)] and hits > 0
+            assert summary["A_r"][0] > 0
+
     def test_missing_aset_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "density", "--aset",
                            str(tmp_path / "nope.json"), "--max-norm", "1000",
@@ -247,6 +303,9 @@ class TestBadInput:
         (["experiment", "main-theorem", "--aset", "{aset}", "--k-max", "0"],
          1),
         (["experiment", "main-theorem"], 1),
+        # H up to 10^15 needs an 8 PB array: beyond the address space, so
+        # the allocation fails at once and touches no memory.
+        (["density", "--aset", "{aset}", "--max-norm", "1000000000000000"], 2),
     ])
     def test_one_message_line_and_exit_code(self, tmp_path, argv, expected):
         aset = write_aset(tmp_path, {"field": "Q", "kind": "explicit",
@@ -263,4 +322,19 @@ class TestBadInput:
 def test_cli_import_loads_no_sympy():
     proc = run_process("-c", "import idealdensity.cli, sys; "
                              "assert 'sympy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_count_and_primepower_free_import_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call; the CLI paths avoid it.
+    proc = run_process("-c", f"""
+import sys
+from idealdensity import cli
+assert cli.main(["count", "--field", "Q(sqrt -1)", "--max-norm", "100000",
+                 "--out", {str(tmp_path / "c.csv")!r}]) == 0
+assert cli.main(["experiment", "primepower-free", "--field", "Q",
+                 "--max-norm", "100000",
+                 "--out", {str(tmp_path / "p.csv")!r}]) in (0, 3)
+assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+""")
     assert proc.returncode == 0, proc.stderr

@@ -6,8 +6,9 @@ fields Q(sqrt m), m squarefree in [-50, 50], real ones and class numbers
 above 1 included.  So is the fact that norm-interval families rest on:
 the divisor norms of an ideal depend on its norm alone.  The prime-norm
 arrays and the numpy ideal-count sieve beneath it are checked against
-scalar splitting, enumeration and the Gaussian lattice count, and the
-in-house factorization against sympy.
+scalar splitting, enumeration and the Gaussian lattice count, the
+hyperbola point counts against the sieve, and the in-house factorization
+against sympy.
 """
 
 import bisect
@@ -24,7 +25,13 @@ import idealdensity as idd
 from idealdensity import fields as fields_module
 from idealdensity.density import SUBSET_CAP
 from idealdensity.errors import DuplicateMembers, TooLarge
-from idealdensity.ideals import enumeration_norm_counts, gaussian_lattice_counts
+from idealdensity.ideals import (
+    enumeration_norm_counts,
+    gaussian_lattice_counts,
+    gaussian_lattice_H,
+    ideal_count,
+    ideal_counts,
+)
 
 #: Largest bound of the brute-force enumerations.
 BRUTE_X = 3000
@@ -242,6 +249,64 @@ def test_sieve_matches_gaussian_lattice_above_large_norms(Qi, X):
     assert fields_module.prime_norm_array(Qi, X)[-1] > math.isqrt(X)
     assert np.array_equal(idd.count_ideals(Qi, X).h,
                           gaussian_lattice_counts(X))
+
+
+@PROPERTY_SETTINGS
+@given(K=fields, X=st.integers(1, 5000), data=st.data())
+def test_hyperbola_point_counts_match_the_sieve(K, X, data):
+    counter = idd.count_ideals(K, X)
+    xs = data.draw(st.lists(st.integers(0, X), max_size=20)) + [X]
+    assert ideal_counts(K, xs) == [counter.H_of(x) for x in xs]
+    assert all(ideal_count(K, x) == counter.H_of(x) for x in xs[-3:])
+
+
+#: Fields whose |D| (4000012 and 4000004) is above the sieve bounds of the
+#: other tests, so the character table has one entry per residue below x.
+LARGE_D_M = [1000003, -1000001]
+
+
+@pytest.mark.parametrize("m", LARGE_D_M)
+def test_hyperbola_on_both_sides_of_a_large_discriminant(m):
+    K = field(m)
+    D = abs(K.discriminant)
+    counter = idd.ideals.count_ideals.__wrapped__(K, D + 3000)
+    xs = [1, 2, 999, 10**6, D - 1, D, D + 1, D + 2999, D + 3000]
+    assert ideal_counts(K, xs) == [counter.H_of(x) for x in xs]
+    assert ideal_count(K, 10**6) == counter.H_of(10**6)
+    assert ideal_count(K, D + 1) == counter.H_of(D + 1)
+
+
+@pytest.mark.parametrize("m", LARGE_D_M)
+def test_splitting_by_residue_class_matches_scalar_kronecker(m, monkeypatch):
+    K = field(m)
+    D = K.discriminant
+    X = abs(D) + 20000
+    chi, S = fields_module.kronecker_table(K, abs(D))    # cached from here
+    euler_inputs = []
+    euler = fields_module._symbols_at_primes
+    monkeypatch.setattr(fields_module, "_symbols_at_primes",
+                        lambda D, ps: euler_inputs.append(ps) or euler(D, ps))
+    norm = fields_module._prime_ideal_columns(K, X)[0]
+    ps = fields_module.rational_primes_up_to(X)
+    # Euler's criterion ran once per class: on the primes below |D| only.
+    assert np.concatenate(euler_inputs).tolist() == ps[ps < abs(D)].tolist()
+    # Two prime ideals of norm p when p splits, one when it ramifies.
+    picked = np.concatenate([ps[:2000], ps[-4000:]])
+    ideals_of_norm_p = (np.searchsorted(norm, picked, side="right")
+                        - np.searchsorted(norm, picked))
+    assert (ideals_of_norm_p - 1).tolist() == [
+        idd.kronecker_symbol(D, p) for p in picked.tolist()]
+    # The class table itself, on both sides of 10^6.
+    for lo in (0, 10**6 - 1000, abs(D) - 1000):
+        assert chi[lo:lo + 1000].tolist() == [
+            idd.kronecker_symbol(D, k) if k else 0
+            for k in range(lo, lo + 1000)]
+    assert S[-1] == int(chi.sum(dtype=np.int64)) == 0
+
+
+def test_hyperbola_matches_gaussian_lattice_at_10_12(Qi):
+    assert ideal_count(Qi, 10**12) == gaussian_lattice_H(10**12) \
+        == 785398162406
 
 
 FACTOR_EDGE_CASES = [

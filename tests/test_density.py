@@ -8,7 +8,7 @@ from sympy import primerange
 
 import idealdensity as idd
 from idealdensity.density import _member_sums
-from idealdensity.errors import DuplicateMembers, TooLarge
+from idealdensity.errors import DuplicateMembers, FieldMismatch, TooLarge
 from idealdensity.zeta import rankin_tail_bound
 
 from conftest import int_family
@@ -131,6 +131,24 @@ class TestSieveDensity:
         direct = sum(1 for b in ideals if fam.is_multiple(b))
         assert idd.sieve_multiples_density(fam, X) == Fraction(direct,
                                                               len(ideals))
+
+    def test_field_other_than_the_family_raises(self, Q, Qi):
+        # The only ideal norm in (2, 3] over Q(i) is 3, which is inert.
+        fam = idd.NormIntervalFamily(field=Qi, intervals=((2, 3),))
+        assert idd.sieve_multiples_density(fam, 100) == 0
+        assert idd.sieve_multiples_density(fam, 100, K=Qi) == 0
+        with pytest.raises(FieldMismatch):
+            idd.sieve_multiples_density(fam, 100, K=Q)
+        with pytest.raises(FieldMismatch):
+            idd.sieve_multiples_density(
+                [idd.make_ideal(Qi, [(idd.primes_up_to_norm(Qi, 2)[0], 1)])],
+                100, K=Q)
+
+    def test_field_names_an_empty_member_list(self, Q, Qi):
+        assert idd.sieve_multiples_density([], 100, K=Qi) == 0
+        assert idd.sieve_multiples_density([], 100, K=Q) == 0
+        with pytest.raises(ValueError):
+            idd.sieve_multiples_density([], 100)
 
     def test_prime_power_family(self, Q):
         fam = idd.PrimePowerFamily(field=Q, l=2)

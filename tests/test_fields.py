@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import pytest
 from sympy import factorint, primerange
 
 import idealdensity as idd
-from idealdensity.fields import first_prime_ideals
+from idealdensity.fields import first_prime_ideals, kronecker_table
 from idealdensity.errors import (
     DegenerateM,
     NotFundamental,
@@ -76,6 +77,20 @@ class TestKronecker:
     def test_periodic_mod_abs_D(self, D):
         for n in range(1, 3 * abs(D)):
             assert idd.kronecker_symbol(D, n) == idd.kronecker_symbol(D, n + abs(D))
+
+    @pytest.mark.parametrize("m", [-1, -3, -5, 5, 2, 13, -21, 3001])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 3000])
+    def test_table_is_the_symbol_and_its_prefix_sums(self, m, n):
+        K = idd.make_quadratic_field(m)
+        D = K.discriminant
+        n = min(n, abs(D))
+        chi, S = kronecker_table(K, n)
+        expected = [idd.kronecker_symbol(D, k) if k else 0 for k in range(n)]
+        assert chi.tolist() == expected
+        assert S.tolist() == list(itertools.accumulate(expected))
+        assert not chi.flags.writeable and not S.flags.writeable
+        with pytest.raises(ValueError):
+            kronecker_table(K, abs(D) + 1)
 
 
 class TestSplitting:

@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 import idealdensity as idd
-from idealdensity.errors import BoundTooSmall, EmptySet, FieldMismatch
+from idealdensity.errors import (
+    BoundTooSmall,
+    EmptySet,
+    FieldMismatch,
+    TooLarge,
+)
 from idealdensity.ideals import (
     enumeration_norm_counts,
     gaussian_lattice_H,
     gaussian_lattice_counts,
+    run_starts,
 )
 
 
@@ -154,6 +160,54 @@ class TestNormCounter:
         c = idd.count_ideals(Qi, 2000)
         assert (gaussian_lattice_counts(2000) == c.h).all()
         assert gaussian_lattice_H(2000) == c.H_of(2000)
+
+    def test_rational_counts_need_no_primes(self, Q, monkeypatch):
+        def no_primes(K, X):
+            raise AssertionError("prime norms read over Q")
+
+        monkeypatch.setattr(idd.ideals, "prime_norm_array", no_primes)
+        c = idd.ideals.count_ideals.__wrapped__(Q, 10**5)
+        assert np.array_equal(c.H, np.arange(10**5 + 1))
+        assert c.H.dtype == np.int64
+
+
+class TestPointCounts:
+    """H at a few points comes from ``ideal_count``, never from a sieve."""
+
+    @pytest.fixture
+    def no_sieve(self, monkeypatch):
+        def refuse(K, X):
+            raise AssertionError("sieve built for a point count")
+
+        monkeypatch.setattr(idd.ideals, "count_ideals", refuse)
+
+    def test_rational_is_x(self, Q):
+        assert idd.ideal_counts(Q, [0, 1, 7, 10**15]) == [0, 1, 7, 10**15]
+        assert idd.ideal_count(Q, 10**15) == 10**15
+
+    def test_point_callers_build_no_counter(self, Q, Qi, no_sieve):
+        a = idd.make_ideal(Qi, [(p2(Qi), 1)])
+        assert idd.multiples_count(a, 10) == 5
+        assert idd.multiples_count(a, 10**12) == gaussian_lattice_H(
+            10**12 // 2)
+        c_hat, _ = idd.estimate_residue_constant(Qi, 10**5)
+        assert c_hat == gaussian_lattice_H(10**5) / 10**5
+
+    def test_beyond_int64_reach_raises(self, Qi):
+        with pytest.raises(TooLarge):
+            idd.ideal_count(Qi, 2**62)
+
+
+def test_run_starts_is_unique_on_the_sample_grids():
+    # The grids of cli._sample_points, density._sample_points,
+    # dedekind_zeta and estimate_residue_constant.
+    for X in [*range(2, 400), 10**4, 3 * 10**5, 10**6, 10**12]:
+        for grid in (np.rint(np.geomspace(1, X, 30)),
+                     np.rint(np.geomspace(min(10, X), X, 24)),
+                     np.geomspace(max(1, X // 10), X, 32),
+                     np.geomspace(max(1, X // 10), X, 20)):
+            xs = grid.astype(np.int64)
+            assert np.array_equal(xs[run_starts(xs)], np.unique(xs))
 
 
 class TestStoredCounts:
