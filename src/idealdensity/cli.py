@@ -16,8 +16,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments
 from .density import a_limit, density_profile, finite_ie_density
 from .errors import (
@@ -27,13 +25,15 @@ from .errors import (
     SNotGreaterThanOne,
     TooLarge,
 )
-from .families import ExplicitFamily, NormIntervalFamily, parse_family
+from .families import ExplicitFamily, parse_family
 from .fields import (
     analytic_residue_imag_quadratic,
     class_number_imag_quadratic,
     parse_field,
+    sample_grid,
 )
-from .ideals import count_ideals, ideal_count, ideal_counts, run_starts
+from .ideals import count_ideals  # noqa: F401  (bench/ binds cli.count_ideals)
+from .ideals import ideal_count, ideal_counts
 from .zeta import euler_products_at, mertens_target
 
 EXIT_OK = 0
@@ -99,12 +99,7 @@ def _run_config(args, command: str) -> dict:
 
 
 def _sample_points(X: int, n: int) -> list[int]:
-    if X <= n:
-        return list(range(1, X + 1))
-    xs = np.rint(np.geomspace(1, X, n)).astype(np.int64)
-    xs = xs[run_starts(xs)]
-    xs[-1] = X
-    return xs.tolist()
+    return list(range(1, X + 1)) if X <= n else sample_grid(1, X, n).tolist()
 
 
 def cmd_field_info(args) -> int:
@@ -151,32 +146,11 @@ def cmd_mertens(args) -> int:
     return EXIT_OK
 
 
-def _has_members(family, X: int) -> bool:
-    """Whether the family has a member of norm <= X.
-
-    A norm-interval family has one exactly when some n in (lo, min(hi, X)]
-    has h(n) > 0, read from the field's counter as H(min(hi, X)) > H(lo).
-    """
-    if isinstance(family, NormIntervalFamily):
-        counter = count_ideals(family.field, X)
-        return any(counter.H_of(min(hi, X)) > counter.H_of(lo)
-                   for lo, hi in family.intervals if lo < X)
-    return bool(family.members_up_to(X))
-
-
 def cmd_density(args) -> int:
     K = parse_field(args.field)
     with open(args.aset) as fh:
         family = parse_family(json.load(fh), K)
-    X = args.max_norm
-    if not _has_members(family, X):
-        rows = [(x, 0, 0, 0.0, 0.0)
-                for x in _sample_points(X, args.samples)]
-        write_csv(args.out, ("x", "multiple_count", "total_count",
-                             "natural_ratio", "log_ratio"), rows)
-        _write_summary(args, "density", {"A": 0.0, "A_exact": "0"})
-        return EXIT_OK
-    report = density_profile(family, X=X, n_samples=args.samples)
+    report = density_profile(family, X=args.max_norm, n_samples=args.samples)
     rows = [(report.sample_points[i], report.member_counts[i],
              report.total_counts[i], float(report.natural_ratios[i]),
              report.log_ratios[i])
@@ -192,7 +166,8 @@ def cmd_density(args) -> int:
     else:
         seq = a_limit(family, r_max=args.r_max)
         summary["A_r"] = [float(v) for v in seq]
-        summary["A"] = float(seq[-1])
+        # No member of norm <= truncation: M_A is empty.
+        summary["A"] = float(seq[-1]) if seq else 0.0
     _write_summary(args, "density", summary)
     return EXIT_OK
 
@@ -268,7 +243,7 @@ def build_parser() -> _Parser:
     p.add_argument("--aset", required=True, type=Path,
                    help="JSON family specification file")
     p.add_argument("--max-norm", type=_int_at_least(1), required=True)
-    p.add_argument("--r-max", type=int, default=8)
+    p.add_argument("--r-max", type=_int_at_least(1), default=8)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("experiment", help="run a canned scenario")
@@ -278,7 +253,7 @@ def build_parser() -> _Parser:
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--aset", type=Path)
     p.add_argument("--k-max", type=_int_at_least(1), default=8)
-    p.add_argument("--r-max", type=int, default=8)
+    p.add_argument("--r-max", type=_int_at_least(1), default=8)
     p.add_argument("--t0", type=int, default=10)
     p.add_argument("--growth", type=int, default=3)
     p.add_argument("--depth", type=int, default=3)

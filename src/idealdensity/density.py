@@ -34,14 +34,13 @@ from .families import (
     PrimePowerFamily,
     minimal_members,  # noqa: F401  (bench/spans.py traces this binding)
 )
-from .fields import NumberField, first_prime_ideals
+from .fields import NumberField, first_prime_ideals, sample_grid
 from .ideals import (
     Ideal,
     NormCounter,
     count_ideals,
     divides,
     make_ideal,
-    run_starts,
 )
 from .zeta import EulerProductState, partial_euler_product
 
@@ -398,14 +397,6 @@ class DensityReport:
             log_ratios=tuple(1.0 - r for r in self.log_ratios))
 
 
-def _sample_points(X: int, n_samples: int) -> np.ndarray:
-    lo = min(10, X)
-    xs = np.rint(np.geomspace(lo, X, n_samples)).astype(np.int64)
-    xs = xs[run_starts(xs)]
-    xs[-1] = X
-    return xs
-
-
 def density_profile(A: AFamily, X: int = 10**4,
                     n_samples: int = 24) -> DensityReport:
     """Single-pass natural and logarithmic density profile of M_A up to X.
@@ -420,7 +411,7 @@ def density_profile(A: AFamily, X: int = 10**4,
         raise ValueError("n_samples must be >= 2")
     K = A.field
     counter = count_ideals(K, X)
-    xs = _sample_points(X, n_samples)
+    xs = sample_grid(10, X, n_samples)
     # Members first: marking arrays are freed before L is built, if this
     # is the first profile on the counter.
     member_counts, log_num = _member_sums(A, counter, xs)

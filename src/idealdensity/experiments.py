@@ -85,7 +85,7 @@ def main_theorem_experiment(A: AFamily, X: int = 10**6, k_max: int = 8,
     a_seq = a_limit(A, r_max)
     b_states = [multiplicative_density(A, k) for k in range(1, k_max + 1)]
     report = density_profile(A, X=X, n_samples=n_samples)
-    a_final = float(a_seq[-1])
+    a_final = float(a_seq[-1]) if a_seq else 0.0    # no member: M_A empty
     b_final = float(b_states[-1].b_k)
     log_final = report.log_ratios[-1]
     result = ExperimentResult(

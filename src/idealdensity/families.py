@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .errors import FamilySpecError, FieldMismatch
 from .fields import NumberField, parse_field, primes_up_to_norm, split_prime
 from .ideals import Ideal, divides, enumerate_ideals, integer_ideal, make_ideal
+from .ideals import ideal_counts
 
 #: Default truncation norm used to make rule-based families finite.
 DEFAULT_TRUNCATION = 10**6
@@ -119,9 +120,13 @@ class NormIntervalFamily(AFamily):
     def members_up_to(self, bound: int) -> list[Ideal]:
         out: list[Ideal] = []
         for lo, hi in self.intervals:
-            if lo >= bound:
+            top = min(hi, bound)
+            if lo >= top:
                 continue
-            for ideal in enumerate_ideals(self.field, min(hi, bound)):
+            H_lo, H_top = ideal_counts(self.field, [lo, top])
+            if H_lo == H_top:       # no ideal has its norm in (lo, top]
+                continue
+            for ideal in enumerate_ideals(self.field, top):
                 if lo < ideal.norm:
                     out.append(ideal)
         out.sort(key=Ideal.sort_key)
@@ -142,13 +147,18 @@ def minimal_members(members: list[Ideal]) -> list[Ideal]:
     return kept
 
 
+def _ints(value, size: int) -> bool:
+    # A list (or tuple) of `size` JSON integers; bools and floats fail.
+    return (isinstance(value, (list, tuple)) and len(value) == size
+            and all(type(v) is int for v in value))
+
+
 def _ideal_from_exponent_spec(K: NumberField, entries) -> Ideal:
     factors = []
     for entry in entries:
-        try:
-            p, conj, e = (int(v) for v in entry)
-        except (TypeError, ValueError) as exc:
-            raise FamilySpecError(f"bad factor entry {entry!r}") from exc
+        if not _ints(entry, 3):
+            raise FamilySpecError(f"bad factor entry {entry!r}")
+        p, conj, e = entry
         if e < 1:
             raise FamilySpecError("exponents must be >= 1")
         above = split_prime(K, p)
@@ -159,17 +169,29 @@ def _ideal_from_exponent_spec(K: NumberField, entries) -> Ideal:
     return make_ideal(K, factors)
 
 
+def _positive_int(doc: dict, key: str, default=None) -> int:
+    value = doc.get(key, default)
+    if type(value) is not int or value < 1:
+        raise FamilySpecError(f"{key!r} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def parse_family(doc: dict, K: NumberField | None = None) -> AFamily:
     """Build a family from its JSON specification document.
 
-    Keys: "field", "kind" in {explicit, prime_powers, norm_intervals} and a
-    kind-specific payload ("members", "l", or "intervals").  Explicit
+    Keys: "field" (a label string), "kind" in {explicit, prime_powers,
+    norm_intervals}, a kind-specific payload ("members", "l", or
+    "intervals") and an optional integer "truncation" >= 1.  Explicit
     members over Q are positive integers; over quadratic fields they are
-    lists of (p, conjugate_index, exponent) triples.
+    lists of (p, conjugate_index, exponent) triples.  Intervals are
+    [lo, hi] pairs of integers.  A malformed document raises
+    ``FamilySpecError``.
     """
     if not isinstance(doc, dict):
         raise FamilySpecError("family specification must be a JSON object")
     if "field" in doc:
+        if not isinstance(doc["field"], str):
+            raise FamilySpecError("'field' must be a field label string")
         doc_field = parse_field(doc["field"])
         if K is not None and doc_field != K:
             raise FamilySpecError(
@@ -178,28 +200,36 @@ def parse_family(doc: dict, K: NumberField | None = None) -> AFamily:
     if K is None:
         raise FamilySpecError("no field given")
     kind = doc.get("kind")
-    truncation = int(doc.get("truncation", DEFAULT_TRUNCATION))
+    truncation = _positive_int(doc, "truncation", DEFAULT_TRUNCATION)
     if kind == "explicit":
+        specs = doc.get("members", [])
+        if not isinstance(specs, (list, tuple)):
+            raise FamilySpecError("'members' must be a list")
         members = []
-        for spec in doc.get("members", []):
-            if isinstance(spec, int):
+        for spec in specs:
+            if type(spec) is int:
                 if not K.is_rational:
                     raise FamilySpecError(
                         "integer members are only valid over Q; use "
                         "(p, conjugate_index, exponent) factor lists")
+                if spec < 1:
+                    raise FamilySpecError(f"member {spec} is not positive")
                 members.append(integer_ideal(K, spec))
-            else:
+            elif isinstance(spec, (list, tuple)):
                 members.append(_ideal_from_exponent_spec(K, spec))
+            else:
+                raise FamilySpecError(f"bad member {spec!r}")
         return ExplicitFamily(field=K, members=tuple(members))
     if kind == "prime_powers":
-        if "l" not in doc:
-            raise FamilySpecError("prime_powers needs key 'l'")
-        return PrimePowerFamily(field=K, l=int(doc["l"]), truncation=truncation)
+        return PrimePowerFamily(field=K, l=_positive_int(doc, "l"),
+                                truncation=truncation)
     if kind == "norm_intervals":
-        if "intervals" not in doc:
-            raise FamilySpecError("norm_intervals needs key 'intervals'")
+        intervals = doc.get("intervals")
+        if not (isinstance(intervals, (list, tuple))
+                and all(_ints(iv, 2) for iv in intervals)):
+            raise FamilySpecError(
+                "'intervals' must be a list of [lo, hi] integer pairs")
         return NormIntervalFamily(
-            field=K,
-            intervals=tuple((int(lo), int(hi)) for lo, hi in doc["intervals"]),
+            field=K, intervals=tuple(map(tuple, intervals)),
             truncation=truncation)
     raise FamilySpecError(f"unknown family kind {kind!r}")

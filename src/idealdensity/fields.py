@@ -4,6 +4,9 @@ The supported fields are Q itself and quadratic fields Q(sqrt m) for a
 squarefree integer m.  In degree <= 2 the splitting behaviour of every
 rational prime is decided by the Kronecker symbol of the fundamental
 discriminant, which keeps prime ideal construction exact and fast.
+
+``euler_series`` is the package's one multiplicative sieve: it builds
+the chi_D table here and the ideal counts of ``ideals.count_ideals``.
 """
 
 from __future__ import annotations
@@ -304,6 +307,59 @@ def primes_up_to_norm(K: NumberField, X: int) -> tuple[PrimeIdeal, ...]:
                      e.tolist(), f.tolist()))
 
 
+def run_starts(a: np.ndarray) -> np.ndarray:
+    """Indices where the runs of equal values of a sorted array start.
+
+    ``a[run_starts(a)]`` is ``np.unique(a)`` for sorted ``a``, without the
+    import of ``numpy.ma`` that the first ``np.unique`` call makes.
+    """
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def sample_grid(lo: int, X: int, n: int) -> np.ndarray:
+    """The geometric grid of n points from lo to X, rounded to integers:
+    ascending, without repeats, and ending at X (int64)."""
+    xs = np.rint(np.geomspace(lo, X, n)).astype(np.int64)
+    xs = xs[run_starts(xs)]
+    xs[-1] = X
+    return xs
+
+
+def euler_series(n: int, qs: np.ndarray, cs: np.ndarray,
+                 dtype=np.int64) -> np.ndarray:
+    """Coefficients a[k], k < n, of prod_q 1/(1 - c_q q^-s) for ascending
+    norms q >= 2 (repeats allowed) and c_q in {-1, 0, 1}; a[0] = 0.
+
+    A norm with q^2 < n runs the ascending update a[q k] += c_q a[k] in
+    slice blocks k in [q^i, q^(i+1)), whose reads the block never writes.
+    A larger norm divides each k < n at most once and never beside
+    another, so then each cofactor j adds c_q a[j] to a[q j] for all large
+    q <= (n - 1)/j in one scatter, a run of equal q adding its c_q sum.
+    """
+    a = np.zeros(n, dtype=dtype)
+    a[1:2] = 1
+    n_small = int(np.searchsorted(qs, math.isqrt(n - 1), side="right"))
+    for q, c in zip(qs[:n_small].tolist(), cs[:n_small].tolist()):
+        add = np.add if c > 0 else np.subtract
+        lo, top = 1, (n - 1) // q + 1
+        while c and lo < top:
+            hi = min(lo * q, top)
+            block = a[lo * q:hi * q:q]
+            add(block, a[lo:hi], out=block)
+            lo = hi
+    if n_small < qs.size:
+        starts = run_starts(qs[n_small:])
+        large = qs[n_small:][starts]
+        c_large = np.add.reduceat(cs[n_small:], starts)
+        for j in np.flatnonzero(a[:(n - 1) // int(large[0]) + 1]).tolist():
+            k = int(np.searchsorted(large, (n - 1) // j, side="right"))
+            a[large[:k] * j] += c_large[:k] * a[j]
+    return a
+
+
 @lru_cache(maxsize=8)
 def kronecker_table(K: NumberField, n: int) -> tuple[np.ndarray, np.ndarray]:
     """chi[k] = kronecker_symbol(D, k) and S[k] = chi[1] + ... + chi[k] for
@@ -311,38 +367,14 @@ def kronecker_table(K: NumberField, n: int) -> tuple[np.ndarray, np.ndarray]:
     (read-only arrays: chi int8, S the smallest signed integer type that
     holds -n; chi[0] = 0).
 
-    chi(p) at a prime p < n is read from the prime-ideal norms below n: a
-    split p has two prime ideals of norm p, a ramified p one and an inert
-    p none.  These symbols are extended completely multiplicatively: a
-    prime p with p^2 < n multiplies chi[p^j::p^j] by chi(p) for every
-    power p^j < n, and a larger prime divides each k < n at most once, so,
-    with the small primes in, each cofactor j multiplies chi[p j] by
-    chi(p) for every larger p < n/j in one scatter.
+    chi_D is completely multiplicative, so chi is the ``euler_series`` of
+    the primes p < n with c_p = chi_D(p), from Euler's criterion.
     """
     if not 1 <= n <= abs(K.discriminant):
         raise ValueError(f"table length {n} not in [1, |D|]")
     ps = rational_primes_up_to(n - 1)
-    norms = prime_norm_array(K, max(n - 1, 1))
-    ideals_of_norm = np.zeros(n, dtype=np.int8)
-    ideals_of_norm[norms] = 1
-    ideals_of_norm[norms[1:][norms[1:] == norms[:-1]]] = 2
-    s = ideals_of_norm[ps] - 1
-    chi = np.ones(n, dtype=np.int8)
-    chi[0] = 0
-    n_small = int(np.searchsorted(ps, math.isqrt(n - 1), side="right"))
-    for p, sp in zip(ps[:n_small].tolist(), s[:n_small].tolist()):
-        if sp == 0:
-            chi[p::p] = 0
-        elif sp == -1:
-            q = p
-            while q < n:
-                np.negative(chi[q::q], out=chi[q::q])
-                q *= p
-    large, s_large = ps[n_small:], s[n_small:]
-    if large.size:
-        for j in range(1, (n - 1) // int(large[0]) + 1):
-            k = int(np.searchsorted(large, (n - 1) // j, side="right"))
-            chi[large[:k] * j] *= s_large[:k]
+    chi = euler_series(n, ps, _symbols_at_primes(K.discriminant, ps),
+                       np.int8)
     S = np.cumsum(chi, dtype=np.min_scalar_type(-n))     # |S[k]| <= k < n
     chi.flags.writeable = S.flags.writeable = False
     return chi, S

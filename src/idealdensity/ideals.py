@@ -7,11 +7,10 @@ each can check the others.  ``ideal_count`` gives H(x) at one point in
 O(sqrt x) by the Dirichlet hyperbola method over zeta_K = zeta L(s, chi_D)
 (H(x) = x over Q), for callers that read a few points.  ``count_ideals``
 keeps H on a whole range for callers that read it at many points: over a
-quadratic field it is a multiplicative sieve over the prime-ideal norms
-(``fields.prime_norm_array``), numpy slice updates for norms up to
-sqrt X and one scatter per cofactor for all larger norms, and over Q it
-is ``arange``.  Exhaustive enumeration over the same prime norms serves
-the tests.
+quadratic field h is ``fields.euler_series`` over the prime-ideal norms
+(``fields.prime_norm_array``), the sieve that also builds the chi_D
+table, and over Q H is ``arange``.  Exhaustive enumeration over the same
+prime norms serves the tests.
 """
 
 from __future__ import annotations
@@ -27,10 +26,12 @@ from .errors import BoundTooSmall, EmptySet, FieldMismatch, TooLarge
 from .fields import (
     NumberField,
     PrimeIdeal,
+    euler_series,
     factorint,
     kronecker_table,
     prime_norm_array,
     primes_up_to_norm,
+    run_starts,
     split_prime,
 )
 
@@ -195,55 +196,22 @@ class NormCounter:
         return int(self.H[x]) if x >= 0 else 0
 
 
-def run_starts(a: np.ndarray) -> np.ndarray:
-    """Indices where the runs of equal values of a sorted array start.
-
-    ``a[run_starts(a)]`` is ``np.unique(a)`` for sorted ``a``, without the
-    import of ``numpy.ma`` that the first ``np.unique`` call makes.
-    """
-    first = np.empty(a.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return np.flatnonzero(first)
-
-
 @lru_cache(maxsize=8)
 def count_ideals(K: NumberField, X: int) -> NormCounter:
     """Exact norm counts up to X by a multiplicative sieve.
 
     Over Q every n >= 1 is the norm of exactly one ideal, so H is
     ``arange(X + 1)`` and neither primes nor a sieve are needed.  Over a
-    quadratic field every prime-ideal norm q multiplies the count series
-    by the local factor 1/(1 - t^q).  A small norm (q^2 <= X) runs the
-    ascending in-place update h[q k] += h[k], in slice blocks k in
-    [q^i, q^(i+1)) whose reads the block itself never writes.  A large
-    norm (q^2 > X) divides an ideal of norm <= X at most once and never
-    beside another large one, so once the small norms are in, each
-    cofactor j adds mult(q) * h[j] to h[q j] for every large q <= X/j in
-    one scatter.  A final in-place cumulative sum turns h into H.
+    quadratic field h is the ``fields.euler_series`` of the prime-ideal
+    norms, each with the local factor 1/(1 - N(p)^-s), and an in-place
+    cumulative sum turns it into H.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
     if K.is_rational:
         return NormCounter(field=K, X=X, H=np.arange(X + 1, dtype=np.int64))
     norms = prime_norm_array(K, X)
-    n_small = int(np.searchsorted(norms, math.isqrt(X), side="right"))
-    h = np.zeros(X + 1, dtype=np.int64)
-    h[1] = 1
-    for q in norms[:n_small].tolist():
-        top = X // q + 1
-        lo = 1
-        while lo < top:
-            hi = min(lo * q, top)
-            h[lo * q:hi * q:q] += h[lo:hi]
-            lo = hi
-    starts = run_starts(norms[n_small:])
-    large = norms[n_small:][starts]
-    mult = np.diff(starts, append=norms.size - n_small)
-    if large.size:
-        for j in np.flatnonzero(h[:X // int(large[0]) + 1]).tolist():
-            n = int(np.searchsorted(large, X // j, side="right"))
-            h[large[:n] * j] += mult[:n] * h[j]
+    h = euler_series(X + 1, norms, np.broadcast_to(1, norms.shape))
     return NormCounter(field=K, X=X, H=np.cumsum(h, out=h))
 
 

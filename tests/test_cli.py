@@ -196,16 +196,10 @@ class TestDensity:
         ([[2, 3], [4, 5]], False),
     ])
     def test_norm_interval_family_over_gaussian_field(
-            self, capsys, tmp_path, monkeypatch, intervals, empty):
+            self, capsys, tmp_path, intervals, empty):
         aset = write_aset(tmp_path, {"field": "Q(sqrt -1)",
                                      "kind": "norm_intervals",
                                      "intervals": intervals})
-        members_up_to = cli.NormIntervalFamily.members_up_to
-        calls = []
-        monkeypatch.setattr(
-            cli.NormIntervalFamily, "members_up_to",
-            lambda fam, bound: calls.append(bound)
-            or members_up_to(fam, bound))
         out_path = tmp_path / "density.csv"
         code, _, err = run(capsys, "density", "--field", "Q(sqrt -1)",
                            "--aset", str(aset), "--max-norm", "1000",
@@ -214,16 +208,39 @@ class TestDensity:
         rows = read_csv(out_path)[1:]
         summary = read_summary(out_path)["summary"]
         if empty:
-            # The emptiness check reads H only; it enumerates no ideal.
-            assert calls == []
-            assert all(r[1:] == ["0", "0", "0", "0"] for r in rows)
-            assert summary == {"A": 0.0, "A_exact": "0"}
+            K = idd.make_quadratic_field(-1)
+            assert rows and all(
+                r[1] == "0" and r[2] == str(idd.ideal_count(K, int(r[0])))
+                for r in rows)
+            assert summary["A_r"] == [] and summary["A"] == 0.0
         else:
             fam = idd.parse_family(json.loads(aset.read_text()))
             hits = sum(map(fam.is_multiple,
                            idd.enumerate_ideals(fam.field, 1000)))
             assert rows[-1][:2] == ["1000", str(hits)] and hits > 0
             assert summary["A_r"][0] > 0
+
+    def test_no_member_below_the_bound(self, capsys, tmp_path):
+        # Every family takes the profile path; A does not depend on X.
+        aset = write_aset(tmp_path, {"field": "Q", "kind": "explicit",
+                                     "members": [997]})
+        out_path = tmp_path / "density.csv"
+        code, _, err = run(capsys, "density", "--aset", str(aset),
+                           "--max-norm", "500", "--out", str(out_path))
+        assert code == 0, err
+        rows = read_csv(out_path)[1:]
+        assert rows and all(r[1] == "0" and r[2] == r[0] for r in rows)
+        assert read_summary(out_path)["summary"]["A_exact"] == "1/997"
+
+        aset = write_aset(tmp_path, {"field": "Q(sqrt -1)",
+                                     "kind": "norm_intervals",
+                                     "intervals": [[2000, 3000]]})
+        code, _, err = run(capsys, "density", "--field", "Q(sqrt -1)",
+                           "--aset", str(aset), "--max-norm", "1000",
+                           "--out", str(out_path))
+        assert code == 0, err
+        summary = read_summary(out_path)["summary"]
+        assert summary["natural_ratio"] == 0.0 and summary["A"] > 0
 
     def test_missing_aset_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "density", "--aset",
@@ -259,6 +276,18 @@ class TestExperiment:
                          "--out", str(out_path))
         assert code == 0
         assert read_summary(out_path)["verdict"] is True
+
+    def test_main_theorem_with_no_member_below_truncation(self, tmp_path):
+        # A_r is empty: A reads 0.0 and the verdict is made as usual.
+        aset = write_aset(tmp_path, {"kind": "prime_powers", "l": 2,
+                                     "truncation": 3})
+        out_path = tmp_path / "exp.csv"
+        proc = run_process("-m", "idealdensity.cli", "experiment",
+                           "main-theorem", "--aset", str(aset),
+                           "--max-norm", "10000", "--out", str(out_path))
+        assert proc.returncode in (0, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert read_summary(out_path)["summary"]["a_r_final"] == 0.0
 
     def test_unknown_name(self, capsys, tmp_path):
         code, _, err = run(capsys, "experiment", "mystery",
@@ -306,6 +335,10 @@ class TestBadInput:
         # H up to 10^15 needs an 8 PB array: beyond the address space, so
         # the allocation fails at once and touches no memory.
         (["density", "--aset", "{aset}", "--max-norm", "1000000000000000"], 2),
+        (["experiment", "main-theorem", "--aset", "{aset}", "--r-max", "0"],
+         1),
+        (["density", "--aset", "{aset}", "--max-norm", "1000", "--r-max",
+          "0"], 1),
     ])
     def test_one_message_line_and_exit_code(self, tmp_path, argv, expected):
         aset = write_aset(tmp_path, {"field": "Q", "kind": "explicit",
@@ -318,6 +351,29 @@ class TestBadInput:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not (tmp_path / "out.csv").exists()
 
+
+    @pytest.mark.parametrize("doc", [
+        {"field": "Q", "kind": "explicit", "members": [2.5]},
+        {"field": "Q", "kind": "explicit", "members": 5},
+        {"field": "Q", "kind": "explicit", "members": [True]},
+        {"field": "Q", "kind": "explicit", "members": [0]},
+        {"field": "Q(sqrt -1)", "kind": "explicit", "members": [[[2, 0]]]},
+        {"field": 5, "kind": "explicit", "members": [2]},
+        {"field": "Q", "kind": "explicit", "members": [2], "truncation": 0},
+        {"field": "Q", "kind": "prime_powers", "l": 2, "truncation": 1.5},
+        {"field": "Q", "kind": "prime_powers", "l": "2"},
+        {"field": "Q", "kind": "norm_intervals", "intervals": [[5]]},
+        {"field": "Q", "kind": "norm_intervals", "intervals": [[5, 6.5]]},
+    ])
+    def test_bad_family_document(self, tmp_path, doc):
+        aset = write_aset(tmp_path, doc)
+        proc = run_process("-m", "idealdensity.cli", "density",
+                           "--aset", str(aset), "--max-norm", "1000",
+                           "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "out.csv").exists()
 
 def test_cli_import_loads_no_sympy():
     proc = run_process("-c", "import idealdensity.cli, sys; "

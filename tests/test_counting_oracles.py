@@ -260,6 +260,47 @@ def test_hyperbola_point_counts_match_the_sieve(K, X, data):
     assert all(ideal_count(K, x) == counter.H_of(x) for x in xs[-3:])
 
 
+def dirichlet_product(n, qs, cs):
+    """Coefficients below n of prod 1/(1 - c q^-s), one factor at a time."""
+    a = [0, 1][:n] + [0] * max(n - 2, 0)
+    for q, c in zip(qs, cs):
+        b = [0] * n                     # a times sum_j c^j (q^j)^-s
+        for k in range(1, n):
+            m, w = k, 1
+            while m < n and w:
+                b[m] += w * a[k]
+                m, w = m * q, w * c
+        a = b
+    return a
+
+
+@st.composite
+def euler_inputs(draw):
+    """n in [1, 400], norms q >= 2 ascending, and c_q in {-1, 0, 1}; a
+    repeated q on each side of sqrt(n - 1) whenever n leaves room."""
+    n = draw(st.integers(1, 400))
+    r = math.isqrt(n - 1)
+    qs = draw(st.lists(st.integers(2, 450), max_size=12))
+    if r >= 2:
+        qs += [draw(st.integers(2, r))] * draw(st.integers(2, 3))
+    if n - 1 > r:
+        qs += [draw(st.integers(max(r + 1, 2), n - 1))] * 2
+    qs.sort()
+    cs = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=len(qs),
+                       max_size=len(qs)))
+    return n, qs, cs
+
+
+@PROPERTY_SETTINGS
+@given(euler_inputs())
+def test_euler_series_is_the_truncated_product(inputs):
+    n, qs, cs = inputs
+    a = fields_module.euler_series(n, np.array(qs, dtype=np.int64),
+                                   np.array(cs, dtype=np.int64))
+    assert a.dtype == np.int64
+    assert a.tolist() == dirichlet_product(n, qs, cs)
+
+
 #: Fields whose |D| (4000012 and 4000004) is above the sieve bounds of the
 #: other tests, so the character table has one entry per residue below x.
 LARGE_D_M = [1000003, -1000001]

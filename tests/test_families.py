@@ -2,6 +2,7 @@ import pytest
 
 import idealdensity as idd
 from idealdensity.errors import FamilySpecError, FieldMismatch
+from idealdensity import families
 from idealdensity.families import minimal_members
 
 from conftest import int_family
@@ -65,6 +66,19 @@ class TestNormIntervalFamily:
     def test_validation(self, Q):
         with pytest.raises(FamilySpecError):
             idd.NormIntervalFamily(field=Q, intervals=((20, 10),))
+
+    def test_interval_without_ideal_norms_enumerates_nothing(
+            self, Qi, monkeypatch):
+        # 299999 = 3 (mod 4) is no norm in Q(i); H shows it in O(sqrt x).
+        fam = idd.NormIntervalFamily(field=Qi, intervals=((299998, 299999),
+                                                         (1, 2)))
+        bounds = []
+        enumerate_ideals = families.enumerate_ideals
+        monkeypatch.setattr(families, "enumerate_ideals",
+                            lambda K, X: bounds.append(X)
+                            or enumerate_ideals(K, X))
+        assert [m.norm for m in fam.members_up_to(10**6)] == [2]
+        assert bounds == [2]
 
 
 class TestMinimalMembers:

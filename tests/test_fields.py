@@ -5,6 +5,7 @@ import pytest
 from sympy import factorint, primerange
 
 import idealdensity as idd
+from idealdensity import fields as fields_module
 from idealdensity.fields import first_prime_ideals, kronecker_table
 from idealdensity.errors import (
     DegenerateM,
@@ -91,6 +92,23 @@ class TestKronecker:
         assert not chi.flags.writeable and not S.flags.writeable
         with pytest.raises(ValueError):
             kronecker_table(K, abs(D) + 1)
+
+    def test_table_sieves_the_primes_once(self, monkeypatch):
+        # chi(p) comes from Euler's criterion, not from the prime-ideal
+        # norms, so the rational primes below n are sieved once.
+        def refuse(K, X):
+            raise AssertionError("prime_norm_array called")
+
+        calls = []
+        primes = fields_module.rational_primes_up_to
+        monkeypatch.setattr(fields_module, "prime_norm_array", refuse)
+        monkeypatch.setattr(fields_module, "rational_primes_up_to",
+                            lambda n: calls.append(n) or primes(n))
+        K = idd.make_quadratic_field(1000003)
+        chi, _ = kronecker_table.__wrapped__(K, 20000)
+        assert calls == [19999]
+        assert chi[-500:].tolist() == [idd.kronecker_symbol(K.discriminant, k)
+                                       for k in range(19500, 20000)]
 
 
 class TestSplitting:

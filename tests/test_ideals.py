@@ -199,7 +199,7 @@ class TestPointCounts:
 
 
 def test_run_starts_is_unique_on_the_sample_grids():
-    # The grids of cli._sample_points, density._sample_points,
+    # The grids of fields.sample_grid from 1 (cli) and from 10 (density),
     # dedekind_zeta and estimate_residue_constant.
     for X in [*range(2, 400), 10**4, 3 * 10**5, 10**6, 10**12]:
         for grid in (np.rint(np.geomspace(1, X, 30)),
