@@ -12,10 +12,14 @@ are H(x // n) ideals whose harmonic sum is L(x // n) / n, where H and the
 harmonic prefix L of the field are kept by its ``NormCounter``; so
 inclusion-exclusion over the lcms of explicit and prime-power families
 gives exact counts from one short vector of terms per sample point.
-Every other count is a strided marking of norms on one array of length
-X: over Q the marked norms are the ideals themselves, and for norm
+Every other count is a strided marking of norms on one boolean array of
+length X: over Q the marked norms are the ideals themselves, and for norm
 intervals over any field of degree <= 2 membership depends on the norm
-alone, each marked norm n counting its h(n) ideals.
+alone, each marked norm n counting its h(n) ideals.  The counts and
+harmonic sums of the marks are running sums read at the sample points,
+added in blocks of norms (``ideals.prefix_sums_at``).  Over Q, where
+H(x) = x and h = 1, no counter is built at all: the field's harmonic
+prefix at the sample points is ``ideals.rational_harmonic_prefix``.
 """
 
 from __future__ import annotations
@@ -36,11 +40,14 @@ from .families import (
 )
 from .fields import NumberField, first_prime_ideals, sample_grid
 from .ideals import (
+    _L_BLOCK,
     Ideal,
     NormCounter,
     count_ideals,
     divides,
     make_ideal,
+    prefix_sums_at,
+    rational_harmonic_prefix,
 )
 from .zeta import EulerProductState, partial_euler_product
 
@@ -150,10 +157,11 @@ def finite_ie_density(A: AFamily | Sequence[Ideal],
     Members that are multiples of other members are dropped (M_A is
     unchanged), and members with pairwise disjoint prime support are
     factored into independent blocks, so the subset cap applies per block
-    of mutually entangled members.
+    of mutually entangled members.  A family's members are its
+    ``working_members``: all of an explicit family, and those of norm
+    <= truncation of a rule.
     """
-    members = (A.members_up_to(A.truncation) if isinstance(A, AFamily)
-               else list(A))
+    members = A.working_members() if isinstance(A, AFamily) else list(A)
     if len(set(members)) != len(members):
         raise DuplicateMembers("family has repeated members")
     blocks: set = set()
@@ -181,11 +189,7 @@ def a_limit(A: AFamily | Sequence[Ideal], r_max: int,
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     if isinstance(A, AFamily):
-        bound = 64
-        members = A.members_up_to(min(bound, A.truncation))
-        while len(members) < r_max and bound < A.truncation:
-            bound *= 8
-            members = A.members_up_to(min(bound, A.truncation))
+        members = A.first_members(r_max)
     else:
         members = sorted(A, key=Ideal.sort_key)
     factor_of: dict = {}        # block -> density of its complement
@@ -205,25 +209,27 @@ def a_limit(A: AFamily | Sequence[Ideal], r_max: int,
 # Counting at a norm bound
 # ---------------------------------------------------------------------------
 
-def _member_sums(A: AFamily, counter: NormCounter, xs: np.ndarray,
+def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
                  logs: bool = True) -> tuple[list[int], list[float] | None]:
     """Member counts, and sums of 1/N(b) over members b, at each x in xs.
 
-    ``counter`` holds the ideal counts of the field up to X = xs[-1].
-    Over quadratic fields, explicit and prime-power families are summed
-    over their lcm terms (n, g): the multiples of an ideal of norm n with
-    norm <= x are the ideals of norm <= x // n times it, so they add
-    g * H[x // n] to the count and g/n * L[x // n] to the harmonic sum.
-    Every other family is counted by strided marks on a per-norm array.
-    Over Q it is indexed by the ideals themselves.  A norm-interval family
-    marks the multiples of each n in its intervals with h(n) > 0: in degree
+    ``counter`` holds the ideal counts of a quadratic field up to
+    X = xs[-1]; over Q, where h = 1, it is None.  Over quadratic fields,
+    explicit and prime-power families are summed over their lcm terms
+    (n, g): the multiples of an ideal of norm n with norm <= x are the
+    ideals of norm <= x // n times it, so they add g * H[x // n] to the
+    count and g/n * L[x // n] to the harmonic sum.  Every other family is
+    counted by strided marks on a boolean array indexed by norm.  Over Q
+    the norms are the ideals themselves.  A norm-interval family marks
+    the multiples of each n in its intervals with h(n) > 0: in degree
     <= 2 an ideal b has a divisor of norm n exactly when n | N(b) and
-    h(n) > 0, so a marked norm counts all of its h(n) ideals.  Harmonic
-    sums are added in ascending norm order, so the marks give the same
-    floats as adding 1/N(b) over the members one by one.  With ``logs``
-    false the harmonic sums are not computed.
+    h(n) > 0, so a marked norm counts all of its h(n) ideals.  Counts and
+    harmonic sums are running sums over the marks in blocks of norms,
+    added in ascending norm order, so they give the same floats as adding
+    1/N(b) over the members one by one.  With ``logs`` false the harmonic
+    sums are not computed.
     """
-    K, X = counter.field, int(xs[-1])
+    K, X = A.field, int(xs[-1])
     if not (K.is_rational or isinstance(A, NormIntervalFamily)):
         terms = _ie_terms(A.members_up_to(X), X)
         ns = np.array([n for n, _ in terms], dtype=np.int64)
@@ -236,22 +242,35 @@ def _member_sums(A: AFamily, counter: NormCounter, xs: np.ndarray,
     c = np.zeros(X + 1, dtype=bool)
     if isinstance(A, NormIntervalFamily):
         norms = (n for lo, hi in A.intervals
-                 for n in range(lo + 1, min(hi, X) + 1) if counter.h_of(n))
+                 for n in range(lo + 1, min(hi, X) + 1)
+                 if counter is None or counter.h_of(n))
     else:
         norms = (a.norm for a in A.members_up_to(X))
     for n in norms:
         if not c[n]:                # else its multiples are marked already
             c[n::n] = True
-    if not K.is_rational:
-        h = counter.h
-        c = np.multiply(h, c, out=h)    # a marked norm counts its h(n) ideals
-    starts = np.concatenate(([0], xs[:-1] + 1))
-    counts = np.cumsum(np.add.reduceat(c, starts, dtype=np.int64)).tolist()
-    if not logs:
-        return counts, None
-    buf = np.arange(X + 1, dtype=np.float64)
-    np.divide(c[1:], buf[1:], out=buf[1:])
-    return counts, np.cumsum(buf, out=buf)[xs].tolist()
+
+    def weights(lo, hi):
+        # A marked norm counts its h(n) ideals.
+        if counter is None:
+            return c[lo:hi]
+        h = counter.h_block(lo, hi)
+        return np.multiply(h, c[lo:hi], out=h)
+
+    steps = np.arange(min(X, _L_BLOCK), dtype=np.float64)
+    buf = np.empty_like(steps)
+
+    def harmonic(lo, hi):
+        k = np.add(steps[:hi - lo], lo, out=buf[:hi - lo])
+        return np.divide(weights(lo, hi), k, out=k)
+
+    counts = prefix_sums_at(weights, xs)
+    return counts, prefix_sums_at(harmonic, xs) if logs else None
+
+
+def _counter(K: NumberField, X: int) -> NormCounter | None:
+    """The field's cached ideal counts up to X; None over Q, where h = 1."""
+    return None if K.is_rational else count_ideals(K, X)
 
 
 def sieve_multiples_density(A: AFamily | Sequence[Ideal], X: int,
@@ -272,9 +291,9 @@ def sieve_multiples_density(A: AFamily | Sequence[Ideal], X: int,
     if K is not None and K != A.field:
         raise FieldMismatch(
             f"family over {A.field.label()}, field {K.label()} given")
-    counter = count_ideals(A.field, X)
-    (count,), _ = _member_sums(A, counter, np.array([X]), logs=False)
-    return Fraction(count, counter.H_of(X))
+    counter = _counter(A.field, X)
+    (count,), _ = _member_sums(A, np.array([X]), counter, logs=False)
+    return Fraction(count, X if counter is None else counter.H_of(X))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +316,7 @@ def restrict_family(A: AFamily, k: int) -> ExplicitFamily:
                    for pr in first_prime_ideals(K, k)
                    if pr.norm ** A.l <= A.truncation]
     else:
-        members = [m for m in A.members_up_to(A.truncation)
+        members = [m for m in A.working_members()
                    if all(pr in allowed for pr, _ in m.factors)]
     return ExplicitFamily(field=K, members=tuple(members))
 
@@ -403,21 +422,27 @@ def density_profile(A: AFamily, X: int = 10**4,
 
     Every member of norm <= X counts, whatever the family's truncation.
     Counts are exact integers; harmonic sums are floating point, and the
-    field's own come from the counter's cached prefix L.
+    field's own come from the counter's cached prefix L, or over Q from
+    the memoised ``rational_harmonic_prefix`` at the sample points.
     """
     if X < 100:
         raise ValueError("X must be >= 100")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     K = A.field
-    counter = count_ideals(K, X)
+    counter = _counter(K, X)
     xs = sample_grid(10, X, n_samples)
     # Members first: marking arrays are freed before L is built, if this
     # is the first profile on the counter.
-    member_counts, log_num = _member_sums(A, counter, xs)
-    total_counts = counter.H[xs].tolist()
+    member_counts, log_num = _member_sums(A, xs, counter)
+    if counter is None:
+        total_counts = xs.tolist()              # H(x) = x over Q
+        L = rational_harmonic_prefix(tuple(total_counts))
+    else:
+        total_counts = counter.H[xs].tolist()
+        L = counter.L[xs].tolist()
     natural = tuple(Fraction(m, t) for m, t in zip(member_counts, total_counts))
-    log_ratios = tuple(n / d for n, d in zip(log_num, counter.L[xs].tolist()))
+    log_ratios = tuple(n / d for n, d in zip(log_num, L))
     return DensityReport(field=K, X=X, sample_points=tuple(int(x) for x in xs),
                          member_counts=tuple(member_counts),
                          total_counts=tuple(total_counts),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .errors import FamilySpecError, FieldMismatch
 from .fields import NumberField, parse_field, primes_up_to_norm, split_prime
 from .ideals import Ideal, divides, enumerate_ideals, integer_ideal, make_ideal
-from .ideals import ideal_counts
+from .ideals import ideal_counts, ideals_of_norm
 
 #: Default truncation norm used to make rule-based families finite.
 DEFAULT_TRUNCATION = 10**6
@@ -42,6 +42,19 @@ class AFamily:
     def members_up_to(self, bound: int) -> list[Ideal]:
         raise NotImplementedError
 
+    def working_members(self) -> list[Ideal]:
+        """The members that limit densities take: those of norm <= truncation."""
+        return self.members_up_to(self.truncation)
+
+    def first_members(self, r: int) -> list[Ideal]:
+        """The first r working members in norm order (all, if fewer)."""
+        bound = min(64, self.truncation)
+        members = self.members_up_to(bound)
+        while len(members) < r and bound < self.truncation:
+            bound = min(bound * 8, self.truncation)
+            members = self.members_up_to(bound)
+        return members[:r]
+
     def is_multiple(self, b: Ideal) -> bool:
         """True iff b is a multiple of some family member."""
         raise NotImplementedError
@@ -68,6 +81,13 @@ class ExplicitFamily(AFamily):
 
     def members_up_to(self, bound: int) -> list[Ideal]:
         return [m for m in self.members if m.norm <= bound]
+
+    def working_members(self) -> list[Ideal]:
+        """Every member: the family is finite, so nothing is truncated."""
+        return list(self.members)
+
+    def first_members(self, r: int) -> list[Ideal]:
+        return list(self.members[:r])
 
     def is_multiple(self, b: Ideal) -> bool:
         self._check_field(b)
@@ -119,10 +139,12 @@ class NormIntervalFamily(AFamily):
 
     def members_up_to(self, bound: int) -> list[Ideal]:
         out: list[Ideal] = []
+        done = 0                    # norms <= done are taken already
         for lo, hi in self.intervals:
-            top = min(hi, bound)
+            lo, top = max(lo, done), min(hi, bound)
             if lo >= top:
                 continue
+            done = top
             H_lo, H_top = ideal_counts(self.field, [lo, top])
             if H_lo == H_top:       # no ideal has its norm in (lo, top]
                 continue
@@ -131,6 +153,22 @@ class NormIntervalFamily(AFamily):
                     out.append(ideal)
         out.sort(key=Ideal.sort_key)
         return out
+
+    def first_members(self, r: int) -> list[Ideal]:
+        """The first r members of norm <= truncation, norm by norm.
+
+        Each norm n in the intervals is read once, in ascending order, and
+        its ideals come from the factorization of n, so no ideal outside
+        the intervals is enumerated.
+        """
+        out: list[Ideal] = []
+        n = 1
+        for lo, hi in self.intervals:
+            n = max(n, lo + 1)
+            while n <= min(hi, self.truncation) and len(out) < r:
+                out += ideals_of_norm(self.field, n)
+                n += 1
+        return out[:r]
 
     def is_multiple(self, b: Ideal) -> bool:
         self._check_field(b)

@@ -252,27 +252,45 @@ def rational_primes_up_to(n: int) -> np.ndarray:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p:: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
 
 
-def _prime_ideal_columns(K: NumberField, X: int) -> tuple[np.ndarray, ...]:
-    # (norm, p, conjugate_index, e) of every prime ideal of norm <= X, as
-    # int64 arrays in (norm, p, index) order.  A split p appears twice,
-    # a ramified p once, an inert p once as p^2 if p^2 <= X.
-    ps = rational_primes_up_to(X)
-    if K.is_rational:
-        return ps, ps, np.zeros_like(ps), np.ones_like(ps)
-    # chi_D(p) = kronecker_symbol(D, p) is a character mod |D|, so Euler's
+def _split_symbols(K: NumberField, ps: np.ndarray) -> np.ndarray:
+    # chi_D(p) = kronecker_symbol(D, p) at every prime of ps (ascending),
+    # for a quadratic field K.  chi_D is a character mod |D|, so Euler's
     # criterion runs only on the primes below |D|, each the first prime of
     # its residue class, and every larger prime reads its class's symbol
-    # from the cached table of length |D|.  With |D| > X each class holds
-    # one prime and no table is built.
+    # from the cached table of length |D|.  With |D| > max(ps) each class
+    # holds one prime and no table is built.
     D = K.discriminant
     below = int(np.searchsorted(ps, abs(D)))
     s = _symbols_at_primes(D, ps[:below])
     if below < ps.size:
         chi, _ = kronecker_table(K, abs(D))
         s = np.concatenate([s, chi[ps[below:] % abs(D)]])
+    return s
+
+
+def _prime_norms(K: NumberField, X: int) -> np.ndarray:
+    # Norms of the prime ideals of norm <= X, ascending: a split p twice,
+    # a ramified p once, an inert p once as p^2 if p^2 <= X.
+    ps = rational_primes_up_to(X)
+    if K.is_rational:
+        return ps
+    s = _split_symbols(K, ps)
+    inert = ps[(s == -1) & (ps <= math.isqrt(X))]
+    norm = np.concatenate([np.repeat(ps, s + 1), inert * inert])
+    norm.sort()
+    return norm
+
+
+def _prime_ideal_columns(K: NumberField, X: int) -> tuple[np.ndarray, ...]:
+    # (norm, p, conjugate_index, e) of every prime ideal of norm <= X, as
+    # int64 arrays in (norm, p, index) order, the norms as in _prime_norms.
+    ps = rational_primes_up_to(X)
+    if K.is_rational:
+        return ps, ps, np.zeros_like(ps), np.ones_like(ps)
+    s = _split_symbols(K, ps)
     lin_p = np.repeat(ps, s + 1)
     lin_conj = np.zeros_like(lin_p)
     lin_conj[1:] = lin_p[1:] == lin_p[:-1]
@@ -288,10 +306,11 @@ def _prime_ideal_columns(K: NumberField, X: int) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=16)
 def prime_norm_array(K: NumberField, X: int) -> np.ndarray:
     """Norms of the prime ideals of O_K of norm <= X, one entry per prime
-    ideal, ascending (read-only int64 array)."""
+    ideal, ascending (read-only int64 array).  Only the norms are built:
+    the other columns of ``primes_up_to_norm`` are left out."""
     if X < 1:
         raise ValueError("X must be >= 1")
-    norm = _prime_ideal_columns(K, X)[0]
+    norm = _prime_norms(K, X)
     norm.flags.writeable = False
     return norm
 
@@ -385,7 +404,7 @@ def first_prime_ideals(K: NumberField, k: int) -> tuple[PrimeIdeal, ...]:
     if k == 0:
         return ()
     bound = 64
-    while len(norm := _prime_ideal_columns(K, bound)[0]) < k:
+    while len(norm := _prime_norms(K, bound)) < k:
         bound *= 4
     return primes_up_to_norm(K, int(norm[k - 1]))[:k]
 

@@ -6,11 +6,15 @@ exponent-vector operations.  Counting by norm is done three ways, so
 each can check the others.  ``ideal_count`` gives H(x) at one point in
 O(sqrt x) by the Dirichlet hyperbola method over zeta_K = zeta L(s, chi_D)
 (H(x) = x over Q), for callers that read a few points.  ``count_ideals``
-keeps H on a whole range for callers that read it at many points: over a
-quadratic field h is ``fields.euler_series`` over the prime-ideal norms
+keeps H on a whole range of a quadratic field for callers that read it
+at many points: h is ``fields.euler_series`` over the prime-ideal norms
 (``fields.prime_norm_array``), the sieve that also builds the chi_D
-table, and over Q H is ``arange``.  Exhaustive enumeration over the same
-prime norms serves the tests.
+table.  Over Q, where h = 1, hot paths need no counter at all: the
+harmonic prefix at a profile's sample points comes from
+``rational_harmonic_prefix``, summed in blocks of norms by
+``prefix_sums_at``.  Exhaustive enumeration over the same prime norms
+serves the tests, and ``ideals_of_norm`` lists the ideals of one norm
+from its factorization.
 """
 
 from __future__ import annotations
@@ -148,9 +152,49 @@ def divides(a: Ideal, b: Ideal) -> bool:
     return all(exps_b.get(pr, 0) >= e for pr, e in a.factors)
 
 
-#: Norms per block when the harmonic prefix L is built, so that no int64
-#: array of length X is needed beside L itself.
+#: Norms per block of the sums over norms, so that no array of length X
+#: is needed beside the one a caller keeps.
 _L_BLOCK = 1 << 16
+
+
+def norm_blocks(X: int):
+    """The ranges [lo, hi) of at most ``_L_BLOCK`` norms that cover 1..X."""
+    return ((lo, min(lo + _L_BLOCK, X + 1))
+            for lo in range(1, X + 1, _L_BLOCK))
+
+
+def prefix_sums_at(terms, xs) -> list:
+    """Running sums t(1) + ... + t(x) at each x of the ascending xs.
+
+    ``terms(lo, hi)`` returns an array of the t(k), lo <= k < hi, for
+    ranges of at most ``_L_BLOCK`` norms cut after each x.  Integer and
+    boolean terms are added as range totals, exact in any order.  Float
+    terms come in an array that may be overwritten, and the running sum
+    so far is added into its first term before its in-place ``np.cumsum``:
+    so they are added one by one in ascending k, and the sums equal those
+    of one ``np.cumsum`` over all terms bit for bit.  A sum at x < 1 is 0.
+    """
+    out, total, lo = [], 0, 1
+    for x in map(int, xs):
+        while lo <= x:
+            hi = min(lo + _L_BLOCK, x + 1)
+            t = terms(lo, hi)
+            if t.dtype.kind == "f":
+                t[0] += total
+                total = float(np.cumsum(t, out=t)[-1])
+            else:
+                total += int(t.sum())
+            lo = hi
+        out.append(total)
+    return out
+
+
+@lru_cache(maxsize=8)
+def rational_harmonic_prefix(xs: tuple[int, ...]) -> tuple[float, ...]:
+    """L(x) = 1 + 1/2 + ... + 1/x over Q at each x of the ascending xs,
+    added in ascending k as ``NormCounter.L`` adds them."""
+    return tuple(prefix_sums_at(
+        lambda lo, hi: 1.0 / np.arange(lo, hi, dtype=np.float64), xs))
 
 
 @dataclass(frozen=True)
@@ -158,9 +202,10 @@ class NormCounter:
     """Exact cumulative ideal counts H(x) = #{a : N(a) <= x}, x <= X.
 
     ``H`` is the only array stored (H[0] = 0).  The per-norm counts
-    ``h`` are derived from it on each read, and the harmonic prefix
-    ``L[x] = sum_{k<=x} h(k)/k`` is built on first read and kept; both
-    are read at the points floor(x/n) when families are counted.
+    ``h`` are derived from it on each read, whole or by block, and the
+    harmonic prefix ``L[x] = sum_{k<=x} h(k)/k`` is built on first read
+    and kept; both are read at the points floor(x/n) when families are
+    counted.
     """
 
     field: NumberField
@@ -175,14 +220,16 @@ class NormCounter:
         np.subtract(self.H[1:], self.H[:-1], out=h[1:])
         return h
 
+    def h_block(self, lo: int, hi: int) -> np.ndarray:
+        """h[lo:hi] for 1 <= lo <= hi <= X + 1, as a new array."""
+        return self.H[lo:hi] - self.H[lo - 1:hi - 1]
+
     @cached_property
     def L(self) -> np.ndarray:
         """L[x] = sum of h(k)/k over k <= x, added in ascending k (L[0] = 0)."""
         L = np.arange(self.X + 1, dtype=np.float64)
-        for lo in range(1, self.X + 1, _L_BLOCK):
-            hi = min(lo + _L_BLOCK, self.X + 1)
-            np.divide(self.H[lo:hi] - self.H[lo - 1:hi - 1], L[lo:hi],
-                      out=L[lo:hi])
+        for lo, hi in norm_blocks(self.X):
+            np.divide(self.h_block(lo, hi), L[lo:hi], out=L[lo:hi])
         return np.cumsum(L, out=L)
 
     def h_of(self, k: int) -> int:
@@ -200,11 +247,11 @@ class NormCounter:
 def count_ideals(K: NumberField, X: int) -> NormCounter:
     """Exact norm counts up to X by a multiplicative sieve.
 
-    Over Q every n >= 1 is the norm of exactly one ideal, so H is
-    ``arange(X + 1)`` and neither primes nor a sieve are needed.  Over a
-    quadratic field h is the ``fields.euler_series`` of the prime-ideal
-    norms, each with the local factor 1/(1 - N(p)^-s), and an in-place
-    cumulative sum turns it into H.
+    Over a quadratic field h is the ``fields.euler_series`` of the
+    prime-ideal norms, each with the local factor 1/(1 - N(p)^-s), and an
+    in-place cumulative sum turns it into H.  Over Q every n >= 1 is the
+    norm of exactly one ideal, so H is ``arange(X + 1)``; the package's
+    own paths over Q use H(x) = x and h = 1 and build no counter.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
@@ -281,6 +328,33 @@ def enumeration_norm_counts(K: NumberField, X: int) -> np.ndarray:
 
     rec(0, 1)
     return counts
+
+
+def ideals_of_norm(K: NumberField, n: int) -> list[Ideal]:
+    """Every ideal of norm n, in ``Ideal.sort_key`` order, from the
+    factorization of n.
+
+    In degree <= 2 a prime power p^e exactly dividing n is the norm of
+    P^a P'^(e-a), a = 0..e, when p splits into P and P'; of (p)^(e/2)
+    alone when p is inert, and of nothing when e is then odd; and of P^e
+    alone when p ramifies as P^2, or over Q.
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    factorizations: list[list] = [[]]
+    for p, e in factorint(n).items():
+        above = [pr for pr, _ in split_prime(K, p)]
+        if len(above) == 2:
+            local = [[(above[0], a), (above[1], e - a)] for a in range(e + 1)]
+        elif above[0].f == 2:
+            if e % 2:
+                return []
+            local = [[(above[0], e // 2)]]
+        else:
+            local = [[(above[0], e)]]
+        factorizations = [f + part for f in factorizations for part in local]
+    return sorted((make_ideal(K, f) for f in factorizations),
+                  key=Ideal.sort_key)
 
 
 def enumerate_ideals(K: NumberField, X: int) -> list[Ideal]:

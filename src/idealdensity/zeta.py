@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SNotGreaterThanOne
 from .fields import EULER_GAMMA, NumberField, first_prime_ideals, prime_norm_array
-from .ideals import count_ideals, run_starts
+from .ideals import count_ideals, norm_blocks, run_starts
 
 #: Largest prime count for which the Euler product is kept as a Fraction.
 _EXACT_PRIME_LIMIT = 64
@@ -110,19 +110,28 @@ def dedekind_zeta(K: NumberField, s: float, X: int) -> tuple[float, float]:
     Returns (value, tail_bound) with value = sum_{k<=X} h(k)/k^s.  The tail
     estimate is an empirical envelope, not a proven bound: it takes the
     largest H(x)/x sampled over [X/10, X], times a safety factor 2, as the
-    ideal density beyond X.
+    ideal density beyond X.  Over Q, h = 1 and H(x) = x need no counter;
+    over a quadratic field h is read from the cached counter block by
+    block.
     """
     if s <= 1:
         raise SNotGreaterThanOne("truncated zeta sums require s > 1")
     if X < 10:
         raise ValueError("X must be >= 10")
-    counter = count_ideals(K, X)
     ks = np.arange(1, X + 1, dtype=np.float64)
     np.power(ks, s, out=ks)
-    np.divide(counter.h[1:], ks, out=ks)
+    if K.is_rational:
+        np.divide(1.0, ks, out=ks)
+        c_upper = 1.0
+    else:
+        counter = count_ideals(K, X)
+        for lo, hi in norm_blocks(X):
+            np.divide(counter.h_block(lo, hi), ks[lo - 1:hi - 1],
+                      out=ks[lo - 1:hi - 1])
+        xs = np.geomspace(max(1, X // 10), X, 32).astype(np.int64)
+        c_upper = max(counter.H_of(x) / x
+                      for x in xs[run_starts(xs)].tolist())
     value = float(np.sum(ks))
-    xs = np.geomspace(max(1, X // 10), X, 32).astype(np.int64)
-    c_upper = max(counter.H_of(x) / x for x in xs[run_starts(xs)].tolist())
     tail_bound = 2.0 * c_upper * (s / (s - 1.0)) * X ** (1.0 - s)
     return value, tail_bound
 

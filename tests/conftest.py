@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -31,3 +32,13 @@ def random_explicit_family(K, rng: random.Random, max_members=5, max_norm=50):
     pool = [i for i in idd.enumerate_ideals(K, max_norm) if not i.is_unit]
     n = rng.randint(1, max_members)
     return idd.ExplicitFamily(field=K, members=tuple(rng.sample(pool, n)))
+
+
+def peak_bytes(fn, *args, **kwargs) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

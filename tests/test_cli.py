@@ -100,12 +100,20 @@ class TestCount:
 
     def test_point_counts_build_no_counter(self, capsys, tmp_path,
                                            monkeypatch):
+        # Point counts use the hyperbola method, and paths over Q use
+        # H(x) = x: none of them reaches a counter, wherever it is bound.
         def refuse(K, X):
-            raise AssertionError("sieve built for a point count")
+            raise AssertionError(f"counter built over {K.label()}")
 
-        monkeypatch.setattr(cli, "count_ideals", refuse)
+        for module in (idd.ideals, idd.zeta, idd.density):
+            monkeypatch.setattr(module, "count_ideals", refuse)
+        aset = write_aset(tmp_path, {"field": "Q", "kind": "prime_powers",
+                                     "l": 2})
         for argv in (["count", "--field", "Q(sqrt 5)", "--max-norm", "5000"],
-                     ["mertens", "--field", "Q(sqrt 5)", "--cutoff", "5000"]):
+                     ["mertens", "--field", "Q(sqrt 5)", "--cutoff", "5000"],
+                     ["experiment", "primepower-free", "--field", "Q"],
+                     ["density", "--field", "Q", "--aset", str(aset),
+                      "--max-norm", "20000"]):
             code, _, err = run(capsys, *argv, "--out",
                                str(tmp_path / "o.csv"))
             assert code == 0, err
@@ -241,6 +249,19 @@ class TestDensity:
         assert code == 0, err
         summary = read_summary(out_path)["summary"]
         assert summary["natural_ratio"] == 0.0 and summary["A"] > 0
+
+    def test_explicit_member_above_default_truncation(self, capsys,
+                                                      tmp_path):
+        # An explicit family is finite: all of its members count for A.
+        aset = write_aset(tmp_path, {"field": "Q", "kind": "explicit",
+                                     "members": [1000003]})
+        out_path = tmp_path / "density.csv"
+        code, _, err = run(capsys, "density", "--aset", str(aset),
+                           "--max-norm", "2000000", "--out", str(out_path))
+        assert code == 0, err
+        summary = read_summary(out_path)["summary"]
+        assert summary["A_exact"] == "1/1000003"
+        assert read_csv(out_path)[-1][:2] == ["2000000", "1"]
 
     def test_missing_aset_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "density", "--aset",

@@ -1,17 +1,32 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import primerange
 
 import idealdensity as idd
 from idealdensity.density import _member_sums
 from idealdensity.errors import DuplicateMembers, FieldMismatch, TooLarge
+from idealdensity.ideals import (
+    _L_BLOCK,
+    prefix_sums_at,
+    rational_harmonic_prefix,
+)
 from idealdensity.zeta import rankin_tail_bound
 
-from conftest import int_family
+from conftest import int_family, peak_bytes
+
+#: Bounds around the edges of the blocks that running sums are added in.
+B = _L_BLOCK
+BLOCK_EDGE_XS = (B - 1, B, B + 1, 2 * B + 1)
+
+
+def edge_points(X, extra=()):
+    """Ascending sample points <= X: the block edges, extra, and X."""
+    edges = {1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, *extra}
+    return np.array(sorted({x for x in edges if x <= X} | {X}))
 
 
 def brute_density(*moduli):
@@ -104,6 +119,16 @@ class TestALimit:
     def test_validation(self, Q):
         with pytest.raises(ValueError):
             idd.a_limit(int_family(Q, 2), 0)
+
+    def test_explicit_members_beyond_the_default_truncation(self, Q):
+        # An explicit family is finite, so every member counts.
+        fam = int_family(Q, 1000003)
+        assert idd.a_limit(fam, 1) == [Fraction(1, 1000003)]
+        assert idd.finite_ie_density(fam) == Fraction(1, 1000003)
+        fam = int_family(Q, 3, 2**20)
+        assert idd.restrict_family(fam, 1).members == (
+            idd.integer_ideal(Q, 2**20),)
+        assert idd.a_limit(fam, 2)[-1] == idd.finite_ie_density(fam)
 
 
 class TestSieveDensity:
@@ -306,7 +331,7 @@ class TestSamplePointSums:
         X = 5000
         counter = idd.count_ideals(Q, X)
         xs = np.array([10, 11, 99, 1000, 2500, 4999, X])
-        counts, log_sums = _member_sums(fam, counter, xs)
+        counts, log_sums = _member_sums(fam, xs, None)
         marked = [any(n % m == 0 for m in (4, 6, 9, 10, 35))
                   for n in range(X + 1)]
         total, sums = 0.0, [0.0]
@@ -332,7 +357,7 @@ class TestSamplePointSums:
             if fam.is_multiple(b):
                 per_norm[b.norm] += 1
         xs = np.arange(1, X + 1)
-        counts, log_sums = _member_sums(fam, idd.count_ideals(Qi, X), xs)
+        counts, log_sums = _member_sums(fam, xs, idd.count_ideals(Qi, X))
         assert counts == np.cumsum(per_norm)[1:].tolist()
         expected = np.cumsum(per_norm[1:] / xs)
         assert np.allclose(log_sums, expected, rtol=1e-12, atol=0)
@@ -343,13 +368,80 @@ class TestSamplePointSums:
         assert counter.L[X] > 0     # warm: H and L are built and cached
         fam = idd.ExplicitFamily(field=Qi, members=tuple(
             m for m in idd.enumerate_ideals(Qi, 50)[1:8]))
-        tracemalloc.start()
-        try:
-            idd.density_profile(fam, X=X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < X * 8 / 4
+        assert peak_bytes(idd.density_profile, fam, X=X) < X * 8 / 4
+
+
+class TestBlockedSums:
+    """Running sums in blocks of norms against one ``np.cumsum``."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(X=st.sampled_from(BLOCK_EDGE_XS), seed=st.integers(0, 2**32 - 1),
+           extra=st.lists(st.integers(1, 2 * B + 1), max_size=6))
+    def test_equal_one_cumsum_bit_for_bit(self, X, seed, extra):
+        rng = np.random.default_rng(seed)
+        xs = edge_points(X, extra)
+        # Magnitudes over 12 decades, so that the order of addition shows.
+        t = rng.standard_normal(X + 1) * 10.0 ** rng.integers(-6, 7, X + 1)
+        t[0] = 0.0
+        assert (prefix_sums_at(lambda lo, hi: t[lo:hi].copy(), xs)
+                == np.cumsum(t)[xs].tolist())
+        n = rng.integers(-9, 10, X + 1)
+        n[0] = 0
+        assert (prefix_sums_at(lambda lo, hi: n[lo:hi].copy(), xs)
+                == np.cumsum(n)[xs].tolist())
+
+    @settings(max_examples=15, deadline=None)
+    @given(X=st.sampled_from(BLOCK_EDGE_XS),
+           members=st.lists(st.integers(1, 60), min_size=1, max_size=5,
+                            unique=True),
+           extra=st.lists(st.integers(1, 2 * B + 1), max_size=6))
+    def test_rational_marks_equal_one_cumsum(self, Q, X, members, extra):
+        xs = edge_points(X, extra)
+        marked = np.zeros(X + 1, dtype=bool)
+        for m in members:
+            marked[m::m] = True
+        counts, log_sums = _member_sums(int_family(Q, *members), xs, None)
+        assert counts == np.cumsum(marked)[xs].tolist()
+        terms = np.arange(X + 1, dtype=np.float64)
+        np.divide(marked[1:], terms[1:], out=terms[1:])
+        assert log_sums == np.cumsum(terms)[xs].tolist()
+
+    @pytest.mark.parametrize("X", BLOCK_EDGE_XS)
+    def test_unit_member_and_weighted_marks(self, Q, Qi, X):
+        xs = edge_points(X)
+        L_Q = idd.ideals.count_ideals.__wrapped__(Q, X).L
+        counts, log_sums = _member_sums(int_family(Q, 1), xs, None)
+        assert counts == xs.tolist()
+        assert log_sums == L_Q[xs].tolist()
+        assert rational_harmonic_prefix(tuple(xs.tolist())) == tuple(
+            L_Q[xs].tolist())
+        # Over Q(i) the marks carry h(n); (B - 3, B + 2] holds norms on
+        # both sides of a block edge.
+        counter = idd.count_ideals(Qi, X)
+        fam = idd.NormIntervalFamily(field=Qi,
+                                     intervals=((4, 9), (B - 3, B + 2)))
+        marked = np.zeros(X + 1, dtype=bool)
+        for n in range(1, X + 1):
+            if counter.h_of(n) and any(lo < n <= hi
+                                       for lo, hi in fam.intervals):
+                marked[n::n] = True
+        weights = counter.h * marked
+        terms = np.arange(X + 1, dtype=np.float64)
+        np.divide(weights[1:], terms[1:], out=terms[1:])
+        counts, log_sums = _member_sums(fam, xs, counter)
+        assert counts == np.cumsum(weights)[xs].tolist()
+        assert log_sums == np.cumsum(terms)[xs].tolist()
+
+    def test_rational_profile_builds_no_counter(self, Q, monkeypatch):
+        def refuse(K, X):
+            raise AssertionError("counter built over Q")
+
+        monkeypatch.setattr(idd.density, "count_ideals", refuse)
+        fam = idd.PrimePowerFamily(field=Q, l=2)
+        rep = idd.density_profile(fam, X=3 * B)
+        assert rep.total_counts == rep.sample_points
+        assert idd.sieve_multiples_density(fam, 3 * B) == Fraction(
+            rep.member_counts[-1], 3 * B)
 
 
 class TestDensityInequality:

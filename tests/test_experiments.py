@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import idealdensity as idd
 from idealdensity import cli, experiments as ex
 from idealdensity.errors import BoundsExceedX
 
-from conftest import int_family
+from conftest import int_family, peak_bytes
 
 
 class TestPrimePowerFree:
@@ -40,6 +39,13 @@ class TestPrimePowerFree:
             sieve[p * p::p * p] = False
         result = ex.primepower_free_experiment(Q, 2, X)
         assert result.rows[-1][1] == int(sieve[1:].sum())
+
+    def test_rational_run_holds_no_counter(self, Q):
+        # Over Q the profile and the zeta sum read H(x) = x and h = 1: the
+        # heap holds the marks and zeta's float terms, not H, L or h.
+        ex.primepower_free_experiment(Q, 2, 10**4)    # warm: lazy imports
+        assert peak_bytes(ex.primepower_free_experiment, Q, 2,
+                          10**6) < 12 * 10**6
 
     def test_validation(self, Q):
         with pytest.raises(ValueError):
@@ -104,19 +110,13 @@ class TestBesicovitch:
             assert row[1] == int(divisors[1:x + 1].sum())
 
     def test_gaussian_intervals_hold_only_marking_arrays(self, Qi):
-        # Norm intervals are counted by norm: a bool mark per norm, the
-        # int64 weights h(n) and the float64 harmonic buffer, at most three
-        # 8-byte arrays of length X + 1.
-        X = 2 * 10**5
+        # Norm intervals are counted by norm: one bool mark per norm, and
+        # the weights h(n) and harmonic terms only in fixed-size blocks,
+        # so far less than one 8-byte array of length X + 1.
+        X = 10**6
         assert idd.count_ideals(Qi, X).L[X] > 0     # warm: H and L cached
         ex.besicovitch_experiment(Qi, X=10**4)      # warm: lazy imports
-        tracemalloc.start()
-        try:
-            ex.besicovitch_experiment(Qi, X=X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 8 * (X + 1)
+        assert peak_bytes(ex.besicovitch_experiment, Qi, X=X) < 8 * (X + 1) / 2
 
     def test_validation(self, Q):
         with pytest.raises(ValueError):

@@ -81,6 +81,43 @@ class TestNormIntervalFamily:
         assert bounds == [2]
 
 
+    @pytest.mark.parametrize("m", [1, -1, 5, -5])
+    def test_first_members_match_enumeration(self, m):
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        fam = idd.NormIntervalFamily(
+            field=K, intervals=((3, 9), (6, 12), (40, 60), (300, 400)),
+            truncation=350)
+        members = fam.members_up_to(fam.truncation)
+        for r in (1, 5, 17, len(members), len(members) + 5):
+            assert fam.first_members(r) == members[:r]
+
+    def test_a_limit_reads_norms_not_enumeration(self, Qi, monkeypatch):
+        def refuse(K, X):
+            raise AssertionError("ideals enumerated")
+
+        fam = idd.NormIntervalFamily(field=Qi, intervals=((100000, 300000),))
+        monkeypatch.setattr(families, "enumerate_ideals", refuse)
+        seq = idd.a_limit(fam, 8)
+        monkeypatch.undo()
+        members = [idd.make_ideal(Qi, m.factors)
+                   for m in idd.enumerate_ideals(Qi, 100020)
+                   if m.norm > 100000][:8]
+        assert seq == idd.a_limit(members, 8)
+
+
+class TestFirstMembers:
+    def test_explicit_takes_every_member(self, Q):
+        fam = int_family(Q, 1000003, 3)
+        assert [m.norm for m in fam.first_members(5)] == [3, 1000003]
+        assert fam.working_members() == list(fam.members)
+        assert fam.truncation < 1000003
+
+    def test_rules_stop_at_the_truncation(self, Q):
+        fam = idd.PrimePowerFamily(field=Q, l=2, truncation=100)
+        assert [m.norm for m in fam.first_members(10)] == [4, 9, 25, 49]
+        assert fam.working_members() == fam.members_up_to(100)
+
+
 class TestMinimalMembers:
     def test_drops_multiples(self, Q):
         fam = int_family(Q, 2, 4, 6, 9)

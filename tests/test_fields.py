@@ -16,6 +16,8 @@ from idealdensity.errors import (
     UnsupportedField,
 )
 
+from conftest import peak_bytes
+
 
 class TestFieldConstruction:
     def test_rational_field(self, Q):
@@ -181,6 +183,21 @@ class TestPrimeNumbering:
         primes = first_prime_ideals(Q, 100)
         assert idd.primes_up_to_norm.cache_info().currsize <= 1
         assert [pr.norm for pr in primes] == list(primerange(2, 542))
+
+    @pytest.mark.parametrize("m", [1, -1, -5, 5, 13])
+    def test_norm_array_is_the_norm_column(self, m):
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        norms = fields_module.prime_norm_array(K, 5000)
+        assert norms.tolist() == [
+            pr.norm for pr in idd.primes_up_to_norm(K, 5000)]
+        assert not norms.flags.writeable
+
+    def test_norm_array_builds_only_the_norms(self):
+        K = idd.make_quadratic_field(5)
+        build = fields_module.prime_norm_array.__wrapped__
+        build(K, 1000)                  # warm: the class table of chi_D
+        # The norms themselves take 8 bytes per prime ideal, about 0.6 MB.
+        assert peak_bytes(build, K, 10**6) < 4 * 10**6
 
     def test_sorted_by_norm(self, Qi):
         primes = idd.primes_up_to_norm(Qi, 1000)

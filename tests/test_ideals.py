@@ -16,6 +16,7 @@ from idealdensity.ideals import (
     enumeration_norm_counts,
     gaussian_lattice_H,
     gaussian_lattice_counts,
+    ideals_of_norm,
     run_starts,
 )
 
@@ -120,6 +121,22 @@ class TestEnumeration:
 
     def test_deterministic(self, Qi):
         assert idd.enumerate_ideals(Qi, 50) == idd.enumerate_ideals(Qi, 50)
+
+
+class TestIdealsOfNorm:
+    @pytest.mark.parametrize("m", [1, -1, 5, -5])
+    def test_match_enumeration(self, m):
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        X = 600
+        by_norm = {n: [] for n in range(1, X + 1)}
+        for ideal in idd.enumerate_ideals(K, X):
+            by_norm[ideal.norm].append(ideal)
+        for n, ideals in by_norm.items():
+            assert ideals_of_norm(K, n) == ideals
+
+    def test_validation(self, Qi):
+        with pytest.raises(ValueError):
+            ideals_of_norm(Qi, 0)
 
 
 class TestNormCounter:
