@@ -17,13 +17,17 @@ length X: over Q the marked norms are the ideals themselves, and for norm
 intervals over any field of degree <= 2 membership depends on the norm
 alone, each marked norm n counting its h(n) ideals.  The counts and
 harmonic sums of the marks are running sums read at the sample points,
-added in blocks of norms (``ideals.prefix_sums_at``).  Over Q, where
-H(x) = x and h = 1, no counter is built at all: the field's harmonic
-prefix at the sample points is ``ideals.rational_harmonic_prefix``.
+added in blocks of norms (``ideals.prefix_sums_at``).  A block in which
+fewer than half of the norms are marked gives the harmonic terms of its
+marked norms only, and may give none: an unmarked norm adds +0.0, so the
+sums are the same bit for bit.  Over Q, where H(x) = x and h = 1, no
+counter is built at all: the field's harmonic prefix at the sample
+points is ``ideals.rational_harmonic_prefix``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -45,6 +49,7 @@ from .ideals import (
     NormCounter,
     count_ideals,
     divides,
+    enumerate_ideals,
     make_ideal,
     prefix_sums_at,
     rational_harmonic_prefix,
@@ -108,8 +113,14 @@ def _ie_terms(members: Sequence[Ideal],
 
 
 def _union_density(members: Sequence[Ideal]) -> Fraction:
-    """Exact density of the multiples of a finite list of ideals."""
-    return sum((Fraction(c, n) for n, c in _ie_terms(members)), Fraction(0))
+    """Exact density of the multiples of a finite list of ideals.
+
+    The terms c / N(l) are added over their common denominator, the lcm
+    of the N(l), so the sum is reduced once.
+    """
+    terms = _ie_terms(members)
+    d = math.lcm(*(n for n, _ in terms))
+    return Fraction(sum(c * (d // n) for n, c in terms), d)
 
 
 def _grow_blocks(members: Sequence[Ideal], subset_cap: int):
@@ -226,8 +237,9 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
     h(n) > 0, so a marked norm counts all of its h(n) ideals.  Counts and
     harmonic sums are running sums over the marks in blocks of norms,
     added in ascending norm order, so they give the same floats as adding
-    1/N(b) over the members one by one.  With ``logs`` false the harmonic
-    sums are not computed.
+    1/N(b) over the members one by one; a block with fewer marked norms
+    than unmarked ones divides at its marked norms only.  With ``logs``
+    false the harmonic sums are not computed.
     """
     K, X = A.field, int(xs[-1])
     if not (K.is_rational or isinstance(A, NormIntervalFamily)):
@@ -261,11 +273,27 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
     buf = np.empty_like(steps)
 
     def harmonic(lo, hi):
+        # An unmarked norm adds +0.0, which leaves the running sum as it
+        # is, so a sparse block gives the terms of its marked norms only.
+        marks = c[lo:hi]
+        if _is_sparse(marks):
+            nz = np.flatnonzero(marks)
+            k = steps[nz]
+            k += lo
+            if counter is None:
+                return np.divide(1.0, k, out=k)
+            nz += lo
+            return np.divide(counter.H[nz] - counter.H[nz - 1], k, out=k)
         k = np.add(steps[:hi - lo], lo, out=buf[:hi - lo])
         return np.divide(weights(lo, hi), k, out=k)
 
     counts = prefix_sums_at(weights, xs)
     return counts, prefix_sums_at(harmonic, xs) if logs else None
+
+
+def _is_sparse(marks: np.ndarray) -> bool:
+    """True when fewer than half of a block's norms are marked."""
+    return 2 * np.count_nonzero(marks) < marks.size
 
 
 def _counter(K: NumberField, X: int) -> NormCounter | None:
@@ -305,17 +333,22 @@ def restrict_family(A: AFamily, k: int) -> ExplicitFamily:
 
     Rule-based families are truncated at the family's working norm bound,
     which keeps the restriction finite; the omitted members contribute at
-    most the tail of sum 1/N(a).
+    most the tail of sum 1/N(a).  Their restricted members are built from
+    the powers of the k primes, so no other ideal is enumerated.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     K = A.field
-    allowed = set(first_prime_ideals(K, k))
+    primes = first_prime_ideals(K, k)
     if isinstance(A, PrimePowerFamily):
-        members = [make_ideal(K, [(pr, A.l)])
-                   for pr in first_prime_ideals(K, k)
+        members = [make_ideal(K, [(pr, A.l)]) for pr in primes
                    if pr.norm ** A.l <= A.truncation]
+    elif isinstance(A, NormIntervalFamily):
+        top = min(A.truncation, max(hi for _, hi in A.intervals))
+        members = [m for m in enumerate_ideals(K, top, primes)
+                   if A.norm_in_intervals(m.norm)]
     else:
+        allowed = set(primes)
         members = [m for m in A.working_members()
                    if all(pr in allowed for pr, _ in m.factors)]
     return ExplicitFamily(field=K, members=tuple(members))

@@ -134,7 +134,7 @@ class NormIntervalFamily(AFamily):
             raise FamilySpecError("intervals must satisfy 1 <= lo < hi")
         object.__setattr__(self, "intervals", ivs)
 
-    def _norm_in_intervals(self, n: int) -> bool:
+    def norm_in_intervals(self, n: int) -> bool:
         return any(lo < n <= hi for lo, hi in self.intervals)
 
     def members_up_to(self, bound: int) -> list[Ideal]:
@@ -172,7 +172,7 @@ class NormIntervalFamily(AFamily):
 
     def is_multiple(self, b: Ideal) -> bool:
         self._check_field(b)
-        return any(self._norm_in_intervals(n) for n in b.divisor_norms())
+        return any(self.norm_in_intervals(n) for n in b.divisor_norms())
 
 
 def minimal_members(members: list[Ideal]) -> list[Ideal]:

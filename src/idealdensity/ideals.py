@@ -172,18 +172,25 @@ def prefix_sums_at(terms, xs) -> list:
     terms come in an array that may be overwritten, and the running sum
     so far is added into its first term before its in-place ``np.cumsum``:
     so they are added one by one in ascending k, and the sums equal those
-    of one ``np.cumsum`` over all terms bit for bit.  A sum at x < 1 is 0.
+    of one ``np.cumsum`` over all terms bit for bit.  A float block may
+    leave out terms that are +0.0, or be empty, as long as the terms it
+    keeps stay in ascending k and every sum is >= 0: adding +0.0 to a
+    nonnegative sum leaves it unchanged.  A sum at x < 1 is 0.
     """
     out, total, lo = [], 0, 1
     for x in map(int, xs):
         while lo <= x:
             hi = min(lo + _L_BLOCK, x + 1)
             t = terms(lo, hi)
-            if t.dtype.kind == "f":
+            if t.dtype.kind == "b":
+                total += int(np.count_nonzero(t))
+            elif t.dtype.kind != "f":
+                total += int(t.sum())
+            elif t.size:
                 t[0] += total
                 total = float(np.cumsum(t, out=t)[-1])
             else:
-                total += int(t.sum())
+                total = float(total)    # an empty block adds nothing
             lo = hi
         out.append(total)
     return out
@@ -357,16 +364,19 @@ def ideals_of_norm(K: NumberField, n: int) -> list[Ideal]:
                   key=Ideal.sort_key)
 
 
-def enumerate_ideals(K: NumberField, X: int) -> list[Ideal]:
+def enumerate_ideals(K: NumberField, X: int,
+                     primes: Sequence[PrimeIdeal] | None = None) -> list[Ideal]:
     """Every ideal of norm <= X, in nondecreasing norm order.
 
-    Ties are broken by lexicographic comparison of the factorizations
-    under the global prime numbering.  Materializes the full list; meant
-    for desk-scale bounds.
+    With ``primes``, a list of prime ideals in the global numbering, only
+    the ideals supported on them.  Ties are broken by lexicographic
+    comparison of the factorizations under the global prime numbering.
+    Materializes the full list; meant for desk-scale bounds.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
-    primes = primes_up_to_norm(K, X)
+    if primes is None:
+        primes = primes_up_to_norm(K, X)
     n_primes = len(primes)
     found: list[Ideal] = []
     stack: list[tuple[PrimeIdeal, int]] = []

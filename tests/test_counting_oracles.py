@@ -8,7 +8,8 @@ the divisor norms of an ideal depend on its norm alone.  The prime-norm
 arrays and the numpy ideal-count sieve beneath it are checked against
 scalar splitting, enumeration and the Gaussian lattice count, the
 hyperbola point counts against the sieve, and the in-house factorization
-against sympy.
+against sympy.  The gcd/lcm norm identity, divisibility and the
+complement identity of profiles are property-checked on the same fields.
 """
 
 import bisect
@@ -96,6 +97,36 @@ def test_explicit_family_counts_match_brute_force(K, data):
                                                           len(all_norms))
     assert_matches_brute_force(idd.density_profile(fam, X=X), K,
                                fam.is_multiple)
+
+
+@PROPERTY_SETTINGS
+@given(K=fields, data=st.data())
+def test_gcd_lcm_norms_and_divisibility(K, data):
+    a, b = data.draw(st.lists(st.sampled_from(brute_ideals(K)[0]),
+                              min_size=2, max_size=2))
+    g, m = idd.gcd(a, b), idd.intersect([a, b])
+    assert g.norm * m.norm == a.norm * b.norm
+    assert idd.divides(a, b) == (g == a)
+    assert idd.divides(a, m) and idd.divides(b, m)
+    assert idd.divides(g, a) and idd.divides(g, b)
+
+
+@PROPERTY_SETTINGS
+@given(K=st.sampled_from(SQUAREFREE_M).map(field), data=st.data())
+def test_complement_ratios_sum_to_one(K, data):
+    members = data.draw(st.lists(st.sampled_from(member_pool(K)),
+                                 min_size=1, max_size=4, unique=True))
+    X = data.draw(st.integers(100, BRUTE_X))
+    report = idd.density_profile(
+        idd.ExplicitFamily(field=K, members=tuple(members)), X=X)
+    comp = report.complement()
+    assert all(r + c == 1 for r, c in zip(report.natural_ratios,
+                                          comp.natural_ratios))
+    assert all(r + c == 1.0 for r, c in zip(report.log_ratios,
+                                            comp.log_ratios))
+    assert [m + c for m, c in zip(report.member_counts,
+                                  comp.member_counts)] == list(
+        report.total_counts)
 
 
 @PROPERTY_SETTINGS

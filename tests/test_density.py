@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import primerange
 
 import idealdensity as idd
+from idealdensity import density
 from idealdensity.density import _member_sums
 from idealdensity.errors import DuplicateMembers, FieldMismatch, TooLarge
 from idealdensity.ideals import (
@@ -192,6 +193,37 @@ class TestRestrictAndMultiplicative:
         fam = idd.PrimePowerFamily(field=Qi, l=2)
         r = idd.restrict_family(fam, 3)
         assert sorted(m.norm for m in r.members) == [4, 25, 25]
+
+    @pytest.mark.parametrize("m", [1, -1, 5, -5])
+    def test_restrict_intervals_match_enumeration(self, m):
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        fam = idd.NormIntervalFamily(
+            field=K, intervals=((3, 9), (6, 12), (40, 60), (300, 400)),
+            truncation=350)
+        working = fam.members_up_to(fam.truncation)
+        for k in (0, 1, 2, 3, 5, 8):
+            allowed = set(idd.fields.first_prime_ideals(K, k))
+            expected = [b for b in working
+                        if all(pr in allowed for pr, _ in b.factors)]
+            assert idd.restrict_family(fam, k).members == tuple(expected)
+
+    def test_restrict_intervals_enumerate_nothing(self, Qi, monkeypatch):
+        def refuse(K, X):
+            raise AssertionError("ideals enumerated")
+
+        monkeypatch.setattr(idd.families, "enumerate_ideals", refuse)
+        fam = idd.NormIntervalFamily(field=Qi, intervals=((100000, 300000),))
+        P, P1, P2 = idd.fields.first_prime_ideals(Qi, 3)
+        assert (P.norm, P1.norm, P2.norm) == (2, 5, 5)
+        # 2^a 5^b with 10^5 < 2^a 5^b <= 3 * 10^5: the b factors of 5
+        # spread over the two primes above 5 in b + 1 ways.
+        expected = sorted((a, b) for a in range(19) for b in range(9)
+                          if 100000 < 2 ** a * 5 ** b <= 300000)
+        members = idd.restrict_family(fam, 2).members
+        assert [b.norm for b in members] == sorted(
+            2 ** a * 5 ** b for a, b in expected)
+        assert len(idd.restrict_family(fam, 3).members) == sum(
+            b + 1 for _, b in expected)
 
     def test_b_k_nondecreasing(self, Q):
         fam = idd.PrimePowerFamily(field=Q, l=2)
@@ -442,6 +474,116 @@ class TestBlockedSums:
         assert rep.total_counts == rep.sample_points
         assert idd.sieve_multiples_density(fam, 3 * B) == Fraction(
             rep.member_counts[-1], 3 * B)
+
+
+def sequential_sums(marked, h, xs):
+    """Counts and sums of h(n)/n over the marked norms n <= x at each x of
+    xs, adding one norm at a time in ascending order (h = None: h = 1)."""
+    counts, sums, count, total = [], [], 0, 0.0
+    n = 0
+    for x in xs:
+        while n < x:
+            n += 1
+            if marked[n]:
+                w = 1 if h is None else int(h[n])
+                count += w
+                total += w / n
+        counts.append(count)
+        sums.append(total)
+    return counts, sums
+
+
+def rational_marks(X, moduli):
+    marked = bytearray(X + 1)
+    for m in moduli:
+        marked[m::m] = b"\x01" * len(range(m, X + 1, m))
+    return marked
+
+
+class TestMarkingPath:
+    """The marking path of ``_member_sums`` against per-norm sums, bit for
+    bit: sparse blocks add only their marked norms, dense blocks every norm."""
+
+    X = 3 * 10**5
+    XS = (10, 1000, B, 100002, 200006, 3 * 10**5)
+
+    def sums_and_forms(self, monkeypatch, fam, xs, counter):
+        forms = []
+        is_sparse = density._is_sparse
+        monkeypatch.setattr(density, "_is_sparse",
+                            lambda marks: forms.append(is_sparse(marks))
+                            or forms[-1])
+        counts, log_sums = _member_sums(fam, np.array(xs), counter)
+        monkeypatch.undo()
+        return counts, log_sums, set(forms)
+
+    @pytest.mark.parametrize("members,forms", [
+        ((100003,), {True}),                # no mark before 100003
+        ((1,), {False}),                    # every norm marked
+        ((47,), {True}),
+        ((2, 3, 5, 7), {False}),            # 77% marked
+        ((2, 47, 1000), {False}),           # half of 1..10 marked
+    ])
+    def test_rational_explicit(self, Q, monkeypatch, members, forms):
+        counts, log_sums, seen = self.sums_and_forms(
+            monkeypatch, int_family(Q, *members), self.XS, None)
+        ref_counts, ref_sums = sequential_sums(
+            rational_marks(self.X, members), None, self.XS)
+        assert counts == ref_counts
+        assert [s.hex() for s in log_sums] == [s.hex() for s in ref_sums]
+        assert seen == forms
+
+    @pytest.mark.parametrize("l,forms", [(1, {False}), (2, {True})])
+    def test_rational_prime_powers(self, Q, monkeypatch, l, forms):
+        fam = idd.PrimePowerFamily(field=Q, l=l)
+        counts, log_sums, seen = self.sums_and_forms(
+            monkeypatch, fam, self.XS, None)
+        ref_counts, ref_sums = sequential_sums(
+            rational_marks(self.X, [m.norm for m in fam.members_up_to(self.X)]),
+            None, self.XS)
+        assert counts == ref_counts
+        assert [s.hex() for s in log_sums] == [s.hex() for s in ref_sums]
+        assert seen == forms
+
+    @pytest.mark.parametrize("m,intervals,forms", [
+        (None, ((3, 5), (B - 3, 2 * B)), {True, False}),
+        (-1, ((10, 20),), {True}),
+        (5, ((10, 20),), {True}),
+        (-1, ((1, 12),), {False}),
+        (5, ((1, 12),), {False}),
+        (-1, ((3, 5), (B - 3, 2 * B)), {True, False}),
+        (5, ((3, 5), (B - 3, 2 * B)), {True}),
+    ])
+    def test_intervals(self, monkeypatch, m, intervals, forms):
+        # Over quadratic fields a marked norm n adds h(n)/n.
+        X = 2 * B + 1
+        xs = (10, 1000, B, 100003, X)
+        if m is None:
+            K, counter, h = idd.make_rational_field(), None, None
+        else:
+            K = idd.make_quadratic_field(m)
+            counter = idd.count_ideals(K, X)
+            h = counter.h
+        fam = idd.NormIntervalFamily(field=K, intervals=intervals)
+        norms = [n for lo, hi in intervals for n in range(lo + 1, hi + 1)
+                 if h is None or h[n]]
+        marked = rational_marks(X, norms)
+        if h is not None:       # some marked norms have no ideal
+            assert any(marked[n] and not h[n] for n in range(1, X + 1))
+        counts, log_sums, seen = self.sums_and_forms(monkeypatch, fam, xs,
+                                                     counter)
+        ref_counts, ref_sums = sequential_sums(marked, h, xs)
+        assert counts == ref_counts
+        assert [s.hex() for s in log_sums] == [s.hex() for s in ref_sums]
+        assert seen == forms
+
+    def test_empty_float_block_keeps_the_total(self):
+        sums = prefix_sums_at(
+            lambda lo, hi: np.ones(hi - lo) if lo > 5 else np.empty(0),
+            [2, 5, 7])
+        assert [s.hex() for s in sums] == [0.0.hex(), 0.0.hex(), 2.0.hex()]
+        assert prefix_sums_at(lambda lo, hi: np.ones(hi - lo, dtype=bool),
+                              [3, B + 2]) == [3, B + 2]
 
 
 class TestDensityInequality:
