@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import FamilySpecError, FieldMismatch
-from .fields import NumberField, parse_field, primes_up_to_norm, split_prime
+from .fields import (NumberField, first_prime_ideals, parse_field,
+                     primes_up_to_norm, split_prime)
 from .ideals import Ideal, divides, enumerate_ideals, integer_ideal, make_ideal
 from .ideals import ideal_counts, ideals_of_norm
 
@@ -48,12 +49,7 @@ class AFamily:
 
     def first_members(self, r: int) -> list[Ideal]:
         """The first r working members in norm order (all, if fewer)."""
-        bound = min(64, self.truncation)
-        members = self.members_up_to(bound)
-        while len(members) < r and bound < self.truncation:
-            bound = min(bound * 8, self.truncation)
-            members = self.members_up_to(bound)
-        return members[:r]
+        raise NotImplementedError
 
     def is_multiple(self, b: Ideal) -> bool:
         """True iff b is a multiple of some family member."""
@@ -113,6 +109,13 @@ class PrimePowerFamily(AFamily):
             return []
         return [make_ideal(self.field, [(pr, self.l)])
                 for pr in primes_up_to_norm(self.field, q_max)]
+
+    def first_members(self, r: int) -> list[Ideal]:
+        """The l-th powers of the first r prime ideals, those of norm <=
+        truncation, built once from the first r primes."""
+        q_max = _integer_root(self.truncation, self.l)
+        return [make_ideal(self.field, [(pr, self.l)])
+                for pr in first_prime_ideals(self.field, r, bound=q_max)]
 
     def is_multiple(self, b: Ideal) -> bool:
         self._check_field(b)

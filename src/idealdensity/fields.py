@@ -399,14 +399,28 @@ def kronecker_table(K: NumberField, n: int) -> tuple[np.ndarray, np.ndarray]:
     return chi, S
 
 
-def first_prime_ideals(K: NumberField, k: int) -> tuple[PrimeIdeal, ...]:
-    """The first k prime ideals in the deterministic global numbering."""
-    if k == 0:
+def first_prime_norms(K: NumberField, k: int,
+                      bound: int | None = None) -> np.ndarray:
+    """Norms of the first k prime ideals in the global numbering, ascending
+    (int64); with ``bound``, only those of norm <= bound, so fewer than k
+    when the bound is reached first."""
+    top = 64
+    while len(norm := _prime_norms(K, top)) < k and (bound is None
+                                                     or top < bound):
+        top *= 4
+    if bound is not None:
+        k = min(k, int(np.searchsorted(norm, bound, side="right")))
+    return norm[:k]
+
+
+def first_prime_ideals(K: NumberField, k: int,
+                       bound: int | None = None) -> tuple[PrimeIdeal, ...]:
+    """The first k prime ideals in the deterministic global numbering; with
+    ``bound``, only those of norm <= bound."""
+    norm = first_prime_norms(K, k, bound)
+    if not norm.size:
         return ()
-    bound = 64
-    while len(norm := _prime_norms(K, bound)) < k:
-        bound *= 4
-    return primes_up_to_norm(K, int(norm[k - 1]))[:k]
+    return primes_up_to_norm(K, int(norm[-1]))[:norm.size]
 
 
 def is_fundamental_discriminant(D: int) -> bool:

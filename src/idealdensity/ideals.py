@@ -196,6 +196,27 @@ def prefix_sums_at(terms, xs) -> list:
     return out
 
 
+def pairwise_sum(terms, n: int) -> float:
+    """t(0) + ... + t(n - 1), added as ``np.add.reduce`` adds one float64
+    array of all n terms, bit for bit, without building that array.
+
+    ``terms(i, j)`` returns the float64 array of t(i), ..., t(j - 1) for
+    pieces of at most ``_L_BLOCK`` terms.  numpy's pairwise summation
+    splits a range of more than 128 terms after n2 = n // 2 rounded down
+    to a multiple of 8 and adds the sums of the two halves; the same split
+    is made here until a piece has at most ``_L_BLOCK`` terms, which
+    ``np.add.reduce`` then sums along the rest of the same tree.
+    """
+    def add(i: int, n: int) -> float:
+        if n <= _L_BLOCK:
+            return float(np.add.reduce(terms(i, i + n)))
+        n2 = n // 2
+        n2 -= n2 % 8
+        return add(i, n2) + add(i + n2, n - n2)
+
+    return add(0, n)
+
+
 @lru_cache(maxsize=8)
 def rational_harmonic_prefix(xs: tuple[int, ...]) -> tuple[float, ...]:
     """L(x) = 1 + 1/2 + ... + 1/x over Q at each x of the ascending xs,

@@ -1,8 +1,11 @@
 """Harmonic ideal sums, partial Euler products and truncated Dedekind zeta.
 
 Partial Euler products are kept as exact rationals while the number of
-prime factors is small; beyond that they switch to log-space floating
-accumulation with compensated summation.
+prime factors is small; beyond that they are summed in log space by
+``math.fsum`` over float64 arrays, which rounds the sum correctly, so the
+order and the chunks it is read in do not change it.  Every sum runs over
+blocks of norms or of prime ideals: no Python list or float array of
+length X is built beside the cached prime norms and ideal counts.
 """
 
 from __future__ import annotations
@@ -10,15 +13,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .errors import SNotGreaterThanOne
-from .fields import EULER_GAMMA, NumberField, first_prime_ideals, prime_norm_array
-from .ideals import count_ideals, norm_blocks, run_starts
+from .fields import EULER_GAMMA, NumberField, first_prime_norms, prime_norm_array
+from .ideals import count_ideals, norm_blocks, pairwise_sum, run_starts
 
 #: Largest prime count for which the Euler product is kept as a Fraction.
 _EXACT_PRIME_LIMIT = 64
+
+#: Terms per Python list handed to ``math.fsum`` or ``math.log1p``; a
+#: list costs about 32 bytes per float, four times its array.
+_LIST_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -32,17 +40,36 @@ class EulerProductState:
     exact: Fraction | None       # exact value when k is small enough
 
 
-def _euler_product(K: NumberField, norms: list[int], logs: list[float],
+def _chunks(a: np.ndarray, k: int | None = None):
+    """a[:k] (all of a by default) as Python lists of at most
+    ``_LIST_CHUNK`` entries each."""
+    k = a.size if k is None else k
+    return (a[i:min(i + _LIST_CHUNK, k)].tolist()
+            for i in range(0, k, _LIST_CHUNK))
+
+
+def _log_factors(norms: np.ndarray) -> np.ndarray:
+    """log1p(-1/q) for each norm q, by ``math.log1p``: ``np.log1p`` differs
+    from it in the last bit for some q."""
+    logs = np.empty(norms.size, dtype=np.float64)
+    for i in range(0, norms.size, _LIST_CHUNK):
+        chunk = norms[i:i + _LIST_CHUNK]
+        logs[i:i + chunk.size] = np.fromiter(
+            map(math.log1p, (-1.0 / chunk).tolist()), np.float64, chunk.size)
+    return logs
+
+
+def _euler_product(K: NumberField, norms: np.ndarray, logs: np.ndarray,
                    k: int, cutoff: int | None) -> EulerProductState:
     """The product over norms[:k]; ``logs`` holds log1p(-1/q) for each norm."""
     exact = None
     if k <= _EXACT_PRIME_LIMIT:
         exact = Fraction(1)
-        for q in norms[:k]:
+        for q in norms[:k].tolist():
             exact *= Fraction(q, q - 1)
         value = float(exact)
     else:
-        value = math.exp(-math.fsum(logs[:k]))
+        value = math.exp(-math.fsum(chain.from_iterable(_chunks(logs, k))))
     return EulerProductState(field=K, k=k, cutoff=cutoff, value=value,
                              exact=exact)
 
@@ -51,8 +78,9 @@ def euler_products_at(K: NumberField,
                       cutoffs: list[int]) -> list[EulerProductState]:
     """Partial Euler products over all prime ideals of norm <= c, for each c.
 
-    One prime-norm array at the largest cutoff, and one list of log
-    factors, serve every cutoff; each product is the cutoff's prefix.
+    The cached prime-norm array at the largest cutoff, and one float64
+    array of log factors, serve every cutoff; each product is the
+    cutoff's prefix.
     """
     if not cutoffs:
         return []
@@ -60,8 +88,7 @@ def euler_products_at(K: NumberField,
         raise ValueError("cutoff must be >= 2")
     norms = prime_norm_array(K, max(cutoffs))
     ks = np.searchsorted(norms, cutoffs, side="right").tolist()
-    norms = norms.tolist()
-    logs = [math.log1p(-1.0 / q) for q in norms]
+    logs = _log_factors(norms)
     return [_euler_product(K, norms, logs, k, c)
             for k, c in zip(ks, cutoffs)]
 
@@ -75,18 +102,30 @@ def partial_euler_product(K: NumberField, k: int | None = None,
         return euler_products_at(K, [cutoff])[0]
     if k < 0:
         raise ValueError("k must be >= 0")
-    norms = [pr.norm for pr in first_prime_ideals(K, k)]
-    logs = [math.log1p(-1.0 / q) for q in norms]
-    return _euler_product(K, norms, logs, len(norms), None)
+    norms = first_prime_norms(K, k)
+    return _euler_product(K, norms, _log_factors(norms), norms.size, None)
 
 
 def harmonic_ideal_sum(K: NumberField, x: int) -> float:
-    """Exact finite sum of 1/N(a) over ideals of norm <= x, compensated."""
+    """Exact finite sum of 1/N(a) over ideals of norm <= x, correctly
+    rounded by ``math.fsum``: h(k)/k over the norms k with h(k) > 0, read
+    block by block (1/k over Q, where h = 1 and no counter is built)."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    h = count_ideals(K, int(x)).h
-    nz = np.flatnonzero(h)
-    return math.fsum((h[nz] / nz).tolist())
+    x = int(x)
+    counter = None if K.is_rational else count_ideals(K, x)
+
+    def terms(lo, hi):
+        if counter is None:
+            t = np.arange(lo, hi, dtype=np.float64)
+            return np.divide(1.0, t, out=t)
+        h = counter.h_block(lo, hi)
+        nz = np.flatnonzero(h)
+        return h[nz] / (nz + lo)
+
+    return math.fsum(chain.from_iterable(
+        part for lo, hi in norm_blocks(x)
+        for part in _chunks(terms(lo, hi))))
 
 
 def mertens_ratio(K: NumberField, cutoff: int) -> float:
@@ -112,26 +151,34 @@ def dedekind_zeta(K: NumberField, s: float, X: int) -> tuple[float, float]:
     largest H(x)/x sampled over [X/10, X], times a safety factor 2, as the
     ideal density beyond X.  Over Q, h = 1 and H(x) = x need no counter;
     over a quadratic field h is read from the cached counter block by
-    block.
+    block.  The terms are built in pieces of at most 2^16 norms and added
+    by ``ideals.pairwise_sum`` along numpy's pairwise tree, so the value
+    is bit for bit that of ``np.sum`` over one array of all X terms.
     """
     if s <= 1:
         raise SNotGreaterThanOne("truncated zeta sums require s > 1")
     if X < 10:
         raise ValueError("X must be >= 10")
-    ks = np.arange(1, X + 1, dtype=np.float64)
-    np.power(ks, s, out=ks)
-    if K.is_rational:
-        np.divide(1.0, ks, out=ks)
+    counter = None if K.is_rational else count_ideals(K, X)
+
+    def terms(i, j):
+        # h(k)/k^s for the norms k = i + 1, ..., j.  k^s overflows to inf
+        # only where 1/k^s is below the smallest double (large s), so the
+        # term is 0 either way and the overflow is not worth a warning.
+        t = np.arange(i + 1, j + 1, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            np.power(t, s, out=t)
+        if counter is None:
+            return np.divide(1.0, t, out=t)
+        return np.divide(counter.h_block(i + 1, j + 1), t, out=t)
+
+    value = pairwise_sum(terms, X)
+    if counter is None:
         c_upper = 1.0
     else:
-        counter = count_ideals(K, X)
-        for lo, hi in norm_blocks(X):
-            np.divide(counter.h_block(lo, hi), ks[lo - 1:hi - 1],
-                      out=ks[lo - 1:hi - 1])
         xs = np.geomspace(max(1, X // 10), X, 32).astype(np.int64)
         c_upper = max(counter.H_of(x) / x
                       for x in xs[run_starts(xs)].tolist())
-    value = float(np.sum(ks))
     tail_bound = 2.0 * c_upper * (s / (s - 1.0)) * X ** (1.0 - s)
     return value, tail_bound
 

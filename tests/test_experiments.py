@@ -42,10 +42,11 @@ class TestPrimePowerFree:
 
     def test_rational_run_holds_no_counter(self, Q):
         # Over Q the profile and the zeta sum read H(x) = x and h = 1: the
-        # heap holds the marks and zeta's float terms, not H, L or h.
+        # heap holds the marks and blocks of 2^16 norms, not H, L, h or
+        # one float term per norm.
         ex.primepower_free_experiment(Q, 2, 10**4)    # warm: lazy imports
         assert peak_bytes(ex.primepower_free_experiment, Q, 2,
-                          10**6) < 12 * 10**6
+                          10**6) < 5 * 10**6
 
     def test_validation(self, Q):
         with pytest.raises(ValueError):

@@ -50,6 +50,25 @@ class TestPrimePowerFamily:
         with pytest.raises(FamilySpecError):
             idd.PrimePowerFamily(field=Q, l=0)
 
+    @pytest.mark.parametrize("m", [1, -1, 5])
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_first_members_are_the_prefix(self, m, l):
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        fam = idd.PrimePowerFamily(field=K, l=l, truncation=20000)
+        members = fam.members_up_to(fam.truncation)
+        for r in (0, 1, 7, 168, len(members), len(members) + 1, 10**4):
+            assert fam.first_members(r) == members[:r]
+
+    def test_first_members_build_once(self, Q, monkeypatch):
+        fam = idd.PrimePowerFamily(field=Q, l=2)
+
+        def refuse(self, bound):
+            raise AssertionError("member list rebuilt")
+
+        monkeypatch.setattr(idd.PrimePowerFamily, "members_up_to", refuse)
+        assert [m.norm for m in fam.first_members(168)][-2:] == [991**2,
+                                                                 997**2]
+
 
 class TestNormIntervalFamily:
     def test_membership_via_divisor_norms(self, Q):
@@ -116,6 +135,8 @@ class TestFirstMembers:
         fam = idd.PrimePowerFamily(field=Q, l=2, truncation=100)
         assert [m.norm for m in fam.first_members(10)] == [4, 9, 25, 49]
         assert fam.working_members() == fam.members_up_to(100)
+        # r far beyond the family sieves no primes past the truncation
+        assert fam.first_members(10**9) == fam.members_up_to(100)
 
 
 class TestMinimalMembers:

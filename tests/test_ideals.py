@@ -17,6 +17,7 @@ from idealdensity.ideals import (
     gaussian_lattice_H,
     gaussian_lattice_counts,
     ideals_of_norm,
+    pairwise_sum,
     run_starts,
 )
 
@@ -186,6 +187,43 @@ class TestNormCounter:
         c = idd.ideals.count_ideals.__wrapped__(Q, 10**5)
         assert np.array_equal(c.H, np.arange(10**5 + 1))
         assert c.H.dtype == np.int64
+
+
+class TestPairwiseSum:
+    """``pairwise_sum`` adds pieces as ``np.add.reduce`` adds one array."""
+
+    LENGTHS = [*range(1, 300), (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+               10**6, 1234567]
+
+    @staticmethod
+    def _check(n, rng):
+        a = rng.random(n) ** -2.0       # magnitudes over ~12 decades
+        got = pairwise_sum(lambda i, j: a[i:j].copy(), n)
+        assert got.hex() == float(np.add.reduce(a)).hex()
+
+    def test_equals_add_reduce(self):
+        rng = np.random.default_rng(2024)
+        for n in self.LENGTHS:
+            self._check(n, rng)
+
+    @pytest.mark.parametrize("leaf", [128, 136, 1000, 1 << 12])
+    def test_equals_add_reduce_at_small_leaves(self, leaf, monkeypatch):
+        # The split is numpy's at every level, so any leaf size of at
+        # least 128 terms gives the same tree.
+        monkeypatch.setattr(idd.ideals, "_L_BLOCK", leaf)
+        rng = np.random.default_rng(leaf)
+        for n in [*range(leaf - 9, leaf + 10), 3 * leaf + 5, 10**5]:
+            self._check(n, rng)
+
+    def test_pieces_stay_small(self):
+        sizes = []
+
+        def terms(i, j):
+            sizes.append(j - i)
+            return np.ones(j - i)
+
+        assert pairwise_sum(terms, 10**6) == 10**6
+        assert sum(sizes) == 10**6 and max(sizes) <= 1 << 16
 
 
 class TestPointCounts:

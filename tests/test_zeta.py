@@ -1,12 +1,17 @@
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import idealdensity as idd
 from idealdensity.errors import SNotGreaterThanOne
-from idealdensity.fields import EULER_GAMMA, first_prime_ideals
+from idealdensity.fields import EULER_GAMMA, first_prime_ideals, prime_norm_array
+from idealdensity.ideals import norm_blocks, run_starts
 from idealdensity.zeta import rankin_tail_bound
+
+from conftest import peak_bytes
 
 CATALAN = 0.915965594177219015
 
@@ -25,13 +30,18 @@ class TestHarmonicIdealSum:
         assert idd.harmonic_ideal_sum(Qi, 10) == pytest.approx(expected)
 
 
+    @pytest.mark.parametrize("x", [10**4, (1 << 16) + 1, 140000])
     @pytest.mark.parametrize("m", [1, -1, 5])
-    def test_equals_the_generator_sum(self, m):
+    def test_equals_the_generator_sum(self, m, x):
         K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
-        x = 10**4
         h = idd.count_ideals(K, x).h
         expected = math.fsum(int(h[k]) / k for k in range(1, x + 1) if h[k])
         assert idd.harmonic_ideal_sum(K, x) == expected
+
+    def test_memory_is_bounded(self, Q):
+        # Blocks of norms, not a list of x floats (53 MB at 10^6).
+        idd.harmonic_ideal_sum(Q, 10**4)
+        assert peak_bytes(idd.harmonic_ideal_sum, Q, 10**6) < 2 * 10**6
 
 
 class TestEulerProductsAt:
@@ -60,6 +70,55 @@ class TestEulerProductsAt:
         assert idd.euler_products_at(Q, []) == []
         with pytest.raises(ValueError):
             idd.euler_products_at(Q, [10, 1])
+
+
+def _euler_reference(K, norms, k, cutoff):
+    # The products from Python lists of every norm and log factor.
+    norms = norms.tolist()
+    logs = [math.log1p(-1.0 / q) for q in norms]
+    exact = None
+    if k <= 64:
+        exact = Fraction(1)
+        for q in norms[:k]:
+            exact *= Fraction(q, q - 1)
+        value = float(exact)
+    else:
+        value = math.exp(-math.fsum(logs[:k]))
+    return value.hex(), exact, k, cutoff
+
+
+def _state(state):
+    return state.value.hex(), state.exact, state.k, state.cutoff
+
+
+class TestEulerProductsFromArrays:
+    FIELDS = [1, -1, 5, -5, -3]
+
+    @pytest.mark.parametrize("m", FIELDS)
+    def test_cutoffs_equal_the_list_reference(self, m):
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        cutoffs = [2, 10, 311, 312, 20000, 65536 * 3, 10**6]
+        norms = prime_norm_array(K, max(cutoffs))
+        for c, state in zip(cutoffs, idd.euler_products_at(K, cutoffs)):
+            k = int(np.searchsorted(norms, c, side="right"))
+            assert _state(state) == _euler_reference(K, norms, k, c)
+
+    @pytest.mark.parametrize("m", FIELDS)
+    def test_first_k_equal_the_list_reference(self, m):
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        for k in (0, 1, 64, 65, 1000, 20000):
+            norms = np.array([pr.norm for pr in first_prime_ideals(K, k)],
+                             dtype=np.int64)
+            state = idd.partial_euler_product(K, k=k)
+            assert _state(state) == _euler_reference(K, norms, k, None)
+
+    def test_memory_is_bounded(self):
+        # Warm, the prime norms are cached: one float64 array of log
+        # factors (8 bytes per prime ideal, 0.6 MB) and chunks of lists.
+        K = idd.make_quadratic_field(5)
+        cutoffs = [10**j for j in range(1, 7)]
+        idd.euler_products_at(K, cutoffs)
+        assert peak_bytes(idd.euler_products_at, K, cutoffs) < 2 * 10**6
 
 
 class TestEulerProduct:
@@ -149,6 +208,50 @@ class TestMertens:
                 for c in (10**3, 10**4, 10**5, 10**6)]
         improvements = sum(b < a for a, b in zip(devs, devs[1:]))
         assert improvements >= 2
+
+
+def _dedekind_zeta_reference(K, s, X):
+    # The sum over one float64 array of all X terms.
+    ks = np.arange(1, X + 1, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        np.power(ks, s, out=ks)
+    if K.is_rational:
+        np.divide(1.0, ks, out=ks)
+        c_upper = 1.0
+    else:
+        counter = idd.count_ideals(K, X)
+        for lo, hi in norm_blocks(X):
+            np.divide(counter.h_block(lo, hi), ks[lo - 1:hi - 1],
+                      out=ks[lo - 1:hi - 1])
+        xs = np.geomspace(max(1, X // 10), X, 32).astype(np.int64)
+        c_upper = max(counter.H_of(x) / x
+                      for x in xs[run_starts(xs)].tolist())
+    value = float(np.sum(ks))
+    tail_bound = 2.0 * c_upper * (s / (s - 1.0)) * X ** (1.0 - s)
+    return value, tail_bound
+
+
+class TestDedekindZetaInBlocks:
+    @pytest.mark.parametrize("m", [1, -1, 5, -5, -3])
+    def test_equals_the_full_array_sum(self, m):
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        for X in (10, 11, 1 << 16, (1 << 16) + 1, 131073, 10**6):
+            for s in (1.0001, 2.0, 3.0, 7.5):
+                got = idd.dedekind_zeta(K, s, X)
+                want = _dedekind_zeta_reference(K, s, X)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_memory_is_bounded(self, Q):
+        # The float64 terms of all 10^6 norms would take 8 MB.
+        idd.dedekind_zeta(Q, 2.0, 10**4)
+        assert peak_bytes(idd.dedekind_zeta, Q, 2.0, 10**6) < 10**6
+
+    def test_overflow_of_large_powers_is_silent(self, Q):
+        # 10^400 overflows a double; its term is 0 all the same.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, _ = idd.dedekind_zeta(Q, 400.0, 10**4)
+        assert value == 1.0
 
 
 class TestDedekindZeta:
