@@ -162,9 +162,9 @@ def dedekind_zeta(K: NumberField, s: float, X: int) -> tuple[float, float]:
     counter = None if K.is_rational else count_ideals(K, X)
 
     def terms(i, j):
-        # h(k)/k^s for the norms k = i + 1, ..., j.  k^s overflows to inf
-        # only where 1/k^s is below the smallest double (large s), so the
-        # term is 0 either way and the overflow is not worth a warning.
+        # h(k)/k^s for the norms k = i + 1, ..., j.  k^s overflows to inf,
+        # and the term to 0, only where h(k)/k^s < 1e-300: far below the
+        # last bit of a sum >= 1, so the overflow is not worth a warning.
         t = np.arange(i + 1, j + 1, dtype=np.float64)
         with np.errstate(over="ignore"):
             np.power(t, s, out=t)

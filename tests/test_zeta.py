@@ -30,13 +30,14 @@ class TestHarmonicIdealSum:
         assert idd.harmonic_ideal_sum(Qi, 10) == pytest.approx(expected)
 
 
-    @pytest.mark.parametrize("x", [10**4, (1 << 16) + 1, 140000])
     @pytest.mark.parametrize("m", [1, -1, 5])
-    def test_equals_the_generator_sum(self, m, x):
+    def test_equals_the_generator_sum(self, m):
         K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
-        h = idd.count_ideals(K, x).h
-        expected = math.fsum(int(h[k]) / k for k in range(1, x + 1) if h[k])
-        assert idd.harmonic_ideal_sum(K, x) == expected
+        for x in (10**4, (1 << 16) + 1, 140000):
+            h = idd.count_ideals(K, x).h
+            expected = math.fsum(int(h[k]) / k for k in range(1, x + 1)
+                                 if h[k])
+            assert idd.harmonic_ideal_sum(K, x) == expected
 
     def test_memory_is_bounded(self, Q):
         # Blocks of norms, not a list of x floats (53 MB at 10^6).
