@@ -151,12 +151,6 @@ def cmd_density(args) -> int:
     with open(args.aset) as fh:
         family = parse_family(json.load(fh), K)
     report = density_profile(family, X=args.max_norm, n_samples=args.samples)
-    rows = [(report.sample_points[i], report.member_counts[i],
-             report.total_counts[i], float(report.natural_ratios[i]),
-             report.log_ratios[i])
-            for i in range(len(report.sample_points))]
-    write_csv(args.out, ("x", "multiple_count", "total_count",
-                         "natural_ratio", "log_ratio"), rows)
     summary: dict = {"natural_ratio": float(report.natural_ratios[-1]),
                      "log_ratio": report.log_ratios[-1]}
     if isinstance(family, ExplicitFamily):
@@ -168,6 +162,12 @@ def cmd_density(args) -> int:
         summary["A_r"] = [float(v) for v in seq]
         # No member of norm <= truncation: M_A is empty.
         summary["A"] = float(seq[-1]) if seq else 0.0
+    rows = [(report.sample_points[i], report.member_counts[i],
+             report.total_counts[i], float(report.natural_ratios[i]),
+             report.log_ratios[i])
+            for i in range(len(report.sample_points))]
+    write_csv(args.out, ("x", "multiple_count", "total_count",
+                         "natural_ratio", "log_ratio"), rows)
     _write_summary(args, "density", summary)
     return EXIT_OK
 
@@ -213,14 +213,14 @@ def build_parser() -> _Parser:
                                  "number fields of degree <= 2.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p, out_required=True, min_samples=1):
         p.add_argument("--field", default="Q",
                        help='field label: "Q" or "Q(sqrt m)"')
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for interface compatibility; results "
                             "are independent of it")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=_int_at_least(1), default=30)
+        p.add_argument("--samples", type=_int_at_least(min_samples), default=30)
         if out_required:
             p.add_argument("--out", required=True, type=Path)
 
@@ -239,7 +239,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_mertens)
 
     p = sub.add_parser("density", help="density profile of an ideal family")
-    common(p)
+    common(p, min_samples=2)
     p.add_argument("--aset", required=True, type=Path,
                    help="JSON family specification file")
     p.add_argument("--max-norm", type=_int_at_least(1), required=True)
@@ -248,7 +248,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="run a canned scenario")
     p.add_argument("name", help="primepower-free | main-theorem | besicovitch")
-    common(p)
+    common(p, min_samples=2)
     p.add_argument("--max-norm", type=_int_at_least(1), default=10**6)
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--aset", type=Path)

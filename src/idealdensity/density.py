@@ -1,32 +1,28 @@
 """Densities of the set of multiples of an ideal family and its complement.
 
-Implements the exact inclusion-exclusion density for finite families, the
-limit sequence A_r, the multiplicative densities B_k over prime-ideal
-prefixes, exact finite-X counts of multiples, and empirical natural and
-logarithmic density profiles.
+Exact densities of finite families, the limit sequence A_r, the
+multiplicative densities B_k over prime-ideal prefixes, exact counts of
+multiples at a norm bound, and natural and logarithmic density profiles.
 
-Counting at a norm bound X is needed only at the sample points x of a
-profile (and at X for the sieve ratio), and never enumerates ideals.
-Over quadratic fields the multiples of an ideal of norm n with norm <= x
-are H(x // n) ideals whose harmonic sum is L(x // n) / n, where H and the
-harmonic prefix L of the field are kept by its ``NormCounter``; so
-inclusion-exclusion over the lcms of explicit and prime-power families
-gives exact counts from one short vector of terms per sample point.
-Every other count is a strided marking of norms on one boolean array of
-length X: over Q the marked norms are the ideals themselves, and for norm
-intervals over any field of degree <= 2 membership depends on the norm
-alone, each marked norm n counting its h(n) ideals.  The counts and
-harmonic sums of the marks are running sums read at the sample points,
-added in blocks of norms (``ideals.prefix_sums_at``).  A block in which
-fewer than half of the norms are marked gives the harmonic terms of its
-marked norms only, and may give none: an unmarked norm adds +0.0, so the
-sums are the same bit for bit.  Over Q, where H(x) = x and h = 1, no
-counter is built at all: the field's harmonic prefix at the sample
-points is ``ideals.rational_harmonic_prefix``.
+The multiples of a finite family form a monomial ideal in the exponents
+of its primes.  The density of their complement is exact, by slicing on
+one prime at a time (the recursion for the numerator of a Hilbert series),
+and a family too entangled for ``WORK_LIMIT`` raises ``TooLarge``.
+
+Counting at a norm bound X never enumerates ideals.  Over quadratic
+fields the multiples of an ideal of norm n with norm <= x are H(x // n)
+ideals with harmonic sum L(x // n) / n (the field's ``NormCounter``), so
+explicit and prime-power families are counted over their lcm terms.
+Every other count marks norms on a boolean array of length X: over Q the
+norms are the ideals, and in degree <= 2 membership in a norm interval
+family depends on the norm alone, a marked norm n counting its h(n)
+ideals.  Counts and harmonic sums are running sums in blocks of norms
+(``ideals.prefix_sums_at``).  Over Q no counter is built: H(x) = x.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DuplicateMembers, FieldMismatch, TooLarge
+from .errors import DuplicateMembers, TooLarge
 from .families import (
     AFamily,
     ExplicitFamily,
@@ -48,7 +44,6 @@ from .ideals import (
     Ideal,
     NormCounter,
     count_ideals,
-    divides,
     enumerate_ideals,
     make_ideal,
     prefix_sums_at,
@@ -56,40 +51,34 @@ from .ideals import (
 )
 from .zeta import EulerProductState, partial_euler_product
 
-#: Largest family block handled by exact inclusion-exclusion (2^cap subsets).
-SUBSET_CAP = 20
+#: Most work one exact density may do, counted in generator comparisons.
+#: Grouping a generator by one of its primes takes as long as about 16.
+WORK_LIMIT = 5 * 10**6
 
 
-def _ie_terms(members: Sequence[Ideal],
-              X: int | None = None) -> list[tuple[int, int]]:
-    """Signed lcm terms whose multiples add up to the multiples of ``members``.
+def _ie_terms(members: Sequence[Ideal], X: int) -> list[tuple[int, int]]:
+    """Signed lcm terms (N(l), c), in norm order, of the multiples of
+    ``members`` of norm <= X: [b in M_A] = sum of c * [l | b] over the
+    lcms l of norm <= X, for N(b) <= X.
 
-    Returns pairs (N(l), c) in nondecreasing norm order, with
-    [b in M_A] = sum of c * [l | b] over the lcm terms l.  Members are added in
-    norm order, and each new member a adds +a and -c * lcm(l, a) for every
-    term (l, c) so far, into one dict keyed by the lcm's factorization.
-    Non-minimal members (and everything after the unit ideal) cancel out
-    by themselves.  Terms whose coefficient reaches 0 are dropped, and with
-    a bound X so are lcms of norm above X.
+    Each member a, in norm order, adds +a and -c * lcm(l, a) for every
+    term (l, c) so far, into dicts keyed by the lcm's factorization;
+    non-minimal members cancel out, and so do terms that reach c = 0.
     """
-    # Terms are bucketed by the bit length of their norm: lcm(l, a) has
-    # norm at least N(l) times the norm of a's part off the support so
-    # far, so with a bound only the buckets below that limit are scanned.
+    # Terms are bucketed by norm bit length: N(lcm(l, a)) is at least N(l)
+    # times the norm of a's part off the support so far.
     buckets: list[dict[frozenset, list]] = []   # lcm factors -> [N, exps, c]
     support: set = set()
     for a in sorted(members, key=Ideal.sort_key):
-        if X is not None and a.norm > X:
+        if a.norm > X:
             break
         exps_a = dict(a.factors)
-        scan = buckets
-        if X is not None:
-            fresh = 1
-            for pr, e in a.factors:
-                if pr not in support:
-                    fresh *= pr.norm ** e
-            scan = buckets[:(X // fresh).bit_length() + 1]
+        fresh = 1
+        for pr, e in a.factors:
+            if pr not in support:
+                fresh *= pr.norm ** e
         updates = [(a.norm, exps_a, 1)]
-        for bucket in scan:
+        for bucket in buckets[:(X // fresh).bit_length() + 1]:
             for n, exps, c in bucket.values():
                 lcm = dict(exps)
                 for pr, e in a.factors:
@@ -97,7 +86,7 @@ def _ie_terms(members: Sequence[Ideal],
                     if e > old:
                         lcm[pr] = e
                         n *= pr.norm ** (e - old)
-                if X is None or n <= X:
+                if n <= X:
                     updates.append((n, lcm, -c))
         for n, exps, c in updates:
             while len(buckets) <= n.bit_length():
@@ -112,106 +101,167 @@ def _ie_terms(members: Sequence[Ideal],
     return sorted((n, c) for bucket in buckets for n, _, c in bucket.values())
 
 
-def _union_density(members: Sequence[Ideal]) -> Fraction:
-    """Exact density of the multiples of a finite list of ideals.
+def _complement_density(block: Sequence[Ideal]) -> Fraction:
+    """Exact density of the ideals that no member of a block divides.
 
-    The terms c / N(l) are added over their common denominator, the lcm
-    of the N(l), so the sum is reduced once.
+    A member is the bit set of its prime-power divisors (pr^e sets the
+    first e bits of pr's), so g | h exactly when g & ~h == 0.  Slicing on
+    the prime p in most minimal generators G, with exponents
+    0 = e_0 < ... < e_m and q = N(p): the ideals with e_i <= v_p < e_(i+1)
+    have density q^-e_i - q^-e_(i+1), and avoid G exactly when their part
+    off p avoids G_i, the minimal generators with v_p <= e_i, p removed
+    (Bayer-Stillman; Bigatti).  Coprime components are split after every
+    slice and memoised for the call.  Densities are integer multiples of
+    1/D, D the product of N(pr)^(largest exponent), so every division is
+    exact.  Raises ``TooLarge`` past ``WORK_LIMIT``.
     """
-    terms = _ie_terms(members)
-    d = math.lcm(*(n for n, _ in terms))
-    return Fraction(sum(c * (d // n) for n, c in terms), d)
+    if len(block) == 1:
+        return 1 - Fraction(1, block[0].norm)
+    top: dict = {}                  # prime ideal -> largest exponent
+    for a in block:
+        for pr, e in a.factors:
+            top[pr] = max(top.get(pr, 0), e)
+    start = dict(zip(top, itertools.accumulate(top.values(), initial=0)))
+    bits = {1 << start[pr]: (((1 << e) - 1) << start[pr], pr.norm)
+            for pr, e in top.items()}   # first bit -> (all its bits, norm)
+    first, D = sum(bits), math.prod(pr.norm ** e for pr, e in top.items())
+    memo: dict = {}
+    work = 0
+
+    def spend(n: int) -> None:
+        nonlocal work
+        work += n
+        if work > WORK_LIMIT:
+            raise TooLarge(
+                f"the exact density of {len(block)} entangled members needs "
+                f"more than {WORK_LIMIT} generator comparisons")
+
+    def primes(g: int):             # the first bits of g's primes
+        s = g & first
+        while s:
+            yield s & -s
+            s &= s - 1
+
+    def comp(G: frozenset) -> int:
+        """D times the density of the ideals that no g in G divides."""
+        if not G or 0 in G:         # no generator, or the unit ideal
+            return 0 if G else D
+        if len(G) == 1:
+            (g,) = G
+            return D - D // math.prod(q ** (g & mask).bit_count() for mask, q
+                                      in map(bits.get, primes(g)))
+        if G in memo:
+            return memo[G]
+        by_prime: dict = {}         # first bit of a prime -> its generators
+        for g in G:
+            for bit in primes(g):
+                by_prime.setdefault(bit, []).append(g)
+        spend(16 * sum(map(len, by_prime.values())))
+        parts, seen = [], set()     # coprime components, by linked primes
+        for bit in by_prime:
+            part, todo = set(), [bit]
+            while todo:
+                if (bit := todo.pop()) not in seen:
+                    seen.add(bit)
+                    for g in by_prime[bit]:
+                        if g not in part:
+                            part.add(g)
+                            todo += primes(g)
+            if part:
+                parts.append(part)
+        if len(parts) > 1:
+            c = D
+            for part in parts:
+                c = c * comp(frozenset(part)) // D
+        else:
+            mask, q = bits[max(by_prime, key=lambda b: (len(by_prime[b]), -b))]
+            levels: dict = {}       # exponent at p -> generators, p removed
+            for g in G:
+                levels.setdefault((g & mask).bit_count(), []).append(g & ~mask)
+            kept = levels.pop(0, [])
+            c = last = comp(frozenset(kept))
+            for e in sorted(levels):
+                # Generators with one exponent at p do not divide each other.
+                spend(len(levels[e]) * len(kept))
+                new = [g for g in levels[e] if all(h & ~g for h in kept)]
+                kept = [h for h in kept if all(g & ~h for g in new)] + new
+                now = comp(frozenset(kept))
+                c += (now - last) // q ** e     # exact: q^e divides both
+                last = now
+        memo[G] = c
+        return c
+
+    minimal: list = []              # fewest prime-power divisors first
+    for g in sorted((sum(((1 << e) - 1) << start[pr] for pr, e in a.factors)
+                     for a in block), key=int.bit_count):
+        spend(len(minimal))
+        if all(h & ~g for h in minimal):
+            minimal.append(g)
+    try:
+        return Fraction(comp(frozenset(minimal)), D)
+    except RecursionError:
+        raise TooLarge(f"the exact density of {len(block)} entangled members "
+                       f"slices deeper than the recursion limit") from None
 
 
-def _grow_blocks(members: Sequence[Ideal], subset_cap: int):
-    """Group members, in norm order, into coprime blocks of minimal members.
+def _grow_blocks(members: Sequence[Ideal]):
+    """Group members into blocks linked by shared primes, whose complements
+    have independent densities.
 
-    Blocks of members with disjoint prime support contribute independently
-    to the density of M_A.  After each member this yields the blocks it
-    merged and the block they became, or ``((), None)`` when an earlier
-    member divides it and M_A is unchanged.  A later member divides an
-    earlier one only if they are equal, so blocks only grow.  Raises
-    ``DuplicateMembers`` and ``TooLarge`` at the first prefix that has them.
+    After each member this yields the blocks it merged and the block they
+    became: a list, the largest merged one extended in place, so blocks
+    are told apart by identity.  Raises ``DuplicateMembers`` at the first
+    repeated member.
     """
     seen: set[Ideal] = set()
     block_of: dict = {}         # prime ideal -> block holding it
-    after_unit = False
     for a in members:
         if a in seen:
             raise DuplicateMembers("family has repeated members")
         seen.add(a)
-        touched = tuple({block_of[pr] for pr, _ in a.factors
-                         if pr in block_of})
-        joined = tuple(m for block in touched for m in block)
-        # A kept member dividing a shares its primes, unless it is the unit.
-        if after_unit or any(divides(m, a) for m in joined):
-            yield (), None
-            continue
-        block = joined + (a,)
-        if len(block) > subset_cap:
-            raise TooLarge(
-                f"{len(block)} mutually entangled members exceed the "
-                f"inclusion-exclusion cap {subset_cap}")
-        for pr, _ in a.factors:
-            block_of[pr] = block
-        for m in joined:
-            for pr, _ in m.factors:
-                block_of[pr] = block
-        after_unit = a.is_unit
+        touched = sorted({id(block_of[pr]): block_of[pr] for pr, _ in a.factors
+                          if pr in block_of}.values(), key=len)
+        block = touched[-1] if touched else []
+        moved = [m for small in touched[:-1] for m in small] + [a]
+        block += moved
+        for m in moved:
+            block_of.update((pr, block) for pr, _ in m.factors)
         yield touched, block
 
 
-def finite_ie_density(A: AFamily | Sequence[Ideal],
-                      subset_cap: int = SUBSET_CAP) -> Fraction:
-    """Exact density of M_A for a finite family, by inclusion-exclusion.
+def finite_ie_density(A: AFamily) -> Fraction:
+    """Exact density of M_A for a finite family, block by coprime block.
 
-    Members that are multiples of other members are dropped (M_A is
-    unchanged), and members with pairwise disjoint prime support are
-    factored into independent blocks, so the subset cap applies per block
-    of mutually entangled members.  A family's members are its
-    ``working_members``: all of an explicit family, and those of norm
-    <= truncation of a rule.
+    A family's members are its ``working_members``: all of an explicit
+    family, and those of norm <= truncation of a rule.
     """
-    members = A.working_members() if isinstance(A, AFamily) else list(A)
-    if len(set(members)) != len(members):
-        raise DuplicateMembers("family has repeated members")
-    blocks: set = set()
-    for merged, block in _grow_blocks(sorted(members, key=Ideal.sort_key),
-                                      subset_cap):
-        if block is not None:
-            blocks.difference_update(merged)
-            blocks.add(block)
-    miss = Fraction(1)          # density of the complement V_A
-    for block in blocks:
-        miss *= 1 - _union_density(block)
-    return 1 - miss
+    blocks: dict = {}           # id -> block
+    for merged, block in _grow_blocks(sorted(A.working_members(),
+                                             key=Ideal.sort_key)):
+        for old in merged:
+            del blocks[id(old)]
+        blocks[id(block)] = block
+    return 1 - math.prod(map(_complement_density, blocks.values()),
+                         start=Fraction(1))
 
 
-def a_limit(A: AFamily | Sequence[Ideal], r_max: int,
-            subset_cap: int = SUBSET_CAP) -> list[Fraction]:
-    """The sequence A_r = dens(M_{a_1..a_r}), r = 1..r_max.
+def a_limit(A: AFamily, r_max: int) -> list[Fraction]:
+    """The nondecreasing sequence A_r = dens(M_{a_1..a_r}), r = 1..r_max.
 
-    Members are taken in nondecreasing norm order; the sequence is
-    nondecreasing with upper bound 1.  Only the coprime block the new
+    Members are taken in norm order.  Only the coprime block the new
     member joins is recomputed, and A_r comes from the running product of
-    the blocks' complement densities.  Errors are raised at the same
-    prefix as ``finite_ie_density`` of that prefix would raise them.
+    the blocks' complement densities.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    if isinstance(A, AFamily):
-        members = A.first_members(r_max)
-    else:
-        members = sorted(A, key=Ideal.sort_key)
-    factor_of: dict = {}        # block -> density of its complement
+    factor_of: dict = {}        # id of a block -> density of its complement
     miss = Fraction(1)          # density of the complement V_A
     out = []
-    for merged, block in _grow_blocks(members[:r_max], subset_cap):
-        if block is not None:
-            for old in merged:
-                miss /= factor_of.pop(old)
-            factor_of[block] = 1 - _union_density(block)
-            miss *= factor_of[block]
+    for merged, block in _grow_blocks(A.first_members(r_max)):
+        for old in merged:
+            miss /= factor_of.pop(id(old))
+        factor_of[id(block)] = _complement_density(block)
+        miss *= factor_of[id(block)]
         out.append(1 - miss)
     return out
 
@@ -226,20 +276,12 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
 
     ``counter`` holds the ideal counts of a quadratic field up to
     X = xs[-1]; over Q, where h = 1, it is None.  Over quadratic fields,
-    explicit and prime-power families are summed over their lcm terms
-    (n, g): the multiples of an ideal of norm n with norm <= x are the
-    ideals of norm <= x // n times it, so they add g * H[x // n] to the
-    count and g/n * L[x // n] to the harmonic sum.  Every other family is
-    counted by strided marks on a boolean array indexed by norm.  Over Q
-    the norms are the ideals themselves.  A norm-interval family marks
-    the multiples of each n in its intervals with h(n) > 0: in degree
-    <= 2 an ideal b has a divisor of norm n exactly when n | N(b) and
-    h(n) > 0, so a marked norm counts all of its h(n) ideals.  Counts and
-    harmonic sums are running sums over the marks in blocks of norms,
-    added in ascending norm order, so they give the same floats as adding
-    1/N(b) over the members one by one; a block with fewer marked norms
-    than unmarked ones divides at its marked norms only.  With ``logs``
-    false the harmonic sums are not computed.
+    explicit and prime-power families add g * H[x // n] to the count and
+    g/n * L[x // n] to the harmonic sum for each lcm term (n, g).  Every
+    other family marks norms: the multiples of its members' norms, or of
+    each n with h(n) > 0 in a norm interval.  Marks are added in ascending
+    norm order, the same floats as adding 1/N(b) member by member.  With
+    ``logs`` false the harmonic sums are not computed.
     """
     K, X = A.field, int(xs[-1])
     if not (K.is_rational or isinstance(A, NormIntervalFamily)):
@@ -301,24 +343,14 @@ def _counter(K: NumberField, X: int) -> NormCounter | None:
     return None if K.is_rational else count_ideals(K, X)
 
 
-def sieve_multiples_density(A: AFamily | Sequence[Ideal], X: int,
-                            K: NumberField | None = None) -> Fraction:
+def sieve_multiples_density(A: AFamily, X: int) -> Fraction:
     """Exact share of ideals of norm <= X that are multiples of the family.
 
     Counts every member of norm <= X the same way as ``density_profile``.
-    The result is the exact rational count / H(X).  ``K`` names the field
-    of an empty member list; a ``K`` other than the family's field raises
-    ``FieldMismatch``.
+    The result is the exact rational count / H(X).
     """
     if X < 1:
         raise ValueError("X must be >= 1")
-    if not isinstance(A, AFamily):
-        if K is None and not A:
-            raise ValueError("empty member list needs an explicit field")
-        A = ExplicitFamily(field=A[0].field if A else K, members=tuple(A))
-    if K is not None and K != A.field:
-        raise FieldMismatch(
-            f"family over {A.field.label()}, field {K.label()} given")
     counter = _counter(A.field, X)
     (count,), _ = _member_sums(A, np.array([X]), counter, logs=False)
     return Fraction(count, X if counter is None else counter.H_of(X))
@@ -329,13 +361,8 @@ def sieve_multiples_density(A: AFamily | Sequence[Ideal], X: int,
 # ---------------------------------------------------------------------------
 
 def restrict_family(A: AFamily, k: int) -> ExplicitFamily:
-    """Members of A supported entirely on the first k prime ideals.
-
-    Rule-based families are truncated at the family's working norm bound,
-    which keeps the restriction finite; the omitted members contribute at
-    most the tail of sum 1/N(a).  Their restricted members are built from
-    the powers of the k primes, so no other ideal is enumerated.
-    """
+    """Members of A, of norm <= truncation for a rule, supported on the
+    first k prime ideals; they are built from powers of those primes."""
     if k < 0:
         raise ValueError("k must be >= 0")
     K = A.field
@@ -356,39 +383,19 @@ def restrict_family(A: AFamily, k: int) -> ExplicitFamily:
 
 @dataclass(frozen=True)
 class MultDensityState:
-    """B_k = dens(M_{A'}) for the restriction A' to the first k primes.
-
-    ``method`` is "inclusion-exclusion" when B_k is exact, or "sieve" when
-    the restriction defeated it and B_k is the finite-X sieve ratio at the
-    family's truncation bound.
-    """
+    """B_k = dens(M_{A'}) for the restriction A' to the first k primes."""
 
     k: int
     euler_product: EulerProductState
     b_k: Fraction
     restricted_members: tuple[Ideal, ...]
-    method: str
 
 
-def multiplicative_density(A: AFamily, k: int,
-                           subset_cap: int = SUBSET_CAP) -> MultDensityState:
-    """Multiplicative density step B_k, computed as dens(M_{A'}).
-
-    Falls back to the sieve count (at the family truncation bound) if the
-    restricted family defeats exact inclusion-exclusion, and says so in
-    the state's ``method``.
-    """
+def multiplicative_density(A: AFamily, k: int) -> MultDensityState:
+    """Multiplicative density step B_k, computed exactly as dens(M_{A'})."""
     restricted = restrict_family(A, k)
-    try:
-        b_k = finite_ie_density(restricted, subset_cap=subset_cap)
-        method = "inclusion-exclusion"
-    except TooLarge:
-        b_k = sieve_multiples_density(restricted, X=A.truncation)
-        method = "sieve"
-    pi_k = partial_euler_product(A.field, k=k)
-    return MultDensityState(k=k, euler_product=pi_k, b_k=b_k,
-                            restricted_members=restricted.members,
-                            method=method)
+    return MultDensityState(k, partial_euler_product(A.field, k=k),
+                            finite_ie_density(restricted), restricted.members)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +404,9 @@ def multiplicative_density(A: AFamily, k: int,
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Sampled natural and logarithmic density ratios with tail estimates.
-
-    Natural ratios are exact rationals (integer counts); logarithmic
-    ratios are floating point.  The tail estimates d/D (natural) and
-    delta/Delta (logarithmic) are min/max over the last half of the
-    sample window.
-    """
+    """Sampled natural (exact) and logarithmic (float) density ratios; the
+    tail estimates d/D and delta/Delta are their min/max over the last
+    half of the sample window."""
 
     field: NumberField
     X: int
@@ -434,12 +437,7 @@ class DensityReport:
         return max(self.log_ratios[self.tail_start:])
 
     def complement(self) -> "DensityReport":
-        """Profile of the complement set; ratios satisfy M + V = 1 exactly.
-
-        Counts are complemented against the totals; ratio arrays are
-        complemented in place of a second harmonic-sum pass (exact
-        rational harmonic sums are infeasible at desk scale).
-        """
+        """Profile of the complement set; ratios satisfy M + V = 1 exactly."""
         return DensityReport(
             field=self.field, X=self.X, sample_points=self.sample_points,
             member_counts=tuple(t - m for m, t in
@@ -454,9 +452,7 @@ def density_profile(A: AFamily, X: int = 10**4,
     """Single-pass natural and logarithmic density profile of M_A up to X.
 
     Every member of norm <= X counts, whatever the family's truncation.
-    Counts are exact integers; harmonic sums are floating point, and the
-    field's own come from the counter's cached prefix L, or over Q from
-    the memoised ``rational_harmonic_prefix`` at the sample points.
+    Counts are exact integers; harmonic sums are floating point.
     """
     if X < 100:
         raise ValueError("X must be >= 100")

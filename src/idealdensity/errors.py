@@ -38,7 +38,7 @@ class EmptySet(IdealDensityError):
 
 
 class TooLarge(IdealDensityError):
-    """The family is too large for exact inclusion-exclusion."""
+    """An exact computation would exceed its work bound."""
 
 
 class DuplicateMembers(IdealDensityError):

@@ -195,7 +195,7 @@ def _ints(value, size: int) -> bool:
 
 
 def _ideal_from_exponent_spec(K: NumberField, entries) -> Ideal:
-    factors = []
+    factors: dict = {}
     for entry in entries:
         if not _ints(entry, 3):
             raise FamilySpecError(f"bad factor entry {entry!r}")
@@ -206,8 +206,10 @@ def _ideal_from_exponent_spec(K: NumberField, entries) -> Ideal:
         if conj >= len(above) or conj < 0:
             raise FamilySpecError(
                 f"conjugate index {conj} invalid for p={p} in {K.label()}")
-        factors.append((above[conj][0], e))
-    return make_ideal(K, factors)
+        if above[conj][0] in factors:
+            raise FamilySpecError(f"prime ({p}, {conj}) repeated in a member")
+        factors[above[conj][0]] = e
+    return make_ideal(K, factors.items())
 
 
 def _positive_int(doc: dict, key: str, default=None) -> int:

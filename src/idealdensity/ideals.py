@@ -84,10 +84,12 @@ def unit_ideal(K: NumberField) -> Ideal:
 
 
 def make_ideal(K: NumberField, factors: Iterable[tuple[PrimeIdeal, int]]) -> Ideal:
-    """Build an ideal from (prime, exponent) pairs; exponents must be >= 1."""
+    """Build an ideal from distinct prime ideals with exponents >= 1."""
     fs = tuple(sorted((pr, int(e)) for pr, e in factors if e))
     if any(e < 0 for _, e in fs):
         raise ValueError("negative exponent")
+    if len({pr for pr, _ in fs}) < len(fs):
+        raise ValueError("repeated prime ideal")
     norm = 1
     for pr, e in fs:
         norm *= pr.norm ** e

@@ -1,6 +1,9 @@
+import math
 import random
 import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import idealdensity as idd
@@ -42,3 +45,32 @@ def peak_bytes(fn, *args, **kwargs) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def box_density(members) -> Fraction:
+    """Exact density of the multiples of a finite list of ideals, summed
+    over the finite exponent box of their primes.
+
+    Membership of b depends only on min(v_p(b), cap_p) for each prime p,
+    where cap_p is the largest exponent of p in any member, so the box
+    with 0 <= v_p <= cap_p covers every case.  A member marks the cells at
+    or above its exponents.  The cell v_p < cap_p has density
+    (1 - 1/q) q^-v_p and the cell v_p = cap_p has density q^-cap_p, for
+    q = N(p); the sum is taken over the denominator prod q^cap_p.
+    """
+    if not members:
+        return Fraction(0)
+    if any(a.is_unit for a in members):
+        return Fraction(1)
+    primes = sorted({pr for a in members for pr, _ in a.factors})
+    caps = [max(dict(a.factors).get(pr, 0) for a in members) for pr in primes]
+    marked = np.zeros([c + 1 for c in caps], dtype=bool)
+    for a in members:
+        exps = dict(a.factors)
+        marked[tuple(slice(exps.get(pr, 0), None) for pr in primes)] = True
+    weights = [[(pr.norm - 1) * pr.norm ** (cap - 1 - v) for v in range(cap)]
+               + [1] for pr, cap in zip(primes, caps)]
+    total = sum(math.prod(w[v] for w, v in zip(weights, cell))
+                for cell in zip(*np.nonzero(marked)))
+    return Fraction(total, math.prod(pr.norm ** cap
+                                     for pr, cap in zip(primes, caps)))

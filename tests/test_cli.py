@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import idealdensity as idd
 from idealdensity import cli
+
+from conftest import box_density
 
 
 def run(capsys, *argv):
@@ -310,6 +313,26 @@ class TestExperiment:
         assert "Traceback" not in proc.stderr
         assert read_summary(out_path)["summary"]["a_r_final"] == 0.0
 
+    def test_main_theorem_b_k_is_exact(self, capsys, tmp_path):
+        # Past 20 entangled members B_k once fell back to a sieve ratio at
+        # the truncation without saying so; every row is now exact.
+        K = idd.make_quadratic_field(-1)
+        fam = idd.NormIntervalFamily(field=K, intervals=((100000, 300000),))
+        aset = write_aset(tmp_path, {"field": "Q(sqrt -1)",
+                                     "kind": "norm_intervals",
+                                     "intervals": [[100000, 300000]]})
+        out_path = tmp_path / "mt.csv"
+        code, _, err = run(capsys, "experiment", "main-theorem", "--field",
+                           "Q(sqrt -1)", "--aset", str(aset), "--k-max", "5",
+                           "--max-norm", "200000", "--out", str(out_path))
+        assert code in (0, 3), err
+        rows = read_csv(out_path)
+        b_k = [row[rows[0].index("b_k")] for row in rows[1:6]]
+        assert b_k == [cli._fmt(box_density(idd.restrict_family(fam, k).members))
+                       for k in range(1, 6)]
+        assert b_k[2] == "0.0001687253125"
+        assert b_k[4] == "0.000847508212433"
+
     def test_unknown_name(self, capsys, tmp_path):
         code, _, err = run(capsys, "experiment", "mystery",
                            "--out", str(tmp_path / "e.csv"))
@@ -360,6 +383,12 @@ class TestBadInput:
          1),
         (["density", "--aset", "{aset}", "--max-norm", "1000", "--r-max",
           "0"], 1),
+        # A profile needs two sample points: fewer is a usage error.
+        (["density", "--aset", "{aset}", "--max-norm", "1000", "--samples",
+          "1"], 1),
+        (["experiment", "main-theorem", "--aset", "{aset}", "--samples",
+          "1"], 1),
+        (["experiment", "primepower-free", "--samples", "1"], 1),
     ])
     def test_one_message_line_and_exit_code(self, tmp_path, argv, expected):
         aset = write_aset(tmp_path, {"field": "Q", "kind": "explicit",
@@ -385,6 +414,8 @@ class TestBadInput:
         {"field": "Q", "kind": "prime_powers", "l": "2"},
         {"field": "Q", "kind": "norm_intervals", "intervals": [[5]]},
         {"field": "Q", "kind": "norm_intervals", "intervals": [[5, 6.5]]},
+        {"field": "Q(sqrt -1)", "kind": "explicit",
+         "members": [[[2, 0, 1], [2, 0, 1]], [[2, 0, 1], [5, 0, 1]]]},
     ])
     def test_bad_family_document(self, tmp_path, doc):
         aset = write_aset(tmp_path, doc)
@@ -395,6 +426,34 @@ class TestBadInput:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not (tmp_path / "out.csv").exists()
+
+    def test_family_past_the_work_bound(self, tmp_path):
+        # The path p_i * p_(i+1) of the first 800 primes is one entangled
+        # block whose exact density needs more work than WORK_LIMIT.
+        primes = [pr.p for pr in idd.primes_up_to_norm(idd.make_rational_field(),
+                                                        6200)[:800]]
+        aset = write_aset(tmp_path, {"field": "Q", "kind": "explicit",
+                                     "members": [p * q for p, q in
+                                                 zip(primes, primes[1:])]})
+        start = time.perf_counter()
+        proc = run_process("-m", "idealdensity.cli", "density",
+                           "--aset", str(aset), "--max-norm", "1000",
+                           "--out", str(tmp_path / "out.csv"))
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.strip().splitlines()
+        assert line.startswith("numeric error:") and "799 entangled" in line
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", [["count", "--max-norm", "100"],
+                                         ["mertens", "--cutoff", "100"]])
+    def test_one_sample_is_enough_for_counts(self, capsys, tmp_path, command):
+        code, _, err = run(capsys, *command, "--samples", "1",
+                           "--out", str(tmp_path / "out.csv"))
+        assert code == 0, err
+        assert len(read_csv(tmp_path / "out.csv")) == 2
+
 
 def test_cli_import_loads_no_sympy():
     proc = run_process("-c", "import idealdensity.cli, sys; "

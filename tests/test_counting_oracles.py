@@ -24,7 +24,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import idealdensity as idd
 from idealdensity import fields as fields_module
-from idealdensity.density import SUBSET_CAP
 from idealdensity.errors import DuplicateMembers, TooLarge
 from idealdensity.ideals import (
     enumeration_norm_counts,
@@ -135,32 +134,36 @@ def test_incremental_a_limit_equals_prefix_densities(K, data):
     pool = member_pool(K)[:30] + [idd.unit_ideal(K)]
     members = sorted(data.draw(st.lists(st.sampled_from(pool), min_size=1,
                                         max_size=8)), key=idd.Ideal.sort_key)
-    cap = data.draw(st.integers(2, 8))
-    expected, error = [], None
+
+    def family(ms):
+        return idd.ExplicitFamily(field=K, members=tuple(ms))
+
+    expected, repeated = [], False
     for r in range(1, len(members) + 1):
         try:
-            expected.append(idd.finite_ie_density(members[:r], subset_cap=cap))
-        except (DuplicateMembers, TooLarge) as exc:
-            error = type(exc)
+            expected.append(idd.finite_ie_density(family(members[:r])))
+        except DuplicateMembers:
+            repeated = True
             break
-    if error is None:
-        assert idd.a_limit(members, len(members), subset_cap=cap) == expected
+    if not repeated:
+        assert idd.a_limit(family(members), len(members)) == expected
     else:
-        with pytest.raises(error):
-            idd.a_limit(members, len(members), subset_cap=cap)
+        with pytest.raises(DuplicateMembers):
+            idd.a_limit(family(members), len(members))
 
 
 @PROPERTY_SETTINGS
 @given(K=fields, X=st.integers(100, 2000))
 def test_entangled_family_over_the_cap_counts_exactly(K, X):
-    # 21 members P*Q_j sharing the smallest prime P form one block above
-    # SUBSET_CAP; counting at a bound needs no cap.
+    # 21 members P*Q_j sharing the smallest prime P form one block, more
+    # than the 20 that exact inclusion-exclusion over subsets once took.
+    # b is a multiple exactly when P | b and some Q_j | b.
     first, *others = idd.primes_up_to_norm(K, 400)[:22]
     fam = idd.ExplicitFamily(field=K, members=tuple(
         idd.make_ideal(K, [(first, 1), (q, 1)]) for q in others))
-    assert len(fam.members) == 21 > SUBSET_CAP
-    with pytest.raises(TooLarge):
-        idd.finite_ie_density(fam)
+    assert len(fam.members) == 21
+    assert idd.finite_ie_density(fam) == Fraction(1, first.norm) * (
+        1 - math.prod(Fraction(q.norm - 1, q.norm) for q in others))
     hits, all_norms = brute_profile(K, X, fam.is_multiple)
     assert idd.sieve_multiples_density(fam, X) == Fraction(len(hits),
                                                           len(all_norms))

@@ -9,7 +9,7 @@ from sympy import primerange
 import idealdensity as idd
 from idealdensity import density
 from idealdensity.density import _member_sums
-from idealdensity.errors import DuplicateMembers, FieldMismatch, TooLarge
+from idealdensity.errors import DuplicateMembers
 from idealdensity.ideals import (
     _L_BLOCK,
     prefix_sums_at,
@@ -50,7 +50,8 @@ class TestFiniteIEDensity:
         assert idd.finite_ie_density(int_family(Q)) == 0
 
     def test_unit_member(self, Q):
-        assert idd.finite_ie_density([idd.unit_ideal(Q)]) == 1
+        assert idd.finite_ie_density(idd.ExplicitFamily(
+            field=Q, members=(idd.unit_ideal(Q),))) == 1
 
     def test_gaussian_split_pair(self, Qi):
         # the two primes above 5 are distinct, each of density 1/5
@@ -71,20 +72,19 @@ class TestFiniteIEDensity:
 
     def test_duplicates_rejected(self, Q):
         with pytest.raises(DuplicateMembers):
-            idd.finite_ie_density([idd.integer_ideal(Q, 6),
-                                   idd.integer_ideal(Q, 6)])
+            idd.finite_ie_density(int_family(Q, 6, 6))
 
     def test_entangled_cap(self, Q):
-        # 21 members all sharing the prime 2 form one block over the cap
-        members = [idd.integer_ideal(Q, 2 * p)
-                   for p in list(primerange(3, 200))[:21]]
-        with pytest.raises(TooLarge):
-            idd.finite_ie_density(members)
+        # 21 members all sharing the prime 2 form one block, more than the
+        # 20 that inclusion-exclusion over subsets once took: n is a
+        # multiple exactly when 2 | n and some odd p | n.
+        odd = list(primerange(3, 200))[:21]
+        assert idd.finite_ie_density(int_family(Q, *(2 * p for p in odd))) \
+            == Fraction(1, 2) * (1 - math.prod(Fraction(p - 1, p) for p in odd))
 
     def test_coprime_blocks_beyond_cap(self, Q):
         # 30 pairwise coprime members factor into singleton blocks
-        members = [idd.integer_ideal(Q, p) for p in primerange(2, 114)]
-        d = idd.finite_ie_density(members)
+        d = idd.finite_ie_density(int_family(Q, *primerange(2, 114)))
         expected = 1 - math.prod(
             Fraction(p - 1, p) for p in primerange(2, 114))
         assert d == expected
@@ -158,23 +158,15 @@ class TestSieveDensity:
         assert idd.sieve_multiples_density(fam, X) == Fraction(direct,
                                                               len(ideals))
 
-    def test_field_other_than_the_family_raises(self, Q, Qi):
-        # The only ideal norm in (2, 3] over Q(i) is 3, which is inert.
+    def test_field_names_an_empty_member_list(self, Q, Qi):
+        # An empty family has its field; so has an interval family with no
+        # ideal: the only ideal norm in (2, 3] over Q(i) is 3, inert.
+        assert idd.sieve_multiples_density(
+            idd.ExplicitFamily(field=Qi, members=()), 100) == 0
+        assert idd.sieve_multiples_density(
+            idd.ExplicitFamily(field=Q, members=()), 100) == 0
         fam = idd.NormIntervalFamily(field=Qi, intervals=((2, 3),))
         assert idd.sieve_multiples_density(fam, 100) == 0
-        assert idd.sieve_multiples_density(fam, 100, K=Qi) == 0
-        with pytest.raises(FieldMismatch):
-            idd.sieve_multiples_density(fam, 100, K=Q)
-        with pytest.raises(FieldMismatch):
-            idd.sieve_multiples_density(
-                [idd.make_ideal(Qi, [(idd.primes_up_to_norm(Qi, 2)[0], 1)])],
-                100, K=Q)
-
-    def test_field_names_an_empty_member_list(self, Q, Qi):
-        assert idd.sieve_multiples_density([], 100, K=Qi) == 0
-        assert idd.sieve_multiples_density([], 100, K=Q) == 0
-        with pytest.raises(ValueError):
-            idd.sieve_multiples_density([], 100)
 
     def test_prime_power_family(self, Q):
         fam = idd.PrimePowerFamily(field=Q, l=2)
@@ -268,21 +260,32 @@ class TestRestrictAndMultiplicative:
 
     def test_method_inclusion_exclusion(self, Q):
         state = idd.multiplicative_density(int_family(Q, 4, 6, 35), 2)
-        assert state.method == "inclusion-exclusion"
         assert state.b_k == idd.finite_ie_density(int_family(Q, 4, 6))
 
     def test_method_sieve_beyond_cap(self, Q):
-        # 21 members 2p over the first 22 primes form one block over the cap
+        # 21 members 2p over the first 22 primes form one block, more than
+        # inclusion-exclusion over subsets once took; B_k is still exact.
         odd = list(primerange(3, 80))
         fam = int_family(Q, *(2 * p for p in odd))
         state = idd.multiplicative_density(fam, 22)
         assert len(odd) == 21 and len(state.restricted_members) == 21
-        assert state.method == "sieve"
+        assert state.b_k == Fraction(1, 2) * (
+            1 - math.prod(Fraction(p - 1, p) for p in odd))
+        # The sieve count at X is the sum of c * floor(X / l) over the lcm
+        # terms l = 2m, m squarefree over the odd primes, c = +-1, so the
+        # ratio is off B_k by at most the sum of min(1/X, 1/l), which is
+        # <= X^(s-1) * 2^-s * prod(1 + p^-s) for 0 < s < 1 (Rankin), and
+        # so within ``rankin_tail_bound`` of the first 22 primes.
         X = fam.truncation
         marked = np.zeros(X + 1, dtype=bool)
         for p in odd:
             marked[2 * p::2 * p] = True
-        assert state.b_k == Fraction(int(marked.sum()), X)
+        sieve = Fraction(int(marked.sum()), X)
+        tail = min(X ** (s - 1) * 2 ** -s * math.prod(1 + p ** -s for p in odd)
+                   for s in (0.35, 0.5, 0.65, 0.8, 0.9))
+        norms = [pr.norm for pr in idd.fields.first_prime_ideals(Q, 22)]
+        assert abs(float(sieve - state.b_k)) <= tail <= rankin_tail_bound(
+            norms, X)
 
 
 class TestDensityProfile:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import idealdensity as idd
@@ -121,7 +123,8 @@ class TestNormIntervalFamily:
         members = [idd.make_ideal(Qi, m.factors)
                    for m in idd.enumerate_ideals(Qi, 100020)
                    if m.norm > 100000][:8]
-        assert seq == idd.a_limit(members, 8)
+        assert seq == idd.a_limit(idd.ExplicitFamily(field=Qi,
+                                                     members=tuple(members)), 8)
 
 
 class TestFirstMembers:
@@ -187,6 +190,17 @@ class TestParseFamily:
         with pytest.raises(FamilySpecError):
             idd.parse_family({"field": "Q(sqrt -1)", "kind": "explicit",
                               "members": [[[3, 1, 1]]]})
+
+    def test_repeated_prime_in_a_member(self):
+        with pytest.raises(FamilySpecError, match="repeated"):
+            idd.parse_family({"field": "Q(sqrt -1)", "kind": "explicit",
+                              "members": [[[2, 0, 1], [2, 0, 1]],
+                                          [[2, 0, 1], [5, 0, 1]]]})
+        fam = idd.parse_family({"field": "Q(sqrt -1)", "kind": "explicit",
+                                "members": [[[2, 0, 2]], [[2, 0, 1], [5, 0, 1]]]})
+        # Multiples of P^2 or of P*Q, N(P) = 2 and N(Q) = 5: their lcm is
+        # P^2*Q, so the density is 1/4 + 1/10 - 1/20.
+        assert idd.finite_ie_density(fam) == Fraction(3, 10)
 
     def test_field_consistency(self, Q):
         with pytest.raises(FamilySpecError):

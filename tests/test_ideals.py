@@ -100,6 +100,17 @@ class TestArithmetic:
             assert idd.multiply(a, b).norm == a.norm * b.norm
 
 
+    def test_repeated_prime_rejected(self, Qi):
+        # ((P, 1), (P, 1)) would claim norm 4 for P of norm 2 and make
+        # P*P look like a multiple of P^2.
+        P = idd.primes_up_to_norm(Qi, 2)[0]
+        with pytest.raises(ValueError, match="repeated prime ideal"):
+            idd.make_ideal(Qi, [(P, 1), (P, 1)])
+        with pytest.raises(ValueError, match="negative exponent"):
+            idd.make_ideal(Qi, [(P, -1)])
+        assert idd.make_ideal(Qi, [(P, 2)]).norm == 4
+
+
 class TestEnumeration:
     def test_gaussian_norm_multiset(self, Qi):
         ideals = idd.enumerate_ideals(Qi, 10)
