@@ -242,14 +242,14 @@ def build_parser() -> _Parser:
     common(p, min_samples=2)
     p.add_argument("--aset", required=True, type=Path,
                    help="JSON family specification file")
-    p.add_argument("--max-norm", type=_int_at_least(1), required=True)
+    p.add_argument("--max-norm", type=_int_at_least(100), required=True)
     p.add_argument("--r-max", type=_int_at_least(1), default=8)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("experiment", help="run a canned scenario")
     p.add_argument("name", help="primepower-free | main-theorem | besicovitch")
     common(p, min_samples=2)
-    p.add_argument("--max-norm", type=_int_at_least(1), default=10**6)
+    p.add_argument("--max-norm", type=_int_at_least(100), default=10**6)
     p.add_argument("--l", type=int, default=2)
     p.add_argument("--aset", type=Path)
     p.add_argument("--k-max", type=_int_at_least(1), default=8)

@@ -40,7 +40,6 @@ from .families import (
 )
 from .fields import NumberField, first_prime_ideals, sample_grid
 from .ideals import (
-    _L_BLOCK,
     Ideal,
     NormCounter,
     count_ideals,
@@ -311,22 +310,18 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
         h = counter.h_block(lo, hi)
         return np.multiply(h, c[lo:hi], out=h)
 
-    steps = np.arange(min(X, _L_BLOCK), dtype=np.float64)
-    buf = np.empty_like(steps)
-
     def harmonic(lo, hi):
         # An unmarked norm adds +0.0, which leaves the running sum as it
         # is, so a sparse block gives the terms of its marked norms only.
         marks = c[lo:hi]
         if _is_sparse(marks):
             nz = np.flatnonzero(marks)
-            k = steps[nz]
-            k += lo
+            k = nz + float(lo)
             if counter is None:
                 return np.divide(1.0, k, out=k)
             nz += lo
             return np.divide(counter.H[nz] - counter.H[nz - 1], k, out=k)
-        k = np.add(steps[:hi - lo], lo, out=buf[:hi - lo])
+        k = np.arange(lo, hi, dtype=np.float64)
         return np.divide(weights(lo, hi), k, out=k)
 
     counts = prefix_sums_at(weights, xs)

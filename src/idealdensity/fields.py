@@ -5,6 +5,12 @@ squarefree integer m.  In degree <= 2 the splitting behaviour of every
 rational prime is decided by the Kronecker symbol of the fundamental
 discriminant, which keeps prime ideal construction exact and fast.
 
+The rational primes come from a segmented sieve over the odd numbers,
+one bool block of ``_SIEVE_BLOCK`` odd numbers at a time, into one int64
+array; the splitting symbols (int8) and the prime-ideal norms are then
+built in pieces, so the prime layer holds its output arrays and a few
+blocks of fixed size.
+
 ``euler_series`` is the package's one multiplicative sieve: it builds
 the chi_D table here and the ideal counts of ``ideals.count_ideals``.
 """
@@ -85,6 +91,12 @@ class PrimeIdeal:
 #: _MR_LIMIT (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+#: Odd numbers per bool block of the segmented sieve in
+#: ``rational_primes_up_to`` (128 KB).  The prime list is turned into
+#: splitting symbols and norms in pieces of 1/32 as many primes, so that
+#: their int64 temporaries take 32 KB each.
+_SIEVE_BLOCK = 1 << 17
+_PIECE = _SIEVE_BLOCK // 32
 #: factorint divides by every integer up to this bound before testing
 #: the cofactor for primality.
 _TRIAL_LIMIT = 10**6
@@ -244,70 +256,88 @@ def _symbols_at_primes(D: int, ps: np.ndarray) -> np.ndarray:
 
 
 def rational_primes_up_to(n: int) -> np.ndarray:
-    """All rational primes <= n (numpy int64, ascending)."""
+    """All rational primes <= n (numpy int64, ascending), by the segmented
+    sieve, into one array sized by pi(n) < 1.25506 n / ln n (Rosser and
+    Schoenfeld) and shrunk in place: sized first, a bound beyond memory
+    fails at once."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = False
-    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+    out = np.empty(int(1.25506 * n / math.log(n)) + 1, dtype=np.int64)
+    out[0], count = 2, 1
+    r = math.isqrt(n)
+    small = np.ones(r + 1, dtype=bool)          # the odd base primes <= r
+    small[::2] = small[1] = False
+    for p in range(3, math.isqrt(r) + 1, 2):
+        if small[p]:
+            small[p * p::2 * p] = False
+    base = np.flatnonzero(small).tolist()
+    block = np.empty(min((n + 1) // 2, _SIEVE_BLOCK), dtype=bool)
+    for lo in range(0, n + 1, 2 * _SIEVE_BLOCK):
+        marks = block[:min((n + 1 - lo) // 2, _SIEVE_BLOCK)]  # lo + 2i + 1
+        marks[:] = True
+        marks[:max(0, 1 - lo)] = False            # 1 is not prime
+        for p in base:
+            if p * p >= lo + 2 * marks.size:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            marks[(start + p * (start % 2 == 0) - lo) // 2::p] = False
+        found = np.flatnonzero(marks)
+        found *= 2
+        np.add(found, lo + 1, out=out[count:count + found.size])
+        count += found.size
+    out.resize(count, refcheck=False)
+    return out
 
 
 def _split_symbols(K: NumberField, ps: np.ndarray) -> np.ndarray:
     # chi_D(p) = kronecker_symbol(D, p) at every prime of ps (ascending),
-    # for a quadratic field K.  chi_D is a character mod |D|, so Euler's
-    # criterion runs only on the primes below |D|, each the first prime of
-    # its residue class, and every larger prime reads its class's symbol
-    # from the cached table of length |D|.  With |D| > max(ps) each class
-    # holds one prime and no table is built.
+    # for a quadratic field K, as int8, computed in pieces of primes.
+    # chi_D is a character mod |D|, so Euler's criterion runs only on the
+    # primes below |D|, each the first prime of its residue class, and
+    # every larger prime reads its class's symbol from the cached table of
+    # length |D|.  With |D| > max(ps) each class holds one prime and no
+    # table is built.
     D = K.discriminant
-    below = int(np.searchsorted(ps, abs(D)))
-    s = _symbols_at_primes(D, ps[:below])
-    if below < ps.size:
-        chi, _ = kronecker_table(K, abs(D))
-        s = np.concatenate([s, chi[ps[below:] % abs(D)]])
+    s = np.empty(ps.size, dtype=np.int8)
+    for i in range(0, ps.size, _PIECE):
+        part = ps[i:i + _PIECE]
+        below = int(np.searchsorted(part, abs(D)))
+        s[i:i + below] = _symbols_at_primes(D, part[:below])
+        if below < part.size:
+            chi, _ = kronecker_table(K, abs(D))
+            s[i + below:i + part.size] = chi[part[below:] % abs(D)]
     return s
 
 
 def _prime_norms(K: NumberField, X: int) -> np.ndarray:
     # Norms of the prime ideals of norm <= X, ascending: a split p twice,
-    # a ramified p once, an inert p once as p^2 if p^2 <= X.
+    # a ramified p once, an inert p once as p^2 if p^2 <= X.  The inert
+    # p <= sqrt(X) are squared in place and repeated once, and np.repeat,
+    # which copies its counts to int64, runs piece by piece: no array but
+    # ps, its symbols and the norms is as long as the prime list.
     ps = rational_primes_up_to(X)
     if K.is_rational:
         return ps
     s = _split_symbols(K, ps)
-    inert = ps[(s == -1) & (ps <= math.isqrt(X))]
-    norm = np.concatenate([np.repeat(ps, s + 1), inert * inert])
+    r = int(np.searchsorted(ps, math.isqrt(X), side="right"))
+    inert = s[:r] == -1
+    np.square(ps[:r], out=ps[:r], where=inert)
+    s[:r][inert] = 0
+    s += 1                                      # copies of each p
+    norm = np.empty(int(s.sum(dtype=np.int64)), dtype=np.int64)
+    j = 0
+    for i in range(0, ps.size, _PIECE):
+        part = np.repeat(ps[i:i + _PIECE], s[i:i + _PIECE])
+        norm[j:j + part.size] = part
+        j += part.size
     norm.sort()
     return norm
-
-
-def _prime_ideal_columns(K: NumberField, X: int) -> tuple[np.ndarray, ...]:
-    # (norm, p, conjugate_index, e) of every prime ideal of norm <= X, as
-    # int64 arrays in (norm, p, index) order, the norms as in _prime_norms.
-    ps = rational_primes_up_to(X)
-    if K.is_rational:
-        return ps, ps, np.zeros_like(ps), np.ones_like(ps)
-    s = _split_symbols(K, ps)
-    lin_p = np.repeat(ps, s + 1)
-    lin_conj = np.zeros_like(lin_p)
-    lin_conj[1:] = lin_p[1:] == lin_p[:-1]
-    inert = ps[(s == -1) & (ps <= math.isqrt(X))]
-    norm = np.concatenate([lin_p, inert * inert])
-    order = np.argsort(norm, kind="stable")
-    columns = (norm, np.concatenate([lin_p, inert]),
-               np.concatenate([lin_conj, np.zeros_like(inert)]),
-               np.concatenate([np.repeat(2 - s, s + 1), np.ones_like(inert)]))
-    return tuple(c[order] for c in columns)
 
 
 @lru_cache(maxsize=16)
 def prime_norm_array(K: NumberField, X: int) -> np.ndarray:
     """Norms of the prime ideals of O_K of norm <= X, one entry per prime
-    ideal, ascending (read-only int64 array).  Only the norms are built:
-    the other columns of ``primes_up_to_norm`` are left out."""
+    ideal, ascending (read-only int64 array)."""
     if X < 1:
         raise ValueError("X must be >= 1")
     norm = _prime_norms(K, X)
@@ -317,11 +347,21 @@ def prime_norm_array(K: NumberField, X: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def primes_up_to_norm(K: NumberField, X: int) -> tuple[PrimeIdeal, ...]:
-    """All prime ideals of O_K with norm <= X, sorted by (norm, p, index)."""
+    """All prime ideals of O_K with norm <= X, sorted by (norm, p, index).
+
+    They are read off the norms: a square norm is p^2 for an inert p, a
+    repeated norm is the second ideal above a split p, and p ramifies when
+    it divides the discriminant.
+    """
     if X < 1:
         raise ValueError("X must be >= 1")
-    norm, p, conj, e = _prime_ideal_columns(K, X)
-    f = np.where(norm == p, 1, 2)
+    norm = _prime_norms(K, X)
+    root = np.sqrt(norm).astype(np.int64)       # exact for squares < 2^53
+    f = np.where(root * root == norm, 2, 1)
+    p = np.where(f == 2, root, norm)
+    conj = np.zeros_like(norm)
+    conj[1:] = norm[1:] == norm[:-1]
+    e = np.where(K.discriminant % p == 0, 2, 1)
     return tuple(map(PrimeIdeal, norm.tolist(), p.tolist(), conj.tolist(),
                      e.tolist(), f.tolist()))
 
@@ -340,7 +380,10 @@ def run_starts(a: np.ndarray) -> np.ndarray:
 
 def sample_grid(lo: int, X: int, n: int) -> np.ndarray:
     """The geometric grid of n points from lo to X, rounded to integers:
-    ascending, without repeats, and ending at X (int64)."""
+    ascending, without repeats, and ending at X (int64); TooLarge for an
+    X beyond the int64 range."""
+    if X > np.iinfo(np.int64).max:
+        raise TooLarge(f"bound {X} is beyond the int64 range")
     xs = np.rint(np.geomspace(lo, X, n)).astype(np.int64)
     xs = xs[run_starts(xs)]
     xs[-1] = X
@@ -392,8 +435,7 @@ def kronecker_table(K: NumberField, n: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= n <= abs(K.discriminant):
         raise ValueError(f"table length {n} not in [1, |D|]")
     ps = rational_primes_up_to(n - 1)
-    chi = euler_series(n, ps, _symbols_at_primes(K.discriminant, ps),
-                       np.int8)
+    chi = euler_series(n, ps, _split_symbols(K, ps), np.int8)
     S = np.cumsum(chi, dtype=np.min_scalar_type(-n))     # |S[k]| <= k < n
     chi.flags.writeable = S.flags.writeable = False
     return chi, S

@@ -25,8 +25,9 @@ from .ideals import count_ideals, norm_blocks, pairwise_sum, run_starts
 _EXACT_PRIME_LIMIT = 64
 
 #: Terms per Python list handed to ``math.fsum`` or ``math.log1p``; a
-#: list costs about 32 bytes per float, four times its array.
-_LIST_CHUNK = 1 << 14
+#: list costs about 32 bytes per float, four times its array, so one
+#: chunk takes 128 KB.
+_LIST_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import tracemalloc
@@ -35,6 +36,23 @@ def random_explicit_family(K, rng: random.Random, max_members=5, max_norm=50):
     pool = [i for i in idd.enumerate_ideals(K, max_norm) if not i.is_unit]
     n = rng.randint(1, max_members)
     return idd.ExplicitFamily(field=K, members=tuple(rng.sample(pool, n)))
+
+
+@functools.lru_cache(maxsize=4)
+def trial_division_primes(n: int) -> tuple[int, ...]:
+    """The primes <= n, each k tested by dividing it by the primes up to
+    sqrt(k): the reference for the segmented sieve (0.8 s at 8e5)."""
+    primes = []
+    for k in range(2, n + 1):
+        for p in primes:
+            if p * p > k:
+                primes.append(k)
+                break
+            if k % p == 0:
+                break
+        else:
+            primes.append(k)
+    return tuple(primes)
 
 
 def peak_bytes(fn, *args, **kwargs) -> int:

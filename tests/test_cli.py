@@ -365,6 +365,10 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+#: 10^21, past the int64 range.
+BEYOND_INT64 = "1000000000000000000000"
+
+
 class TestBadInput:
     @pytest.mark.parametrize("argv,expected", [
         (["count", "--max-norm", "0"], 1),
@@ -389,6 +393,20 @@ class TestBadInput:
         (["experiment", "main-theorem", "--aset", "{aset}", "--samples",
           "1"], 1),
         (["experiment", "primepower-free", "--samples", "1"], 1),
+        # Bounds past the int64 range: TooLarge from the sample grid.
+        (["count", "--field", "Q", "--max-norm", BEYOND_INT64], 2),
+        (["count", "--field", "Q(sqrt -1)", "--max-norm", BEYOND_INT64], 2),
+        (["density", "--aset", "{aset}", "--max-norm", BEYOND_INT64], 2),
+        (["mertens", "--cutoff", BEYOND_INT64], 2),
+        (["experiment", "primepower-free", "--max-norm", BEYOND_INT64], 2),
+        # A profile needs X >= 100: a smaller bound is a usage error.
+        (["density", "--aset", "{aset}", "--max-norm", "50"], 1),
+        (["experiment", "main-theorem", "--aset", "{aset}", "--max-norm",
+          "50"], 1),
+        (["experiment", "besicovitch", "--max-norm", "50"], 1),
+        # The primes up to 10^14 need 28 TiB: the sieve's output array
+        # fails to allocate before any block is sieved.
+        (["mertens", "--cutoff", "100000000000000"], 2),
     ])
     def test_one_message_line_and_exit_code(self, tmp_path, argv, expected):
         aset = write_aset(tmp_path, {"field": "Q", "kind": "explicit",

@@ -33,6 +33,8 @@ from idealdensity.ideals import (
     ideal_counts,
 )
 
+from conftest import trial_division_primes
+
 #: Largest bound of the brute-force enumerations.
 BRUTE_X = 3000
 
@@ -269,6 +271,45 @@ def test_prime_norm_array_matches_scalar_splitting(K, X):
     assert idd.primes_up_to_norm(K, X) == tuple(expected)
 
 
+#: The fields whose prime-ideal norms are checked at the sieve's edges:
+#: split, inert and ramified 2, D = 1 and 0 mod 4, |D| above 8.
+EDGE_FIELDS = [None, -1, 5, -5, 2, -14, 21]
+
+
+def scalar_prime_ideals(K, X):
+    """The prime ideals of norm <= X by ``split_prime``, one rational
+    prime at a time, sorted by (norm, p, index)."""
+    return sorted(pr for p in trial_division_primes(X)
+                  for pr, _ in idd.split_prime(K, p) if pr.norm <= X)
+
+
+@pytest.mark.parametrize("m", EDGE_FIELDS)
+def test_prime_norms_match_scalar_splitting_at_block_edges(m):
+    K = field(m)
+    span = 2 * fields_module._SIEVE_BLOCK        # integers per sieve block
+    everything = scalar_prime_ideals(K, span + 1)
+    for X in (span - 1, span, span + 1):
+        expected = [pr for pr in everything if pr.norm <= X]
+        assert fields_module.prime_norm_array.__wrapped__(K, X).tolist() == [
+            pr.norm for pr in expected]
+        assert idd.primes_up_to_norm.__wrapped__(K, X) == tuple(expected)
+
+
+@pytest.mark.parametrize("m", EDGE_FIELDS)
+def test_prime_norms_match_scalar_splitting_in_small_pieces(m, monkeypatch):
+    # Blocks of 10 integers and pieces of 3 primes put an edge near every
+    # bound, and the inert p <= sqrt(X) on both sides of piece edges.
+    monkeypatch.setattr(fields_module, "_SIEVE_BLOCK", 5)
+    monkeypatch.setattr(fields_module, "_PIECE", 3)
+    K = field(m)
+    everything = scalar_prime_ideals(K, 250)
+    for X in range(1, 251):
+        expected = [pr for pr in everything if pr.norm <= X]
+        assert fields_module.prime_norm_array.__wrapped__(K, X).tolist() == [
+            pr.norm for pr in expected]
+        assert idd.primes_up_to_norm.__wrapped__(K, X) == tuple(expected)
+
+
 @PROPERTY_SETTINGS
 @given(K=fields, X=st.integers(1, 5000))
 def test_sieve_matches_enumeration(K, X):
@@ -359,9 +400,11 @@ def test_splitting_by_residue_class_matches_scalar_kronecker(m, monkeypatch):
     chi, S = fields_module.kronecker_table(K, abs(D))    # cached from here
     euler_inputs = []
     euler = fields_module._symbols_at_primes
+    # A copy: _prime_norms squares the inert primes of its list in place.
     monkeypatch.setattr(fields_module, "_symbols_at_primes",
-                        lambda D, ps: euler_inputs.append(ps) or euler(D, ps))
-    norm = fields_module._prime_ideal_columns(K, X)[0]
+                        lambda D, ps: euler_inputs.append(ps.copy())
+                        or euler(D, ps))
+    norm = fields_module._prime_norms(K, X)
     ps = fields_module.rational_primes_up_to(X)
     # Euler's criterion ran once per class: on the primes below |D| only.
     assert np.concatenate(euler_inputs).tolist() == ps[ps < abs(D)].tolist()

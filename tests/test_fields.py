@@ -1,6 +1,8 @@
+import bisect
 import itertools
 import math
 
+import numpy as np
 import pytest
 from sympy import factorint, primerange
 
@@ -16,7 +18,7 @@ from idealdensity.errors import (
     UnsupportedField,
 )
 
-from conftest import peak_bytes
+from conftest import peak_bytes, trial_division_primes
 
 
 class TestFieldConstruction:
@@ -111,6 +113,58 @@ class TestKronecker:
         assert calls == [19999]
         assert chi[-500:].tolist() == [idd.kronecker_symbol(K.discriminant, k)
                                        for k in range(19500, 20000)]
+
+
+#: Integers per block of the segmented sieve.
+SIEVE_SPAN = 2 * fields_module._SIEVE_BLOCK
+#: Bounds one below, at and one above 1, 2 and 3 blocks.
+SIEVE_EDGES = [k * SIEVE_SPAN + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+def primes_below(n):
+    """Trial-division primes <= n, cut from the list up to the largest
+    bound the tests use."""
+    ref = trial_division_primes(max(SIEVE_EDGES))
+    return list(ref[:bisect.bisect_right(ref, n)])
+
+
+class TestSegmentedSieve:
+    def test_every_small_bound(self):
+        for n in range(-1, 301):
+            assert fields_module.rational_primes_up_to(n).tolist() == \
+                primes_below(n)
+
+    @pytest.mark.parametrize("n", SIEVE_EDGES)
+    def test_block_edges(self, n):
+        primes = fields_module.rational_primes_up_to(n)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == primes_below(n)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+    def test_small_blocks(self, monkeypatch, block):
+        # Blocks of 2 * block integers.  With 4, every odd square k*8 + 1
+        # is a block's first odd number; with 5, 3^2, 7^2 and 13^2 are a
+        # block's last (k*10 + 9) and 11^2 and 19^2 its first (k*10 + 1).
+        monkeypatch.setattr(fields_module, "_SIEVE_BLOCK", block)
+        for n in range(-1, 401):
+            assert fields_module.rational_primes_up_to(n).tolist() == \
+                primes_below(n)
+
+    def test_sieve_memory_is_the_prime_array_and_one_block(self):
+        # Measured 6.7 MB: 6.2 MB for the array sized by the prime bound
+        # (5.3 MB after the shrink) and the 128 KB block; the bound is 1.2
+        # times that (a bool per integer and its nonzero copy took 15 MB).
+        fields_module.rational_primes_up_to(1000)       # warm
+        assert peak_bytes(fields_module.rational_primes_up_to, 10**7) < 8e6
+
+    def test_norms_hold_no_other_array_as_long_as_the_primes(self):
+        # Measured 11.4 MB: 5.3 MB of primes, 0.7 MB of int8 symbols and
+        # 5.4 MB of norms; the bound is 1.05 times that (masks and int64
+        # symbols as long as the prime list took 21 MB).
+        K = idd.make_quadratic_field(5)
+        build = fields_module.prime_norm_array.__wrapped__
+        build(K, 1000)                  # warm: the class table of chi_D
+        assert peak_bytes(build, K, 10**7) < 12e6
 
 
 class TestSplitting:
