@@ -11,8 +11,11 @@ and a family too entangled for ``WORK_LIMIT`` raises ``TooLarge``.
 
 Counting at a norm bound X never enumerates ideals.  Over quadratic
 fields the multiples of an ideal of norm n with norm <= x are H(x // n)
-ideals with harmonic sum L(x // n) / n (the field's ``NormCounter``), so
-explicit and prime-power families are counted over their lcm terms.
+ideals with harmonic sum L(x // n) / n, so explicit and prime-power
+families are counted over their lcm terms.  H and L come from the
+field's ``NormCounter``, which holds h in about 2 bytes per norm and H
+and L at every 32nd norm: with its cache of 8 counters, at most about
+8 * 2.4 bytes * X.
 Every other count marks norms on a boolean array of length X: over Q the
 norms are the ideals, and in degree <= 2 membership in a norm interval
 family depends on the norm alone, a marked norm n counting its h(n)
@@ -40,6 +43,7 @@ from .families import (
 )
 from .fields import NumberField, first_prime_ideals, sample_grid
 from .ideals import (
+    READ_POINTS,
     Ideal,
     NormCounter,
     count_ideals,
@@ -275,33 +279,34 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
 
     ``counter`` holds the ideal counts of a quadratic field up to
     X = xs[-1]; over Q, where h = 1, it is None.  Over quadratic fields,
-    explicit and prime-power families add g * H[x // n] to the count and
-    g/n * L[x // n] to the harmonic sum for each lcm term (n, g).  Every
-    other family marks norms: the multiples of its members' norms, or of
-    each n with h(n) > 0 in a norm interval.  Marks are added in ascending
-    norm order, the same floats as adding 1/N(b) member by member.  With
-    ``logs`` false the harmonic sums are not computed.
+    explicit and prime-power families add g * H(x // n) to the count and
+    g/n * L(x // n) to the harmonic sum for each lcm term (n, g), read
+    from the counter for about ``READ_POINTS`` points (x, n) at a time, or
+    one x at a time when there are more terms.  Every other family marks
+    norms: the multiples of its members' norms, or of each n with
+    h(n) > 0 in a norm interval.  Marks are added in ascending norm order,
+    the same floats as adding 1/N(b) member by member.  With ``logs``
+    false the harmonic sums are None.
     """
     K, X = A.field, int(xs[-1])
     if not (K.is_rational or isinstance(A, NormIntervalFamily)):
         terms = _ie_terms(A.members_up_to(X), X)
         ns = np.array([n for n, _ in terms], dtype=np.int64)
         gs = np.array([g for _, g in terms], dtype=np.int64)
-        counts = [int(gs @ counter.H[x // ns]) for x in xs.tolist()]
-        if not logs:
-            return counts, None
-        w, L = gs / ns, counter.L
-        return counts, [float((w * L[x // ns]).sum()) for x in xs.tolist()]
+        w, counts, sums = gs / ns, [], []
+        step = max(1, READ_POINTS // max(ns.size, 1))  # points per read
+        for i in range(0, xs.size, step):
+            H, L = counter.sums_at(xs[i:i + step, None] // ns)
+            counts += (H @ gs).tolist()
+            sums += [float(row.sum()) for row in w * L]
+        return counts, sums if logs else None
     c = np.zeros(X + 1, dtype=bool)
     if isinstance(A, NormIntervalFamily):
-        norms = (n for lo, hi in A.intervals
-                 for n in range(lo + 1, min(hi, X) + 1)
-                 if counter is None or counter.h_of(n))
+        _mark_interval_multiples(c, A.intervals, counter)
     else:
-        norms = (a.norm for a in A.members_up_to(X))
-    for n in norms:
-        if not c[n]:                # else its multiples are marked already
-            c[n::n] = True
+        for a in A.members_up_to(X):
+            if not c[a.norm]:       # else its multiples are marked already
+                c[a.norm::a.norm] = True
 
     def weights(lo, hi):
         # A marked norm counts its h(n) ideals.
@@ -319,13 +324,45 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
             k = nz + float(lo)
             if counter is None:
                 return np.divide(1.0, k, out=k)
-            nz += lo
-            return np.divide(counter.H[nz] - counter.H[nz - 1], k, out=k)
+            return np.divide(counter.h[lo:hi][nz], k, out=k)
         k = np.arange(lo, hi, dtype=np.float64)
         return np.divide(weights(lo, hi), k, out=k)
 
     counts = prefix_sums_at(weights, xs)
     return counts, prefix_sums_at(harmonic, xs) if logs else None
+
+
+def _mark_interval_multiples(c: np.ndarray, intervals,
+                             counter: NormCounter | None) -> None:
+    """Mark on c every multiple <= X = c.size - 1 of the norms n in the
+    intervals with h(n) > 0 (every n over Q, where counter is None).
+
+    A norm n <= sqrt X marks its multiples by one strided write, unless a
+    divisor marked it already.  A larger norm has fewer than sqrt X
+    multiples, so the larger norms left unmarked are marked by one write
+    per multiplier m < sqrt X: at most 2 sqrt X steps in all.
+    """
+    X = c.size - 1
+    parts = [np.empty(0, dtype=np.int64)]      # a family may have no interval
+    for lo, hi in intervals:
+        if counter is None:
+            parts.append(np.arange(lo + 1, min(hi, X) + 1))
+        else:
+            parts.append(np.flatnonzero(counter.h[lo + 1:min(hi, X) + 1])
+                         + lo + 1)
+    ns = np.sort(np.concatenate(parts))
+    r = math.isqrt(X)
+    small = int(np.searchsorted(ns, r, side="right"))
+    for n in ns[:small].tolist():
+        if not c[n]:
+            c[n::n] = True
+    large = ns[small:]
+    large = large[~c[large]]
+    for m in range(1, r + 1):
+        k = int(np.searchsorted(large, X // m, side="right"))
+        if not k:
+            break
+        c[large[:k] * m] = True
 
 
 def _is_sparse(marks: np.ndarray) -> bool:
@@ -456,15 +493,13 @@ def density_profile(A: AFamily, X: int = 10**4,
     K = A.field
     counter = _counter(K, X)
     xs = sample_grid(10, X, n_samples)
-    # Members first: marking arrays are freed before L is built, if this
-    # is the first profile on the counter.
     member_counts, log_num = _member_sums(A, xs, counter)
     if counter is None:
         total_counts = xs.tolist()              # H(x) = x over Q
         L = rational_harmonic_prefix(tuple(total_counts))
     else:
-        total_counts = counter.H[xs].tolist()
-        L = counter.L[xs].tolist()
+        H, L = counter.sums_at(xs)
+        total_counts, L = H.tolist(), L.tolist()
     natural = tuple(Fraction(m, t) for m, t in zip(member_counts, total_counts))
     log_ratios = tuple(n / d for n, d in zip(log_num, L))
     return DensityReport(field=K, X=X, sample_points=tuple(int(x) for x in xs),

@@ -6,22 +6,23 @@ exponent-vector operations.  Counting by norm is done three ways, so
 each can check the others.  ``ideal_count`` gives H(x) at one point in
 O(sqrt x) by the Dirichlet hyperbola method over zeta_K = zeta L(s, chi_D)
 (H(x) = x over Q), for callers that read a few points.  ``count_ideals``
-keeps H on a whole range of a quadratic field for callers that read it
-at many points: h is ``fields.euler_series`` over the prime-ideal norms
-(``fields.prime_norm_array``), the sieve that also builds the chi_D
-table.  Over Q, where h = 1, hot paths need no counter at all: the
-harmonic prefix at a profile's sample points comes from
-``rational_harmonic_prefix``, summed in blocks of norms by
-``prefix_sums_at``.  Exhaustive enumeration over the same prime norms
-serves the tests, and ``ideals_of_norm`` lists the ideals of one norm
-from its factorization.
+keeps the counts of a quadratic field up to X for callers that read
+them at many points: h is ``fields.euler_series`` over the prime-ideal
+norms (``fields.prime_norm_array``), the sieve that also builds the chi_D
+table, in about 2 bytes per norm, and H and the harmonic prefix L are
+kept at every 32nd norm and completed on read.  Over Q, where h = 1,
+hot paths need no counter at all: the harmonic prefix at a profile's
+sample points comes from ``rational_harmonic_prefix``, summed in blocks
+of norms by ``prefix_sums_at``.  Exhaustive enumeration over the same
+prime norms serves the tests, and ``ideals_of_norm`` lists the ideals of
+one norm from its factorization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -222,55 +223,91 @@ def pairwise_sum(terms, n: int) -> float:
 @lru_cache(maxsize=8)
 def rational_harmonic_prefix(xs: tuple[int, ...]) -> tuple[float, ...]:
     """L(x) = 1 + 1/2 + ... + 1/x over Q at each x of the ascending xs,
-    added in ascending k as ``NormCounter.L`` adds them."""
+    added in ascending k as ``NormCounter.sums_at`` adds them."""
     return tuple(prefix_sums_at(
         lambda lo, hi: 1.0 / np.arange(lo, hi, dtype=np.float64), xs))
 
 
+#: Norms from one checkpoint of a ``NormCounter`` to the next: a divisor
+#: of ``_L_BLOCK``, so that every block of ``norm_blocks`` ends on one.
+_STRIDE = 32
+#: The offsets 1 .. _STRIDE - 1 of the terms a read adds to a checkpoint
+#: (a column), and the most points one gather of ``NormCounter.sums_at``
+#: reads: its arrays take about 700 bytes per point.
+_TAIL = np.arange(1, _STRIDE)[:, None]
+READ_POINTS = 128
+
+
 @dataclass(frozen=True)
 class NormCounter:
-    """Exact cumulative ideal counts H(x) = #{a : N(a) <= x}, x <= X.
+    """Exact ideal counts by norm up to X, in about 2.4 bytes per norm.
 
-    ``H`` is the only array stored (H[0] = 0).  The per-norm counts
-    ``h`` are derived from it on each read, whole or by block, and the
-    harmonic prefix ``L[x] = sum_{k<=x} h(k)/k`` is built on first read
-    and kept; both are read at the points floor(x/n) when families are
-    counted.
+    ``h[k]`` is the number of ideals of norm k (h[0] = 0), in the smallest
+    signed integer type that holds 2 sqrt(X) >= d(k) >= h(k): int16 from
+    X = 4225 to X = 2.68e8.  The counts H(x) = #{a : N(a) <= x} and the
+    harmonic prefix L(x) = sum of h(k)/k over k <= x are kept only at the
+    checkpoints x = j * _STRIDE: ``H_checkpoints`` in the smallest integer
+    type that holds H(X) (int32 up to X = 10^8 at least), and
+    ``L_checkpoints`` as float64, added in ascending k.  ``sums_at`` adds
+    the at most _STRIDE - 1 terms past the checkpoint in ascending k, so
+    its H and L equal the running sums of one ``np.cumsum`` over all
+    norms bit for bit.  All three arrays are read-only.
     """
 
     field: NumberField
     X: int
-    H: np.ndarray
+    h: np.ndarray
+    H_checkpoints: np.ndarray
+    L_checkpoints: np.ndarray
 
     @property
-    def h(self) -> np.ndarray:
-        """h[k] = H[k] - H[k-1], the number of ideals of norm k (h[0] = 0)."""
-        h = np.empty_like(self.H)
-        h[0] = 0
-        np.subtract(self.H[1:], self.H[:-1], out=h[1:])
-        return h
+    def H(self) -> np.ndarray:
+        """The full int64 array H[x], x <= X, built on each read (tests)."""
+        return np.cumsum(self.h, dtype=np.int64)
 
     def h_block(self, lo: int, hi: int) -> np.ndarray:
-        """h[lo:hi] for 1 <= lo <= hi <= X + 1, as a new array."""
-        return self.H[lo:hi] - self.H[lo - 1:hi - 1]
+        """h[lo:hi] for 1 <= lo <= hi <= X + 1, as a new int64 array."""
+        return self.h[lo:hi].astype(np.int64)
 
-    @cached_property
-    def L(self) -> np.ndarray:
-        """L[x] = sum of h(k)/k over k <= x, added in ascending k (L[0] = 0)."""
-        L = np.arange(self.X + 1, dtype=np.float64)
-        for lo, hi in norm_blocks(self.X):
-            np.divide(self.h_block(lo, hi), L[lo:hi], out=L[lo:hi])
-        return np.cumsum(L, out=L)
+    def sums_at(self, ys) -> tuple[np.ndarray, np.ndarray]:
+        """H(y) and L(y) at each y of the integer array ys, 0 <= y <= X
+        (int64 and float64 arrays of the shape of ys).
+
+        For each point y = j * _STRIDE + r a gather holds the _STRIDE - 1
+        counts after checkpoint j (norms past X read h(X) and are never
+        used): H(y) adds the first r of them to the checkpoint, and L(y) is
+        step r of an ``np.add.accumulate`` down the checkpoint and the
+        terms h(k)/k, which adds them in ascending k.
+        """
+        ys = np.asarray(ys, dtype=np.int64)
+        H, L = np.empty(ys.shape, dtype=np.int64), np.empty(ys.shape)
+        for i in range(0, ys.size, READ_POINTS):
+            j, r = np.divmod(ys.reshape(-1)[i:i + READ_POINTS], _STRIDE)
+            k = j * _STRIDE + _TAIL             # step, point
+            np.minimum(k, self.X, out=k)
+            hk = self.h[k]
+            t = np.empty((_STRIDE, j.size))
+            t[0] = self.L_checkpoints[j]
+            np.divide(hk, k, out=t[1:])
+            np.add.accumulate(t, axis=0, out=t)
+            H.reshape(-1)[i:i + j.size] = self.H_checkpoints[j] + (
+                hk * (_TAIL <= r)).sum(axis=0)
+            L.reshape(-1)[i:i + j.size] = t[r, np.arange(j.size)]
+        return H, L
 
     def h_of(self, k: int) -> int:
-        return int(self.H[k] - self.H[k - 1]) if k >= 1 else 0
+        return int(self.h[k]) if k >= 1 else 0
 
     def H_of(self, x: int) -> int:
-        if x >= self.X:
-            if x > self.X:
-                raise ValueError(f"H({x}) not computed (bound {self.X})")
-            return int(self.H[self.X])
-        return int(self.H[x]) if x >= 0 else 0
+        """H(x) for x <= X: the checkpoint at or below x plus the counts
+        after it (0 for x < 0)."""
+        if x > self.X:
+            raise ValueError(f"H({x}) not computed (bound {self.X})")
+        if x < 0:
+            return 0
+        j = x // _STRIDE
+        return int(self.H_checkpoints[j]) + int(
+            self.h[j * _STRIDE + 1:x + 1].sum())
 
 
 @lru_cache(maxsize=8)
@@ -278,18 +315,40 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
     """Exact norm counts up to X by a multiplicative sieve.
 
     Over a quadratic field h is the ``fields.euler_series`` of the
-    prime-ideal norms, each with the local factor 1/(1 - N(p)^-s), and an
-    in-place cumulative sum turns it into H.  Over Q every n >= 1 is the
-    norm of exactly one ideal, so H is ``arange(X + 1)``; the package's
-    own paths over Q use H(x) = x and h = 1 and build no counter.
+    prime-ideal norms, each with the local factor 1/(1 - N(p)^-s), built
+    in the counter's small integer type.  Over Q every n >= 1 is the norm
+    of exactly one ideal, so h = 1; the package's own paths over Q use
+    H(x) = x and h = 1 and build no counter.  H at the checkpoints sums h
+    over each stride; L comes from one pass over blocks of norms, each
+    starting after a checkpoint, whose sum is added into the block's
+    first term h(k)/k before an in-place ``np.cumsum``, as
+    ``prefix_sums_at`` adds them.  The cache holds at most 8 counters,
+    about 8 * 2.4 bytes * X in all.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
+    dtype = np.min_scalar_type(-2 * math.isqrt(X))   # h(k) <= d(k) <= 2 sqrt k
     if K.is_rational:
-        return NormCounter(field=K, X=X, H=np.arange(X + 1, dtype=np.int64))
-    norms = prime_norm_array(K, X)
-    h = euler_series(X + 1, norms, np.broadcast_to(1, norms.shape))
-    return NormCounter(field=K, X=X, H=np.cumsum(h, out=h))
+        h = np.ones(X + 1, dtype=dtype)
+        h[0] = 0
+    else:
+        norms = prime_norm_array(K, X)
+        h = euler_series(X + 1, norms, np.broadcast_to(1, norms.shape), dtype)
+    m = X // _STRIDE
+    H = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(h[1:m * _STRIDE + 1].reshape(m, _STRIDE).sum(1, dtype=np.int64),
+              out=H[1:])
+    L = np.zeros(m + 1)
+    for lo, hi in norm_blocks(X):
+        j = (lo - 1) // _STRIDE
+        t = np.arange(lo, hi, dtype=np.float64)
+        np.divide(h[lo:hi], t, out=t)
+        t[0] += L[j]
+        L[j + 1:j + 1 + (hi - lo) // _STRIDE] = np.cumsum(
+            t, out=t)[_STRIDE - 1::_STRIDE]
+    H = H.astype(np.min_scalar_type(-int(H[-1])))
+    h.flags.writeable = H.flags.writeable = L.flags.writeable = False
+    return NormCounter(field=K, X=X, h=h, H_checkpoints=H, L_checkpoints=L)
 
 
 #: Divisors per block of the hyperbola sums, and the largest x they take:

@@ -120,7 +120,7 @@ def harmonic_ideal_sum(K: NumberField, x: int) -> float:
         if counter is None:
             t = np.arange(lo, hi, dtype=np.float64)
             return np.divide(1.0, t, out=t)
-        h = counter.h_block(lo, hi)
+        h = counter.h[lo:hi]
         nz = np.flatnonzero(h)
         return h[nz] / (nz + lo)
 
@@ -171,15 +171,16 @@ def dedekind_zeta(K: NumberField, s: float, X: int) -> tuple[float, float]:
             np.power(t, s, out=t)
         if counter is None:
             return np.divide(1.0, t, out=t)
-        return np.divide(counter.h_block(i + 1, j + 1), t, out=t)
+        return np.divide(counter.h[i + 1:j + 1], t, out=t)
 
     value = pairwise_sum(terms, X)
     if counter is None:
         c_upper = 1.0
     else:
         xs = np.geomspace(max(1, X // 10), X, 32).astype(np.int64)
-        c_upper = max(counter.H_of(x) / x
-                      for x in xs[run_starts(xs)].tolist())
+        xs = xs[run_starts(xs)].tolist()
+        H, _ = counter.sums_at(xs)
+        c_upper = max(n / x for n, x in zip(H.tolist(), xs))
     tail_bound = 2.0 * c_upper * (s / (s - 1.0)) * X ** (1.0 - s)
     return value, tail_bound
 

@@ -65,6 +65,16 @@ def peak_bytes(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
+def full_H_and_L(counter):
+    """The full int64 H[x] and float64 L[x], x <= X, of a ``NormCounter``,
+    rebuilt from its counts h as one ``np.cumsum`` each: the arrays the
+    counter kept before it held H and L at checkpoints only."""
+    h = counter.h
+    L = np.arange(h.size, dtype=np.float64)
+    np.divide(h[1:], L[1:], out=L[1:])
+    return np.cumsum(h, dtype=np.int64), np.cumsum(L, out=L)
+
+
 def box_density(members) -> Fraction:
     """Exact density of the multiples of a finite list of ideals, summed
     over the finite exponent box of their primes.

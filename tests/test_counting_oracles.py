@@ -261,6 +261,26 @@ def test_norm_interval_family_counts_match_brute_force(K, data):
                                fam.is_multiple)
 
 
+@pytest.mark.parametrize("m", [None, -1, 5, -5])
+@pytest.mark.parametrize("intervals", [
+    ((1, 80),),             # the lowest interval a family takes: from norm 2
+    ((40, 1600),),          # across sqrt X = 54.8 and X / 2 = 1500
+    ((54, 59),),            # 55 * 54 = 2970 is marked by multiplier 54 only
+    ((1, 30), (20, 70), (60, 2000)),        # overlapping
+    (),
+])
+def test_norm_intervals_across_sqrt_X_match_brute_force(m, intervals):
+    # Norms up to sqrt X mark by strided writes, larger ones by one write
+    # per multiplier.
+    K = field(m)
+    fam = idd.NormIntervalFamily(field=K, intervals=intervals)
+    hits, all_norms = brute_profile(K, BRUTE_X, fam.is_multiple)
+    assert idd.sieve_multiples_density(fam, BRUTE_X) == Fraction(
+        len(hits), len(all_norms))
+    assert_matches_brute_force(idd.density_profile(fam, X=BRUTE_X), K,
+                               fam.is_multiple)
+
+
 @PROPERTY_SETTINGS
 @given(K=fields, X=st.integers(1, 5000))
 def test_prime_norm_array_matches_scalar_splitting(K, X):

@@ -17,7 +17,7 @@ from idealdensity.ideals import (
 )
 from idealdensity.zeta import rankin_tail_bound
 
-from conftest import int_family, peak_bytes
+from conftest import full_H_and_L, int_family, peak_bytes
 
 #: Bounds around the edges of the blocks that running sums are added in.
 B = _L_BLOCK
@@ -377,8 +377,9 @@ class TestSamplePointSums:
         assert log_sums == [sums[x] for x in xs]
         assert counts == [sum(marked[1:x + 1]) for x in xs]
         rep = idd.density_profile(fam, X=X)
+        _, L = full_H_and_L(counter)
         assert rep.log_ratios == tuple(
-            sums[x] / counter.L[x] for x in rep.sample_points)
+            sums[x] / L[x] for x in rep.sample_points)
 
     def test_entangled_gaussian_terms_match_per_norm_counts(self, Qi):
         primes = idd.primes_up_to_norm(Qi, 29)[:8]
@@ -400,7 +401,7 @@ class TestSamplePointSums:
     def test_explicit_profile_allocates_no_norm_array(self, Qi):
         X = 10**5
         counter = idd.count_ideals(Qi, X)
-        assert counter.L[X] > 0     # warm: H and L are built and cached
+        assert full_H_and_L(counter)[1][X] > 0     # warm: the counter
         fam = idd.ExplicitFamily(field=Qi, members=tuple(
             m for m in idd.enumerate_ideals(Qi, 50)[1:8]))
         assert peak_bytes(idd.density_profile, fam, X=X) < X * 8 / 4
@@ -452,7 +453,7 @@ class TestBlockedSums:
     @pytest.mark.parametrize("X", BLOCK_EDGE_XS)
     def test_unit_member_and_weighted_marks(self, Q, Qi, X):
         xs = edge_points(X)
-        L_Q = idd.ideals.count_ideals.__wrapped__(Q, X).L
+        _, L_Q = full_H_and_L(idd.ideals.count_ideals.__wrapped__(Q, X))
         counts, log_sums = _member_sums(int_family(Q, 1), xs, None)
         assert counts == xs.tolist()
         assert log_sums == L_Q[xs].tolist()
@@ -564,6 +565,11 @@ class TestMarkingPath:
         (5, ((1, 12),), {False}),
         (-1, ((3, 5), (B - 3, 2 * B)), {True, False}),
         (5, ((3, 5), (B - 3, 2 * B)), {True}),
+        (None, ((1, 400),), {False}),       # from norm 2, across sqrt X
+        (-1, ((1, 400),), {False}),
+        (None, ((300, B + 100),), {True, False}),   # across sqrt X, X / 2
+        (-1, ((300, B + 100),), {True}),
+        (5, ((300, B + 100),), {True}),
     ])
     def test_intervals(self, monkeypatch, m, intervals, forms):
         # Over quadratic fields a marked norm n adds h(n)/n.

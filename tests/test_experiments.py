@@ -9,7 +9,7 @@ import idealdensity as idd
 from idealdensity import cli, experiments as ex
 from idealdensity.errors import BoundsExceedX
 
-from conftest import int_family, peak_bytes
+from conftest import full_H_and_L, int_family, peak_bytes
 
 
 class TestPrimePowerFree:
@@ -115,7 +115,7 @@ class TestBesicovitch:
         # the weights h(n) and harmonic terms only in fixed-size blocks,
         # so far less than one 8-byte array of length X + 1.
         X = 10**6
-        assert idd.count_ideals(Qi, X).L[X] > 0     # warm: H and L cached
+        assert full_H_and_L(idd.count_ideals(Qi, X))[1][X] > 0  # warm counter
         ex.besicovitch_experiment(Qi, X=10**4)      # warm: lazy imports
         assert peak_bytes(ex.besicovitch_experiment, Qi, X=X) < 8 * (X + 1) / 2
 
