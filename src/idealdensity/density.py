@@ -296,9 +296,10 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
         w, counts, sums = gs / ns, [], []
         step = max(1, READ_POINTS // max(ns.size, 1))  # points per read
         for i in range(0, xs.size, step):
-            H, L = counter.sums_at(xs[i:i + step, None] // ns)
+            H, L = counter.sums_at(xs[i:i + step, None] // ns, logs)
             counts += (H @ gs).tolist()
-            sums += [float(row.sum()) for row in w * L]
+            if logs:
+                sums += [float(row.sum()) for row in w * L]
         return counts, sums if logs else None
     c = np.zeros(X + 1, dtype=bool)
     if isinstance(A, NormIntervalFamily):
@@ -332,37 +333,49 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
     return counts, prefix_sums_at(harmonic, xs) if logs else None
 
 
+#: Norms above sqrt X per block of ``_mark_interval_multiples``: its int64
+#: norms and their multiples take 256 KB, less than a block of the sums.
+_MARK_BLOCK = 1 << 14
+
+
 def _mark_interval_multiples(c: np.ndarray, intervals,
                              counter: NormCounter | None) -> None:
     """Mark on c every multiple <= X = c.size - 1 of the norms n in the
     intervals with h(n) > 0 (every n over Q, where counter is None).
 
     A norm n <= sqrt X marks its multiples by one strided write, unless a
-    divisor marked it already.  A larger norm has fewer than sqrt X
-    multiples, so the larger norms left unmarked are marked by one write
-    per multiplier m < sqrt X: at most 2 sqrt X steps in all.
+    divisor marked it already.  The larger norms are taken in blocks of
+    ``_MARK_BLOCK``: those of a block left unmarked are marked by one write
+    per multiplier m <= X // (the block's first norm), so about
+    sqrt X + (X / _MARK_BLOCK) log X steps in all, and no array longer than
+    a block beside c.
     """
     X = c.size - 1
-    parts = [np.empty(0, dtype=np.int64)]      # a family may have no interval
-    for lo, hi in intervals:
-        if counter is None:
-            parts.append(np.arange(lo + 1, min(hi, X) + 1))
-        else:
-            parts.append(np.flatnonzero(counter.h[lo + 1:min(hi, X) + 1])
-                         + lo + 1)
-    ns = np.sort(np.concatenate(parts))
     r = math.isqrt(X)
-    small = int(np.searchsorted(ns, r, side="right"))
-    for n in ns[:small].tolist():
-        if not c[n]:
+
+    def unmarked(lo, hi):
+        # The norms lo <= n < hi in the intervals, with h(n) > 0 and not
+        # marked yet, ascending.
+        keep = np.zeros(hi - lo, dtype=bool)
+        for a, b in intervals:
+            keep[max(a + 1 - lo, 0):max(b + 1 - lo, 0)] = True
+        keep &= ~c[lo:hi]
+        if counter is not None:
+            keep &= counter.h[lo:hi] != 0
+        return np.flatnonzero(keep) + lo
+
+    for n in unmarked(1, r + 1).tolist():
+        if not c[n]:            # else a divisor marked its multiples
             c[n::n] = True
-    large = ns[small:]
-    large = large[~c[large]]
-    for m in range(1, r + 1):
-        k = int(np.searchsorted(large, X // m, side="right"))
-        if not k:
-            break
-        c[large[:k] * m] = True
+    first = min((a for a, _ in intervals), default=0) + 1
+    top = min(max((b for _, b in intervals), default=0), X)
+    for lo in range(max(first, r + 1), top + 1, _MARK_BLOCK):
+        ns = unmarked(lo, min(lo + _MARK_BLOCK, top + 1))
+        for m in range(1, X // lo + 1):
+            k = int(np.searchsorted(ns, X // m, side="right"))
+            if not k:
+                break
+            c[ns[:k] * m] = True
 
 
 def _is_sparse(marks: np.ndarray) -> bool:

@@ -243,15 +243,16 @@ class NormCounter:
     """Exact ideal counts by norm up to X, in about 2.4 bytes per norm.
 
     ``h[k]`` is the number of ideals of norm k (h[0] = 0), in the smallest
-    signed integer type that holds 2 sqrt(X) >= d(k) >= h(k): int16 from
-    X = 4225 to X = 2.68e8.  The counts H(x) = #{a : N(a) <= x} and the
-    harmonic prefix L(x) = sum of h(k)/k over k <= x are kept only at the
-    checkpoints x = j * _STRIDE: ``H_checkpoints`` in the smallest integer
-    type that holds H(X) (int32 up to X = 10^8 at least), and
-    ``L_checkpoints`` as float64, added in ascending k.  ``sums_at`` adds
-    the at most _STRIDE - 1 terms past the checkpoint in ascending k, so
-    its H and L equal the running sums of one ``np.cumsum`` over all
-    norms bit for bit.  All three arrays are read-only.
+    signed integer type that holds 2 isqrt(X) >= d(k) >= h(k): int8 up to
+    X = 4095, int16 from X = 4096 to X = 2.68e8.  The counts
+    H(x) = #{a : N(a) <= x} and the harmonic prefix L(x) = sum of h(k)/k
+    over k <= x are kept only at the checkpoints x = j * _STRIDE:
+    ``H_checkpoints`` in the smallest signed integer type that holds them
+    (int32 up to X = 10^8 at least), and ``L_checkpoints`` as float64, added in
+    ascending k.  ``sums_at`` adds the at most _STRIDE - 1 terms past the
+    checkpoint in ascending k, so its H and L equal the running sums of
+    one ``np.cumsum`` over all norms bit for bit.  All three arrays are
+    read-only.
     """
 
     field: NumberField
@@ -269,9 +270,11 @@ class NormCounter:
         """h[lo:hi] for 1 <= lo <= hi <= X + 1, as a new int64 array."""
         return self.h[lo:hi].astype(np.int64)
 
-    def sums_at(self, ys) -> tuple[np.ndarray, np.ndarray]:
+    def sums_at(self, ys, logs: bool = True
+                ) -> tuple[np.ndarray, np.ndarray | None]:
         """H(y) and L(y) at each y of the integer array ys, 0 <= y <= X
-        (int64 and float64 arrays of the shape of ys).
+        (int64 and float64 arrays of the shape of ys); with ``logs`` false
+        only H, and None for L.
 
         For each point y = j * _STRIDE + r a gather holds the _STRIDE - 1
         counts after checkpoint j (norms past X read h(X) and are never
@@ -280,34 +283,31 @@ class NormCounter:
         terms h(k)/k, which adds them in ascending k.
         """
         ys = np.asarray(ys, dtype=np.int64)
-        H, L = np.empty(ys.shape, dtype=np.int64), np.empty(ys.shape)
+        H = np.empty(ys.shape, dtype=np.int64)
+        L = np.empty(ys.shape) if logs else None
         for i in range(0, ys.size, READ_POINTS):
             j, r = np.divmod(ys.reshape(-1)[i:i + READ_POINTS], _STRIDE)
             k = j * _STRIDE + _TAIL             # step, point
             np.minimum(k, self.X, out=k)
             hk = self.h[k]
-            t = np.empty((_STRIDE, j.size))
-            t[0] = self.L_checkpoints[j]
-            np.divide(hk, k, out=t[1:])
-            np.add.accumulate(t, axis=0, out=t)
             H.reshape(-1)[i:i + j.size] = self.H_checkpoints[j] + (
                 hk * (_TAIL <= r)).sum(axis=0)
-            L.reshape(-1)[i:i + j.size] = t[r, np.arange(j.size)]
+            if logs:
+                t = np.empty((_STRIDE, j.size))
+                t[0] = self.L_checkpoints[j]
+                np.divide(hk, k, out=t[1:])
+                np.add.accumulate(t, axis=0, out=t)
+                L.reshape(-1)[i:i + j.size] = t[r, np.arange(j.size)]
         return H, L
 
     def h_of(self, k: int) -> int:
         return int(self.h[k]) if k >= 1 else 0
 
     def H_of(self, x: int) -> int:
-        """H(x) for x <= X: the checkpoint at or below x plus the counts
-        after it (0 for x < 0)."""
+        """H(x) for x <= X, read by ``sums_at`` (0 for x < 0)."""
         if x > self.X:
             raise ValueError(f"H({x}) not computed (bound {self.X})")
-        if x < 0:
-            return 0
-        j = x // _STRIDE
-        return int(self.H_checkpoints[j]) + int(
-            self.h[j * _STRIDE + 1:x + 1].sum())
+        return int(self.sums_at([max(x, 0)], logs=False)[0][0])
 
 
 @lru_cache(maxsize=8)
@@ -327,7 +327,8 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
     """
     if X < 1:
         raise ValueError("X must be >= 1")
-    dtype = np.min_scalar_type(-2 * math.isqrt(X))   # h(k) <= d(k) <= 2 sqrt k
+    # h(k) <= d(k) <= 2 isqrt(k): a divisor pairs with one <= sqrt k.
+    dtype = np.min_scalar_type(-2 * math.isqrt(X) - 1)
     if K.is_rational:
         h = np.ones(X + 1, dtype=dtype)
         h[0] = 0
@@ -346,7 +347,7 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
         t[0] += L[j]
         L[j + 1:j + 1 + (hi - lo) // _STRIDE] = np.cumsum(
             t, out=t)[_STRIDE - 1::_STRIDE]
-    H = H.astype(np.min_scalar_type(-int(H[-1])))
+    H = H.astype(np.min_scalar_type(-int(H[-1]) - 1))  # holds the last one
     h.flags.writeable = H.flags.writeable = L.flags.writeable = False
     return NormCounter(field=K, X=X, h=h, H_checkpoints=H, L_checkpoints=L)
 

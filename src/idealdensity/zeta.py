@@ -179,7 +179,7 @@ def dedekind_zeta(K: NumberField, s: float, X: int) -> tuple[float, float]:
     else:
         xs = np.geomspace(max(1, X // 10), X, 32).astype(np.int64)
         xs = xs[run_starts(xs)].tolist()
-        H, _ = counter.sums_at(xs)
+        H, _ = counter.sums_at(xs, logs=False)
         c_upper = max(n / x for n, x in zip(H.tolist(), xs))
     tail_bound = 2.0 * c_upper * (s / (s - 1.0)) * X ** (1.0 - s)
     return value, tail_bound

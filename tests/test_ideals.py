@@ -318,7 +318,22 @@ class TestStoredCounts:
         with pytest.raises(ValueError):
             c.H_of(X + 1)
 
-    @pytest.mark.parametrize("X,dtype", [(4224, np.int8), (4225, np.int16)])
+    @pytest.mark.parametrize("m,X", [
+        (1, 128), (1, 159), (1, 32768), (1, 32799),
+        (13, 192), (13, 223), (-7, 27584), (-7, 27615)])
+    def test_checkpoints_at_the_edges_of_their_integer_type(self, m, X):
+        # The last checkpoint is 2^7 or 2^15: the first value past int8 or
+        # int16.
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        c = idd.ideals.count_ideals.__wrapped__(K, X)
+        H = np.cumsum(c.h, dtype=np.int64)
+        assert c.H_checkpoints[-1] == H[X // 32 * 32] in (1 << 7, 1 << 15)
+        H_read, L_read = c.sums_at(np.arange(X + 1), logs=False)
+        assert H_read.tolist() == H.tolist() and L_read is None
+        assert [c.H_of(y) for y in range(X - 40, X + 1)] == H[-41:].tolist()
+        assert idd.multiples_count(idd.unit_ideal(K), X, c) == H[X]
+
+    @pytest.mark.parametrize("X,dtype", [(4095, np.int8), (4096, np.int16)])
     def test_counts_at_the_edges_of_their_integer_type(self, Qi, X, dtype):
         # 2 isqrt(X) = 128 is the first bound past int8.
         c = idd.ideals.count_ideals.__wrapped__(Qi, X)
