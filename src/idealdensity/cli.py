@@ -162,12 +162,7 @@ def cmd_density(args) -> int:
         summary["A_r"] = [float(v) for v in seq]
         # No member of norm <= truncation: M_A is empty.
         summary["A"] = float(seq[-1]) if seq else 0.0
-    rows = [(report.sample_points[i], report.member_counts[i],
-             report.total_counts[i], float(report.natural_ratios[i]),
-             report.log_ratios[i])
-            for i in range(len(report.sample_points))]
-    write_csv(args.out, ("x", "multiple_count", "total_count",
-                         "natural_ratio", "log_ratio"), rows)
+    write_csv(args.out, *report.table())
     _write_summary(args, "density", summary)
     return EXIT_OK
 

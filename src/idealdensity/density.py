@@ -48,7 +48,6 @@ from .ideals import (
     NormCounter,
     count_ideals,
     enumerate_ideals,
-    make_ideal,
     prefix_sums_at,
     rational_harmonic_prefix,
 )
@@ -313,8 +312,7 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
         # A marked norm counts its h(n) ideals.
         if counter is None:
             return c[lo:hi]
-        h = counter.h_block(lo, hi)
-        return np.multiply(h, c[lo:hi], out=h)
+        return counter.h[lo:hi] * c[lo:hi]
 
     def harmonic(lo, hi):
         # An unmarked norm adds +0.0, which leaves the running sum as it
@@ -411,16 +409,15 @@ def restrict_family(A: AFamily, k: int) -> ExplicitFamily:
     if k < 0:
         raise ValueError("k must be >= 0")
     K = A.field
-    primes = first_prime_ideals(K, k)
     if isinstance(A, PrimePowerFamily):
-        members = [make_ideal(K, [(pr, A.l)]) for pr in primes
-                   if pr.norm ** A.l <= A.truncation]
+        members = A.first_members(k)
     elif isinstance(A, NormIntervalFamily):
         top = min(A.truncation, max(hi for _, hi in A.intervals))
-        members = [m for m in enumerate_ideals(K, top, primes)
+        members = [m for m in enumerate_ideals(K, top,
+                                               first_prime_ideals(K, k))
                    if A.norm_in_intervals(m.norm)]
     else:
-        allowed = set(primes)
+        allowed = set(first_prime_ideals(K, k))
         members = [m for m in A.working_members()
                    if all(pr in allowed for pr, _ in m.factors)]
     return ExplicitFamily(field=K, members=tuple(members))
@@ -480,6 +477,15 @@ class DensityReport:
     @property
     def delta_upper(self) -> float:
         return max(self.log_ratios[self.tail_start:])
+
+    def table(self) -> tuple[tuple[str, ...], list[tuple]]:
+        """The columns x, multiple_count, total_count, natural_ratio (as a
+        float) and log_ratio, and one row per sample point."""
+        return (("x", "multiple_count", "total_count", "natural_ratio",
+                 "log_ratio"),
+                list(zip(self.sample_points, self.member_counts,
+                         self.total_counts, map(float, self.natural_ratios),
+                         self.log_ratios)))
 
     def complement(self) -> "DensityReport":
         """Profile of the complement set; ratios satisfy M + V = 1 exactly."""

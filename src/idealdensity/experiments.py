@@ -47,19 +47,16 @@ def primepower_free_experiment(K: NumberField, l: int, X: int,
     v_report = m_report.complement()
     zeta_value, zeta_tail = dedekind_zeta(K, float(l), X)
     target = 1.0 / zeta_value
+    columns, rows = v_report.table()        # rows[i][3]: the natural ratio
     result = ExperimentResult(
         name="primepower-free",
         params={"field": K.label(), "l": l, "max_norm": X,
                 "zeta_truncated": zeta_value, "zeta_tail_bound": zeta_tail,
                 "natural_tol": NATURAL_TOL, "log_tol": LOG_TOL},
-        columns=("x", "free_count", "total_count", "natural_ratio",
-                 "log_ratio", "target", "deviation", "tolerance"))
-    for i, x in enumerate(v_report.sample_points):
-        nat = float(v_report.natural_ratios[i])
-        result.rows.append((x, v_report.member_counts[i],
-                            v_report.total_counts[i], nat,
-                            v_report.log_ratios[i], target,
-                            abs(nat - target), NATURAL_TOL))
+        columns=("x", "free_count", *columns[2:], "target", "deviation",
+                 "tolerance"),
+        rows=[row + (target, abs(row[3] - target), NATURAL_TOL)
+              for row in rows])
     final_nat = float(v_report.natural_ratios[-1])
     final_log = v_report.log_ratios[-1]
     result.summary = {
@@ -146,18 +143,13 @@ def besicovitch_experiment(K: NumberField, T0: int = 10, growth: int = 3,
     log_tail = list(report.log_ratios[tail:])
     oscillation = max(nat_tail) - min(nat_tail)
     log_variation = max(log_tail) - min(log_tail)
+    columns, rows = report.table()
     result = ExperimentResult(
         name="besicovitch",
         params={"field": K.label(), "T0": T0, "growth": growth,
                 "depth": depth, "max_norm": X,
                 "intervals": intervals, "oscillation_threshold": 0.01},
-        columns=("x", "multiple_count", "total_count", "natural_ratio",
-                 "log_ratio"))
-    for i, x in enumerate(report.sample_points):
-        result.rows.append((x, report.member_counts[i],
-                            report.total_counts[i],
-                            float(report.natural_ratios[i]),
-                            report.log_ratios[i]))
+        columns=columns, rows=rows)
     result.summary = {
         "natural_oscillation": oscillation,
         "log_variation": log_variation,

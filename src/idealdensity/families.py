@@ -141,21 +141,16 @@ class NormIntervalFamily(AFamily):
         return any(lo < n <= hi for lo, hi in self.intervals)
 
     def members_up_to(self, bound: int) -> list[Ideal]:
-        out: list[Ideal] = []
-        done = 0                    # norms <= done are taken already
+        """One enumeration up to the last interval end (clipped at bound)
+        where ``ideal_counts`` finds a norm, filtered by the intervals."""
+        top = 0
         for lo, hi in self.intervals:
-            lo, top = max(lo, done), min(hi, bound)
-            if lo >= top:
-                continue
-            done = top
-            H_lo, H_top = ideal_counts(self.field, [lo, top])
-            if H_lo == H_top:       # no ideal has its norm in (lo, top]
-                continue
-            for ideal in enumerate_ideals(self.field, top):
-                if lo < ideal.norm:
-                    out.append(ideal)
-        out.sort(key=Ideal.sort_key)
-        return out
+            hi = min(hi, bound)
+            H = ideal_counts(self.field, [lo, hi]) if lo < hi else [0, 0]
+            if H[0] < H[1]:         # an ideal has its norm in (lo, hi]
+                top = max(top, hi)
+        return [m for m in enumerate_ideals(self.field, top)
+                if self.norm_in_intervals(m.norm)] if top else []
 
     def first_members(self, r: int) -> list[Ideal]:
         """The first r members of norm <= truncation, norm by norm.

@@ -7,8 +7,9 @@ each can check the others.  ``ideal_count`` gives H(x) at one point in
 O(sqrt x) by the Dirichlet hyperbola method over zeta_K = zeta L(s, chi_D)
 (H(x) = x over Q), for callers that read a few points.  ``count_ideals``
 keeps the counts of a quadratic field up to X for callers that read
-them at many points: h is ``fields.euler_series`` over the prime-ideal
-norms (``fields.prime_norm_array``), the sieve that also builds the chi_D
+them at many points (the harmonic ideal sum reads h through the zeta
+terms h(k)/k^s): h is ``fields.euler_series`` over the prime-ideal norms
+(``fields.prime_norm_array``), the sieve that also builds the chi_D
 table, in about 2 bytes per norm, and H and the harmonic prefix L are
 kept at every 32nd norm and completed on read.  Over Q, where h = 1,
 hot paths need no counter at all: the harmonic prefix at a profile's
@@ -266,10 +267,6 @@ class NormCounter:
         """The full int64 array H[x], x <= X, built on each read (tests)."""
         return np.cumsum(self.h, dtype=np.int64)
 
-    def h_block(self, lo: int, hi: int) -> np.ndarray:
-        """h[lo:hi] for 1 <= lo <= hi <= X + 1, as a new int64 array."""
-        return self.h[lo:hi].astype(np.int64)
-
     def sums_at(self, ys, logs: bool = True
                 ) -> tuple[np.ndarray, np.ndarray | None]:
         """H(y) and L(y) at each y of the integer array ys, 0 <= y <= X
@@ -299,9 +296,6 @@ class NormCounter:
                 np.add.accumulate(t, axis=0, out=t)
                 L.reshape(-1)[i:i + j.size] = t[r, np.arange(j.size)]
         return H, L
-
-    def h_of(self, k: int) -> int:
-        return int(self.h[k]) if k >= 1 else 0
 
     def H_of(self, x: int) -> int:
         """H(x) for x <= X, read by ``sums_at`` (0 for x < 0)."""
@@ -484,19 +478,15 @@ def enumerate_ideals(K: NumberField, X: int,
     return found
 
 
-def multiples_count(a: Ideal, X: int, counter: NormCounter | None = None) -> int:
+def multiples_count(a: Ideal, X: int) -> int:
     """Number of ideals b with a | b and N(b) <= X.
 
-    Dividing out a is a norm-dividing bijection, so this is H(floor(X/N(a))).
+    Dividing out a is a norm-dividing bijection, so this is H(floor(X/N(a))),
+    read by ``ideal_count`` over the field of a.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
-    bound = X // a.norm
-    if bound < 1:
-        return 0
-    if counter is None or counter.X < bound:
-        return ideal_count(a.field, bound)
-    return counter.H_of(bound)
+    return ideal_count(a.field, X // a.norm)
 
 
 def estimate_residue_constant(K: NumberField, X: int,

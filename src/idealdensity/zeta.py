@@ -1,11 +1,13 @@
 """Harmonic ideal sums, partial Euler products and truncated Dedekind zeta.
 
-Partial Euler products are kept as exact rationals while the number of
-prime factors is small; beyond that they are summed in log space by
-``math.fsum`` over float64 arrays, which rounds the sum correctly, so the
-order and the chunks it is read in do not change it.  Every sum runs over
-blocks of norms or of prime ideals: no Python list or float array of
-length X is built beside the cached prime norms and ideal counts.
+The truncated zeta and the harmonic ideal sum (at s = 1) add the same
+terms h(k)/k^s.  Partial Euler products are kept as exact rationals
+while the number of prime factors is small; beyond that they are summed
+in log space by ``math.fsum`` over float64 arrays, which rounds the sum
+correctly, so the order and the chunks it is read in do not change it.
+Every sum runs over blocks of norms or of prime ideals: no Python list
+or float array of length X is built beside the cached prime norms and
+ideal counts.
 """
 
 from __future__ import annotations
@@ -107,26 +109,36 @@ def partial_euler_product(K: NumberField, k: int | None = None,
     return _euler_product(K, norms, _log_factors(norms), norms.size, None)
 
 
+def _zeta_terms(K: NumberField, X: int, s: float):
+    """The field's cached counter up to X (None over Q, where h = 1) and
+    terms(i, j), a new float64 array of h(k)/k^s for k = i + 1, ..., j."""
+    counter = None if K.is_rational else count_ideals(K, X)
+
+    def terms(i, j):
+        # k^s overflows to inf, and the term to 0, only where
+        # h(k)/k^s < 1e-300: far below the last bit of a sum >= 1, so the
+        # overflow is not worth a warning.
+        t = np.arange(i + 1, j + 1, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            np.power(t, s, out=t)
+        if counter is None:
+            return np.divide(1.0, t, out=t)
+        return np.divide(counter.h[i + 1:j + 1], t, out=t)
+
+    return counter, terms
+
+
 def harmonic_ideal_sum(K: NumberField, x: int) -> float:
     """Exact finite sum of 1/N(a) over ideals of norm <= x, correctly
-    rounded by ``math.fsum``: h(k)/k over the norms k with h(k) > 0, read
-    block by block (1/k over Q, where h = 1 and no counter is built)."""
+    rounded by ``math.fsum``: the zeta terms h(k)/k^s at s = 1, read block
+    by block, with the zero terms (h(k) = 0) left out."""
     if x < 1:
         raise ValueError("x must be >= 1")
     x = int(x)
-    counter = None if K.is_rational else count_ideals(K, x)
-
-    def terms(lo, hi):
-        if counter is None:
-            t = np.arange(lo, hi, dtype=np.float64)
-            return np.divide(1.0, t, out=t)
-        h = counter.h[lo:hi]
-        nz = np.flatnonzero(h)
-        return h[nz] / (nz + lo)
-
+    _, terms = _zeta_terms(K, x, 1.0)
+    blocks = (terms(lo - 1, hi - 1) for lo, hi in norm_blocks(x))
     return math.fsum(chain.from_iterable(
-        part for lo, hi in norm_blocks(x)
-        for part in _chunks(terms(lo, hi))))
+        part for t in blocks for part in _chunks(t[t != 0])))
 
 
 def mertens_ratio(K: NumberField, cutoff: int) -> float:
@@ -160,19 +172,7 @@ def dedekind_zeta(K: NumberField, s: float, X: int) -> tuple[float, float]:
         raise SNotGreaterThanOne("truncated zeta sums require s > 1")
     if X < 10:
         raise ValueError("X must be >= 10")
-    counter = None if K.is_rational else count_ideals(K, X)
-
-    def terms(i, j):
-        # h(k)/k^s for the norms k = i + 1, ..., j.  k^s overflows to inf,
-        # and the term to 0, only where h(k)/k^s < 1e-300: far below the
-        # last bit of a sum >= 1, so the overflow is not worth a warning.
-        t = np.arange(i + 1, j + 1, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            np.power(t, s, out=t)
-        if counter is None:
-            return np.divide(1.0, t, out=t)
-        return np.divide(counter.h[i + 1:j + 1], t, out=t)
-
+    counter, terms = _zeta_terms(K, X, s)
     value = pairwise_sum(terms, X)
     if counter is None:
         c_upper = 1.0

@@ -7,14 +7,17 @@ above 1 included.  So is the fact that norm-interval families rest on:
 the divisor norms of an ideal depend on its norm alone.  The prime-norm
 arrays and the numpy ideal-count sieve beneath it are checked against
 scalar splitting, enumeration and the Gaussian lattice count, the
-hyperbola point counts against the sieve, and the in-house factorization
-against sympy.  The gcd/lcm norm identity, divisibility and the
+hyperbola point counts against the sieve, the signed lcm terms of
+``density._ie_terms`` against inclusion-exclusion over every subset, and
+the in-house factorization against sympy.  The gcd/lcm norm identity, divisibility and the
 complement identity of profiles are property-checked on the same fields.
 """
 
 import bisect
 import functools
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import idealdensity as idd
 from idealdensity import fields as fields_module
+from idealdensity.density import _ie_terms
 from idealdensity.errors import DuplicateMembers, TooLarge
 from idealdensity.ideals import (
     enumeration_norm_counts,
@@ -171,6 +175,31 @@ def test_entangled_family_over_the_cap_counts_exactly(K, X):
                                                           len(all_norms))
     assert_matches_brute_force(idd.density_profile(fam, X=X), K,
                                fam.is_multiple)
+
+
+def subset_ie_terms(members, X):
+    """The (N(l), c) of inclusion-exclusion over every nonempty subset S of
+    the members, c the sum of (-1)^(|S| + 1) over the subsets whose lcm is
+    l, keeping the l of norm <= X with c != 0, sorted."""
+    coeff = {}
+    for r in range(1, len(members) + 1):
+        for subset in itertools.combinations(members, r):
+            lcm = idd.intersect(subset)
+            coeff[lcm] = coeff.get(lcm, 0) + (-1) ** (r + 1)
+    return sorted((l.norm, c) for l, c in coeff.items() if c and l.norm <= X)
+
+
+@pytest.mark.parametrize("m", [None, -1, 5, -5, -3, 2, -14])
+def test_ie_terms_match_subset_inclusion_exclusion(m):
+    # Pools of every ideal (the unit too) of norm <= 60, where members
+    # share primes and their lcms cancel, and of norm <= 400.
+    K, rng = field(m), random.Random(m)
+    for bound in (60, 400):
+        pool = idd.enumerate_ideals(K, bound)
+        for X in (40, 1000, 10**6):
+            for _ in range(8):
+                members = rng.sample(pool, rng.randint(1, 10))
+                assert _ie_terms(members, X) == subset_ie_terms(members, X)
 
 
 @pytest.mark.parametrize("m", [None, -1, -5, 5])

@@ -321,7 +321,7 @@ class TestDensityProfile:
         counter = idd.count_ideals(Qi, 10**4)
         assert rep.total_counts[-1] == counter.H_of(10**4)
         assert rep.member_counts[-1] == idd.multiples_count(
-            fam.members[0], 10**4, counter)
+            fam.members[0], 10**4)
 
     def test_complement_identity(self, Q):
         rep = idd.density_profile(int_family(Q, 2, 3), X=5000)
@@ -477,7 +477,7 @@ class TestBlockedSums:
                                      intervals=((4, 9), (B - 3, B + 2)))
         marked = np.zeros(X + 1, dtype=bool)
         for n in range(1, X + 1):
-            if counter.h_of(n) and any(lo < n <= hi
+            if counter.h[n] and any(lo < n <= hi
                                        for lo, hi in fam.intervals):
                 marked[n::n] = True
         weights = counter.h * marked

@@ -1,8 +1,10 @@
-"""The benchmark's CLI jobs reproduce the digests in ``bench/golden.json``.
+"""The benchmark's CLI jobs and its squarefree sweep operation reproduce
+the digests in ``bench/golden.json``.
 
 The argument lists are read from ``CLI_JOBS`` in ``bench/run.py`` and the
-digests are normalised as its ``output_digests`` does, so this is the
-benchmark's output check run in-process.  Only files under ``bench/`` are
+digests are normalised as its ``output_digests`` does; the squarefree
+digest is computed as ``bench/sweep.py`` computes it.  So these are the
+benchmark's output checks run in-process.  Only files under ``bench/`` are
 read; nothing there is imported or written.
 """
 
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import idealdensity as idd
 from idealdensity import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -31,7 +34,8 @@ def _cli_jobs() -> dict:
 
 
 CLI_JOBS = _cli_jobs()
-GOLDEN = json.loads((BENCH / "golden.json").read_text())["cli"]
+GOLDEN_DOC = json.loads((BENCH / "golden.json").read_text())
+GOLDEN = GOLDEN_DOC["cli"]
 
 
 def _digests(out: Path) -> tuple[str, str]:
@@ -52,3 +56,17 @@ def test_cli_job_matches_golden_digests(name, tmp_path):
     gold = GOLDEN[name]
     assert code == gold["exit_code"]
     assert _digests(out) == (gold["csv_sha256"], gold["summary_sha256"])
+
+
+def test_squarefree_sweep_matches_golden_digest():
+    # bench/sweep.py: SQUAREFREE_R = 168 and SWEEP_X = 3 * 10**5; the
+    # digest is the sha256 of the repr of the tuple of A_168 and B_168 as
+    # strings, the member counts and the log ratios of the profile.
+    fam = idd.parse_family({"field": "Q", "kind": "prime_powers", "l": 2})
+    seq = idd.a_limit(fam, r_max=168)
+    mult = idd.multiplicative_density(fam, k=168)
+    report = idd.density_profile(fam, X=3 * 10**5)
+    parts = (str(seq[-1]), str(mult.b_k), report.member_counts,
+             report.log_ratios)
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == GOLDEN_DOC[
+        "squarefree"]

@@ -39,10 +39,13 @@ class TestHarmonicIdealSum:
                                  if h[k])
             assert idd.harmonic_ideal_sum(K, x) == expected
 
-    def test_memory_is_bounded(self, Q):
+    def test_memory_is_bounded(self, Q, Qi):
         # Blocks of norms, not a list of x floats (53 MB at 10^6).
         idd.harmonic_ideal_sum(Q, 10**4)
         assert peak_bytes(idd.harmonic_ideal_sum, Q, 10**6) < 2 * 10**6
+        # Over Q(i) the terms of a block are built beside the warm counter.
+        idd.harmonic_ideal_sum(Qi, 10**6)
+        assert peak_bytes(idd.harmonic_ideal_sum, Qi, 10**6) < 2 * 10**6
 
 
 class TestEulerProductsAt:
@@ -222,7 +225,7 @@ def _dedekind_zeta_reference(K, s, X):
     else:
         counter = idd.count_ideals(K, X)
         for lo, hi in norm_blocks(X):
-            np.divide(counter.h_block(lo, hi), ks[lo - 1:hi - 1],
+            np.divide(counter.h[lo:hi], ks[lo - 1:hi - 1],
                       out=ks[lo - 1:hi - 1])
         xs = np.geomspace(max(1, X // 10), X, 32).astype(np.int64)
         c_upper = max(counter.H_of(x) / x
