@@ -43,7 +43,6 @@ from .families import (
 )
 from .fields import NumberField, first_prime_ideals, sample_grid
 from .ideals import (
-    READ_POINTS,
     Ideal,
     NormCounter,
     count_ideals,
@@ -51,7 +50,6 @@ from .ideals import (
     prefix_sums_at,
     rational_harmonic_prefix,
 )
-from .zeta import EulerProductState, partial_euler_product
 
 #: Most work one exact density may do, counted in generator comparisons.
 #: Grouping a generator by one of its primes takes as long as about 16.
@@ -280,8 +278,8 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
     X = xs[-1]; over Q, where h = 1, it is None.  Over quadratic fields,
     explicit and prime-power families add g * H(x // n) to the count and
     g/n * L(x // n) to the harmonic sum for each lcm term (n, g), read
-    from the counter for about ``READ_POINTS`` points (x, n) at a time, or
-    one x at a time when there are more terms.  Every other family marks
+    from the counter in one ``sums_at`` read of every point (x, n), which
+    gathers a bounded number of points at a time.  Every other family marks
     norms: the multiples of its members' norms, or of each n with
     h(n) > 0 in a norm interval.  Marks are added in ascending norm order,
     the same floats as adding 1/N(b) member by member.  With ``logs``
@@ -292,14 +290,9 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
         terms = _ie_terms(A.members_up_to(X), X)
         ns = np.array([n for n, _ in terms], dtype=np.int64)
         gs = np.array([g for _, g in terms], dtype=np.int64)
-        w, counts, sums = gs / ns, [], []
-        step = max(1, READ_POINTS // max(ns.size, 1))  # points per read
-        for i in range(0, xs.size, step):
-            H, L = counter.sums_at(xs[i:i + step, None] // ns, logs)
-            counts += (H @ gs).tolist()
-            if logs:
-                sums += [float(row.sum()) for row in w * L]
-        return counts, sums if logs else None
+        H, L = counter.sums_at(xs[:, None] // ns, logs)
+        sums = [float(row.sum()) for row in gs / ns * L] if logs else None
+        return (H @ gs).tolist(), sums
     c = np.zeros(X + 1, dtype=bool)
     if isinstance(A, NormIntervalFamily):
         _mark_interval_multiples(c, A.intervals, counter)
@@ -425,10 +418,10 @@ def restrict_family(A: AFamily, k: int) -> ExplicitFamily:
 
 @dataclass(frozen=True)
 class MultDensityState:
-    """B_k = dens(M_{A'}) for the restriction A' to the first k primes."""
+    """B_k = dens(M_{A'}) and the members of A', the restriction of A to
+    the first k primes (their Euler product: ``partial_euler_product``)."""
 
     k: int
-    euler_product: EulerProductState
     b_k: Fraction
     restricted_members: tuple[Ideal, ...]
 
@@ -436,8 +429,8 @@ class MultDensityState:
 def multiplicative_density(A: AFamily, k: int) -> MultDensityState:
     """Multiplicative density step B_k, computed exactly as dens(M_{A'})."""
     restricted = restrict_family(A, k)
-    return MultDensityState(k, partial_euler_product(A.field, k=k),
-                            finite_ie_density(restricted), restricted.members)
+    return MultDensityState(k, finite_ie_density(restricted),
+                            restricted.members)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ order with the global deterministic tie-break.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import islice
 
 from .errors import FamilySpecError, FieldMismatch
 from .fields import (NumberField, first_prime_ideals, parse_field,
                      primes_up_to_norm, split_prime)
-from .ideals import Ideal, divides, enumerate_ideals, integer_ideal, make_ideal
-from .ideals import ideal_counts, ideals_of_norm
+from .ideals import Ideal, divides, ideals_of_norm, integer_ideal, make_ideal
 
 #: Default truncation norm used to make rule-based families finite.
 DEFAULT_TRUNCATION = 10**6
@@ -124,7 +124,9 @@ class PrimePowerFamily(AFamily):
 
 @dataclass(frozen=True)
 class NormIntervalFamily(AFamily):
-    """All ideals with norm in a union of half-open intervals (lo, hi]."""
+    """All ideals with norm in a union of half-open intervals (lo, hi].
+    Membership depends on the norm alone: every member list walks the norms
+    in the intervals, each norm's ideals built from its factorization."""
 
     field: NumberField
     intervals: tuple[tuple[int, int], ...]
@@ -140,33 +142,20 @@ class NormIntervalFamily(AFamily):
     def norm_in_intervals(self, n: int) -> bool:
         return any(lo < n <= hi for lo, hi in self.intervals)
 
-    def members_up_to(self, bound: int) -> list[Ideal]:
-        """One enumeration up to the last interval end (clipped at bound)
-        where ``ideal_counts`` finds a norm, filtered by the intervals."""
-        top = 0
-        for lo, hi in self.intervals:
-            hi = min(hi, bound)
-            H = ideal_counts(self.field, [lo, hi]) if lo < hi else [0, 0]
-            if H[0] < H[1]:         # an ideal has its norm in (lo, hi]
-                top = max(top, hi)
-        return [m for m in enumerate_ideals(self.field, top)
-                if self.norm_in_intervals(m.norm)] if top else []
-
-    def first_members(self, r: int) -> list[Ideal]:
-        """The first r members of norm <= truncation, norm by norm.
-
-        Each norm n in the intervals is read once, in ascending order, and
-        its ideals come from the factorization of n, so no ideal outside
-        the intervals is enumerated.
-        """
-        out: list[Ideal] = []
+    def _walk(self, bound: int):
+        # The ideals of each norm n <= bound in the intervals, n ascending.
         n = 1
         for lo, hi in self.intervals:
             n = max(n, lo + 1)
-            while n <= min(hi, self.truncation) and len(out) < r:
-                out += ideals_of_norm(self.field, n)
+            while n <= min(hi, bound):
+                yield from ideals_of_norm(self.field, n)
                 n += 1
-        return out[:r]
+
+    def members_up_to(self, bound: int) -> list[Ideal]:
+        return list(self._walk(bound))
+
+    def first_members(self, r: int) -> list[Ideal]:
+        return list(islice(self._walk(self.truncation), r))
 
     def is_multiple(self, b: Ideal) -> bool:
         self._check_field(b)

@@ -337,7 +337,8 @@ def _prime_norms(K: NumberField, X: int) -> np.ndarray:
 @lru_cache(maxsize=16)
 def prime_norm_array(K: NumberField, X: int) -> np.ndarray:
     """Norms of the prime ideals of O_K of norm <= X, one entry per prime
-    ideal, ascending (read-only int64 array)."""
+    ideal, ascending (read-only int64 array): the one caller of the sieve.
+    Every list of prime ideals or of their norms reads this cache."""
     if X < 1:
         raise ValueError("X must be >= 1")
     norm = _prime_norms(K, X)
@@ -353,9 +354,7 @@ def primes_up_to_norm(K: NumberField, X: int) -> tuple[PrimeIdeal, ...]:
     repeated norm is the second ideal above a split p, and p ramifies when
     it divides the discriminant.
     """
-    if X < 1:
-        raise ValueError("X must be >= 1")
-    norm = _prime_norms(K, X)
+    norm = prime_norm_array(K, X)
     root = np.sqrt(norm).astype(np.int64)       # exact for squares < 2^53
     f = np.where(root * root == norm, 2, 1)
     p = np.where(f == 2, root, norm)
@@ -444,11 +443,11 @@ def kronecker_table(K: NumberField, n: int) -> tuple[np.ndarray, np.ndarray]:
 def first_prime_norms(K: NumberField, k: int,
                       bound: int | None = None) -> np.ndarray:
     """Norms of the first k prime ideals in the global numbering, ascending
-    (int64); with ``bound``, only those of norm <= bound, so fewer than k
-    when the bound is reached first."""
+    (read-only int64); with ``bound``, only those of norm <= bound, so
+    fewer than k when the bound is reached first."""
     top = 64
-    while len(norm := _prime_norms(K, top)) < k and (bound is None
-                                                     or top < bound):
+    while len(norm := prime_norm_array(K, top)) < k and (bound is None
+                                                         or top < bound):
         top *= 4
     if bound is not None:
         k = min(k, int(np.searchsorted(norm, bound, side="right")))

@@ -18,7 +18,8 @@ import idealdensity as idd
 from idealdensity import density
 from idealdensity.errors import TooLarge
 
-from conftest import box_density, random_explicit_family
+from conftest import (box_density, int_family, random_explicit_family,
+                      trial_division_primes)
 
 ORACLE_FIELDS = [None, -1, 5, -5, -3, 2, -14]
 
@@ -56,6 +57,17 @@ def test_box_oracle_on_a_closed_form(Q):
     members = [idd.integer_ideal(Q, 2 * p) for p in odd]
     assert box_density(members) == Fraction(1, 2) * (
         1 - math.prod(Fraction(p - 1, p) for p in odd))
+
+
+def test_many_coprime_members_match_their_closed_forms(Q):
+    # Coprime members are blocks of one member each; one slicing pass over
+    # all of them at once would be O(r^2) against WORK_LIMIT.
+    squares = idd.PrimePowerFamily(field=Q, l=2, truncation=10**8)
+    assert idd.finite_ie_density(squares) == 1 - math.prod(
+        1 - Fraction(1, p * p) for p in trial_division_primes(10**4))
+    primes = trial_division_primes(30000)
+    assert idd.finite_ie_density(int_family(Q, *primes)) == 1 - math.prod(
+        Fraction(p - 1, p) for p in primes)
 
 
 def test_work_bound_raises_too_large(Q, monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -88,36 +89,54 @@ class TestNormIntervalFamily:
         with pytest.raises(FamilySpecError):
             idd.NormIntervalFamily(field=Q, intervals=((20, 10),))
 
-    def test_interval_without_ideal_norms_enumerates_nothing(
-            self, Qi, monkeypatch):
-        # 299999 = 3 (mod 4) is no norm in Q(i); H shows it in O(sqrt x).
+    def test_walk_reads_only_norms_in_the_intervals(self, Qi, monkeypatch):
+        # 299999 = 3 (mod 4) is no norm in Q(i): its interval adds nothing.
         fam = idd.NormIntervalFamily(field=Qi, intervals=((299998, 299999),
                                                          (1, 2)))
-        bounds = []
-        enumerate_ideals = families.enumerate_ideals
-        monkeypatch.setattr(families, "enumerate_ideals",
-                            lambda K, X: bounds.append(X)
-                            or enumerate_ideals(K, X))
+        seen = []
+        ideals_of_norm = families.ideals_of_norm
+        monkeypatch.setattr(families, "ideals_of_norm",
+                            lambda K, n: seen.append(n)
+                            or ideals_of_norm(K, n))
         assert [m.norm for m in fam.members_up_to(10**6)] == [2]
-        assert bounds == [2]
+        assert [m.norm for m in fam.first_members(3)] == [2]
+        assert all(fam.norm_in_intervals(n) for n in seen)
+        assert seen == [2, 299999] * 2
 
-
-    @pytest.mark.parametrize("m", [1, -1, 5, -5])
+    @pytest.mark.parametrize("m", [1, -1, 5, -5, -3])
     def test_first_members_match_enumeration(self, m):
+        # The oracle enumerates every ideal of norm <= top and keeps those
+        # with norm in the intervals; the walk reads only those norms.
         K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
-        fam = idd.NormIntervalFamily(
-            field=K, intervals=((3, 9), (6, 12), (40, 60), (300, 400)),
-            truncation=350)
-        members = fam.members_up_to(fam.truncation)
-        for r in (1, 5, 17, len(members), len(members) + 5):
-            assert fam.first_members(r) == members[:r]
+        top = 400
+        ideals = idd.enumerate_ideals(K, top)
+        norms = {b.norm for b in ideals}
+        rng = random.Random(1000 + m)
+        cases = [((3, 9), (6, 12), (40, 60), (300, 400)),     # overlapping
+                 ((10, 20), (20, 30), (30, 45), (45, 46))]    # adjacent
+        gap = next((n for n in range(2, top) if n not in norms), None)
+        if gap is not None:             # an interval holding no norm
+            cases.append(((gap - 1, gap), (50, 70)))
+        cases += [tuple((lo, lo + rng.randint(1, 60))
+                        for lo in rng.sample(range(1, top - 60), 3))
+                  for _ in range(4)]
+        for intervals in cases:
+            fam = idd.NormIntervalFamily(field=K, intervals=intervals,
+                                         truncation=rng.randint(1, top))
+            oracle = [b for b in ideals if fam.norm_in_intervals(b.norm)]
+            for bound in (1, 8, 25, 55, 350, fam.truncation, top):
+                assert fam.members_up_to(bound) == [
+                    b for b in oracle if b.norm <= bound]
+            working = [b for b in oracle if b.norm <= fam.truncation]
+            for r in (0, 1, 5, 17, len(working), len(working) + 5):
+                assert fam.first_members(r) == working[:r]
 
     def test_a_limit_reads_norms_not_enumeration(self, Qi, monkeypatch):
         def refuse(K, X):
             raise AssertionError("ideals enumerated")
 
         fam = idd.NormIntervalFamily(field=Qi, intervals=((100000, 300000),))
-        monkeypatch.setattr(families, "enumerate_ideals", refuse)
+        monkeypatch.setattr(idd.NormIntervalFamily, "members_up_to", refuse)
         seq = idd.a_limit(fam, 8)
         monkeypatch.undo()
         members = [idd.make_ideal(Qi, m.factors)

@@ -232,6 +232,27 @@ class TestPrimeNumbering:
         small = idd.primes_up_to_norm(K, 80)
         assert tuple(pr for pr in big if pr.norm <= 80) == small
 
+    @pytest.mark.parametrize("m", [1, -1])
+    def test_first_primes_sieve_once_per_bound(self, m, monkeypatch):
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        calls = []
+        sieve = fields_module._prime_norms
+        monkeypatch.setattr(fields_module, "_prime_norms",
+                            lambda K, X: calls.append(X) or sieve(K, X))
+        fields_module.prime_norm_array.cache_clear()
+        idd.primes_up_to_norm.cache_clear()
+
+        def one_round():
+            first_prime_ideals(K, 100)
+            fields_module.first_prime_norms(K, 100)
+
+        one_round()
+        first = list(calls)
+        one_round()
+        one_round()
+        assert calls == first                   # the later rounds read caches
+        assert len(set(first)) == len(first)    # one sieve per bound
+
     def test_first_prime_ideals_adds_one_cache_entry(self, Q):
         idd.primes_up_to_norm.cache_clear()
         primes = first_prime_ideals(Q, 100)

@@ -5,7 +5,8 @@ The argument lists are read from ``CLI_JOBS`` in ``bench/run.py`` and the
 digests are normalised as its ``output_digests`` does; the squarefree
 digest is computed as ``bench/sweep.py`` computes it.  So these are the
 benchmark's output checks run in-process.  Only files under ``bench/`` are
-read; nothing there is imported or written.
+read; nothing there is imported or written.  The lcm-term path over
+quadratic fields, which no benchmark job digests, is pinned inline.
 """
 
 from __future__ import annotations
@@ -70,3 +71,15 @@ def test_squarefree_sweep_matches_golden_digest():
              report.log_ratios)
     assert hashlib.sha256(repr(parts).encode()).hexdigest() == GOLDEN_DOC[
         "squarefree"]
+
+
+def test_quadratic_lcm_term_profiles_match_pinned_digest():
+    # Prime-power profiles over quadratic fields count their multiples
+    # from lcm terms and the counter's H and L; every float is pinned.
+    rows = []
+    for m, l in [(-1, 2), (5, 2), (-5, 3)]:
+        fam = idd.PrimePowerFamily(idd.make_quadratic_field(m), l)
+        r = idd.density_profile(fam, X=10**6)
+        rows.append((r.member_counts, [x.hex() for x in r.log_ratios]))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "066abc2cf094fb24e592a2771159292211f06d9f39bf33446dbdde5751dc4b6c")
