@@ -131,9 +131,9 @@ def cmd_count(args) -> int:
 
 def cmd_mertens(args) -> int:
     K = parse_field(args.field)
-    try:
+    if K.is_imaginary_quadratic:
         alpha = analytic_residue_imag_quadratic(K)
-    except IdealDensityError:
+    else:
         x = min(args.cutoff, 10**6)
         alpha = ideal_count(K, x) / x
     target = mertens_target(alpha)

@@ -290,7 +290,7 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
         terms = _ie_terms(A.members_up_to(X), X)
         ns = np.array([n for n, _ in terms], dtype=np.int64)
         gs = np.array([g for _, g in terms], dtype=np.int64)
-        H, L = counter.sums_at(xs[:, None] // ns, logs)
+        H, L = counter.sums_at(xs[:, None] // ns)
         sums = [float(row.sum()) for row in gs / ns * L] if logs else None
         return (H @ gs).tolist(), sums
     c = np.zeros(X + 1, dtype=bool)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import zip_longest
 
 from .density import a_limit, density_profile, multiplicative_density
 from .errors import BoundsExceedX
@@ -91,13 +92,9 @@ def main_theorem_experiment(A: AFamily, X: int = 10**6, k_max: int = 8,
                 "k_max": k_max, "r_max": r_max,
                 "natural_tol": NATURAL_TOL, "log_tol": LOG_TOL},
         columns=("index", "a_r", "b_k", "log_ratio_x", "log_ratio"))
-    for i in range(max(len(a_seq), len(b_states), len(report.sample_points))):
-        result.rows.append((
-            i + 1,
-            float(a_seq[i]) if i < len(a_seq) else "",
-            float(b_states[i].b_k) if i < len(b_states) else "",
-            report.sample_points[i] if i < len(report.sample_points) else "",
-            report.log_ratios[i] if i < len(report.sample_points) else ""))
+    result.rows = [(i, *row) for i, row in enumerate(zip_longest(
+        map(float, a_seq), (float(s.b_k) for s in b_states),
+        report.sample_points, report.log_ratios, fillvalue=""), start=1)]
     result.summary = {
         "a_r_final": a_final, "b_k_final": b_final,
         "log_ratio_final": log_final,

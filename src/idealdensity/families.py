@@ -22,14 +22,13 @@ DEFAULT_TRUNCATION = 10**6
 
 
 def _integer_root(n: int, k: int) -> int:
-    """Largest r with r**k <= n."""
-    if k == 1:
-        return n
-    r = int(round(n ** (1.0 / k)))
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
+    """Largest r with r**k <= n (0 for n < 1): Newton steps on integers,
+    down from 2^ceil(bits(n)/k) > root, never below it (AM-GM)."""
+    if n < 1:
+        return 0
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
     return r
 
 

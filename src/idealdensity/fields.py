@@ -97,9 +97,10 @@ _MR_LIMIT = 3317044064679887385961981
 #: their int64 temporaries take 32 KB each.
 _SIEVE_BLOCK = 1 << 17
 _PIECE = _SIEVE_BLOCK // 32
-#: factorint divides by every integer up to this bound before testing
-#: the cofactor for primality.
+#: Work bounds on outside input: the trial divisors of factorint, and |D|
+#: in the class number, which takes about |D|/3 steps (seconds at 10^8).
 _TRIAL_LIMIT = 10**6
+_CLASS_NUMBER_LIMIT = 10**8
 
 
 def isprime(n: int) -> bool:
@@ -475,13 +476,17 @@ def is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=16)
 def class_number_imag_quadratic(D: int) -> int:
     """Class number h(D) by counting reduced binary quadratic forms.
 
     Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
+    Cached; about |D|/3 steps, so TooLarge above _CLASS_NUMBER_LIMIT.
     """
     if D >= 0:
         raise NotNegative(f"D={D} must be negative")
+    if -D > _CLASS_NUMBER_LIMIT:
+        raise TooLarge(f"class number: |D| = {-D} > {_CLASS_NUMBER_LIMIT}")
     if not is_fundamental_discriminant(D):
         raise NotFundamental(f"D={D} is not a fundamental discriminant")
     h = 0

@@ -54,7 +54,7 @@ class Ideal:
     norm: int
 
     def sort_key(self):
-        return (self.norm, tuple((pr, e) for pr, e in self.factors))
+        return (self.norm, self.factors)
 
     @property
     def is_unit(self) -> bool:
@@ -99,16 +99,11 @@ def make_ideal(K: NumberField, factors: Iterable[tuple[PrimeIdeal, int]]) -> Ide
 
 
 def integer_ideal(K: NumberField, n: int) -> Ideal:
-    """The ideal (n) of a rational field K=Q, from the factorization of n."""
+    """The ideal (n) over Q: its one ideal of norm n (ValueError if n < 1)."""
     if not K.is_rational:
         raise FieldMismatch("integer_ideal is only defined over Q")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    factors = []
-    for p, e in factorint(n).items():
-        (pr, _), = split_prime(K, p)
-        factors.append((pr, e))
-    return make_ideal(K, factors)
+    (ideal,) = ideals_of_norm(K, n)
+    return ideal
 
 
 def _check_same_field(a: Ideal, b: Ideal) -> None:
@@ -267,11 +262,9 @@ class NormCounter:
         """The full int64 array H[x], x <= X, built on each read (tests)."""
         return np.cumsum(self.h, dtype=np.int64)
 
-    def sums_at(self, ys, logs: bool = True
-                ) -> tuple[np.ndarray, np.ndarray | None]:
+    def sums_at(self, ys) -> tuple[np.ndarray, np.ndarray]:
         """H(y) and L(y) at each y of the integer array ys, 0 <= y <= X
-        (int64 and float64 arrays of the shape of ys); with ``logs`` false
-        only H, and None for L.
+        (int64 and float64 arrays of the shape of ys).
 
         For each point y = j * _STRIDE + r a gather holds the _STRIDE - 1
         counts after checkpoint j (norms past X read h(X) and are never
@@ -281,7 +274,7 @@ class NormCounter:
         """
         ys = np.asarray(ys, dtype=np.int64)
         H = np.empty(ys.shape, dtype=np.int64)
-        L = np.empty(ys.shape) if logs else None
+        L = np.empty(ys.shape)
         for i in range(0, ys.size, READ_POINTS):
             j, r = np.divmod(ys.reshape(-1)[i:i + READ_POINTS], _STRIDE)
             k = j * _STRIDE + _TAIL             # step, point
@@ -289,19 +282,18 @@ class NormCounter:
             hk = self.h[k]
             H.reshape(-1)[i:i + j.size] = self.H_checkpoints[j] + (
                 hk * (_TAIL <= r)).sum(axis=0)
-            if logs:
-                t = np.empty((_STRIDE, j.size))
-                t[0] = self.L_checkpoints[j]
-                np.divide(hk, k, out=t[1:])
-                np.add.accumulate(t, axis=0, out=t)
-                L.reshape(-1)[i:i + j.size] = t[r, np.arange(j.size)]
+            t = np.empty((_STRIDE, j.size))
+            t[0] = self.L_checkpoints[j]
+            np.divide(hk, k, out=t[1:])
+            np.add.accumulate(t, axis=0, out=t)
+            L.reshape(-1)[i:i + j.size] = t[r, np.arange(j.size)]
         return H, L
 
     def H_of(self, x: int) -> int:
-        """H(x) for x <= X, read by ``sums_at`` (0 for x < 0)."""
+        """H(x) for x <= X, a one-point ``sums_at`` read (0 for x < 0)."""
         if x > self.X:
             raise ValueError(f"H({x}) not computed (bound {self.X})")
-        return int(self.sums_at([max(x, 0)], logs=False)[0][0])
+        return int(self.sums_at([max(x, 0)])[0][0])
 
 
 @lru_cache(maxsize=8)
@@ -346,10 +338,8 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
     return NormCounter(field=K, X=X, h=h, H_checkpoints=H, L_checkpoints=L)
 
 
-#: Divisors per block of the hyperbola sums, and the largest x they take:
-#: a block's sum of chi(d) floor(x/d) is at most x (1 + log 2^16) < 2^63
-#: in absolute value, so int64 holds it.
-_HYPERBOLA_BLOCK = 1 << 16
+#: Largest x of the hyperbola sums in int64: a block of ``norm_blocks`` adds
+#: at most 2^16 terms chi(d) floor(x/d), so |sum| <= x (1 + log 2^16) < 2^63.
 _HYPERBOLA_LIMIT = 1 << 59
 
 
@@ -362,8 +352,8 @@ def ideal_counts(K: NumberField, xs: Sequence[int]) -> list[int]:
 
         H(x) = sum_{d<=u} chi(d) floor(x/d) + sum_{m<=u} S(x // m) - u S(u),
 
-    O(sqrt x) work per point, added in fixed-size blocks.  chi_D and S
-    are read from one ``fields.kronecker_table`` of length
+    O(sqrt x) work per point, added over the blocks of ``norm_blocks(u)``.
+    chi_D and S are read from one ``fields.kronecker_table`` of length
     min(|D|, max(xs) + 1): chi_D has period |D| and sums to 0 over it.
     """
     xs = [max(int(x), 0) for x in xs]
@@ -377,9 +367,8 @@ def ideal_counts(K: NumberField, xs: Sequence[int]) -> list[int]:
     for x in xs:
         u = math.isqrt(x)
         total = -u * int(S[u % n])
-        for lo in range(1, u + 1, _HYPERBOLA_BLOCK):
-            d = np.arange(lo, min(lo + _HYPERBOLA_BLOCK, u + 1),
-                          dtype=np.int64)
+        for lo, hi in norm_blocks(u):
+            d = np.arange(lo, hi, dtype=np.int64)
             q = x // d
             total += int(chi[d % n] @ q) + int(S[q % n].sum())
         out.append(total)

@@ -46,6 +46,11 @@ def read_summary(out_path):
         return json.load(fh)
 
 
+#: A field whose discriminant -(10^24 + 7) is far past the class-number
+#: work bound.
+HUGE_FIELD = "Q(sqrt -1000000000000000000000007)"
+
+
 class TestFieldInfo:
     def test_rational(self, capsys):
         code, out, _ = run(capsys, "field-info", "--field", "Q")
@@ -66,6 +71,16 @@ class TestFieldInfo:
         assert code == 0
         assert "unit_count: infinite" in out
         assert "class_number" not in out
+
+    def test_class_number_past_its_work_bound(self):
+        # |D| = 10^24 + 7 would take about 3 * 10^23 steps: refused at once.
+        start = time.perf_counter()
+        proc = run_process("-m", "idealdensity.cli", "field-info",
+                           "--field", HUGE_FIELD)
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 2
+        (line,) = proc.stderr.strip().splitlines()
+        assert line.startswith("numeric error:")
 
     def test_bad_field(self, capsys):
         code, _, err = run(capsys, "field-info", "--field", "Q[i]")
@@ -253,6 +268,22 @@ class TestDensity:
         summary = read_summary(out_path)["summary"]
         assert summary["natural_ratio"] == 0.0 and summary["A"] > 0
 
+    def test_truncation_of_any_size(self, capsys, tmp_path):
+        # The first 8 prime squares have norm <= 361, so the truncation
+        # 10^60 gives the same A_r as the default 10^6, and at once.
+        a_r = []
+        for truncation in (10**6, 10**60):
+            aset = write_aset(tmp_path, {"field": "Q", "kind": "prime_powers",
+                                         "l": 2, "truncation": truncation})
+            out_path = tmp_path / "pp.csv"
+            start = time.perf_counter()
+            code, _, err = run(capsys, "density", "--aset", str(aset),
+                               "--max-norm", "1000", "--out", str(out_path))
+            assert time.perf_counter() - start < 5
+            assert code == 0, err
+            a_r.append(read_summary(out_path)["summary"]["A_r"])
+        assert a_r[0] == a_r[1] and len(a_r[0]) == 8
+
     def test_explicit_member_above_default_truncation(self, capsys,
                                                       tmp_path):
         # An explicit family is finite: all of its members count for A.
@@ -407,6 +438,8 @@ class TestBadInput:
         # The primes up to 10^14 need 28 TiB: the sieve's output array
         # fails to allocate before any block is sieved.
         (["mertens", "--cutoff", "100000000000000"], 2),
+        # The class number of a field with |D| above its work bound.
+        (["mertens", "--field", HUGE_FIELD, "--cutoff", "1000"], 2),
     ])
     def test_one_message_line_and_exit_code(self, tmp_path, argv, expected):
         aset = write_aset(tmp_path, {"field": "Q", "kind": "explicit",

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,23 @@ class TestPrimePowerFamily:
         monkeypatch.setattr(idd.PrimePowerFamily, "members_up_to", refuse)
         assert [m.norm for m in fam.first_members(168)][-2:] == [991**2,
                                                                  997**2]
+
+
+class TestIntegerRoot:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_exact_for_small_and_huge_n(self, k):
+        rng = random.Random(17)
+        ns = [*range(3001), *(rng.randrange(10**rng.randrange(1, 401))
+                              for _ in range(300))]
+        for n in ns:
+            r = families._integer_root(n, k)
+            assert r ** k <= n < (r + 1) ** k
+
+    def test_large_square_root_is_fast(self):
+        start = time.perf_counter()
+        r = families._integer_root(10**48 + 12345, 2)
+        assert time.perf_counter() - start < 0.5
+        assert r == 10**24
 
 
 class TestNormIntervalFamily:

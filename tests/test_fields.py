@@ -15,6 +15,7 @@ from idealdensity.errors import (
     NotNegative,
     NotPrime,
     NotSquarefree,
+    TooLarge,
     UnsupportedField,
 )
 
@@ -293,6 +294,10 @@ class TestClassNumber:
     def test_not_negative(self):
         with pytest.raises(NotNegative):
             idd.class_number_imag_quadratic(5)
+
+    def test_past_the_work_bound(self):
+        with pytest.raises(TooLarge):
+            idd.class_number_imag_quadratic(-(10**24 + 7))
 
 
 class TestAnalyticResidue:

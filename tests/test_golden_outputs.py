@@ -6,7 +6,8 @@ digests are normalised as its ``output_digests`` does; the squarefree
 digest is computed as ``bench/sweep.py`` computes it.  So these are the
 benchmark's output checks run in-process.  Only files under ``bench/`` are
 read; nothing there is imported or written.  The lcm-term path over
-quadratic fields, which no benchmark job digests, is pinned inline.
+quadratic fields and the CSV of ``experiment main-theorem``, which no
+benchmark job digests, are pinned inline.
 """
 
 from __future__ import annotations
@@ -83,3 +84,21 @@ def test_quadratic_lcm_term_profiles_match_pinned_digest():
         rows.append((r.member_counts, [x.hex() for x in r.log_ratios]))
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "066abc2cf094fb24e592a2771159292211f06d9f39bf33446dbdde5751dc4b6c")
+
+
+@pytest.mark.parametrize("doc,argv,csv_sha", [
+    ({"field": "Q(sqrt -1)", "kind": "prime_powers", "l": 2},
+     ["--field", "Q(sqrt -1)", "--max-norm", "100000"],
+     "3389146d8d4f07aa039f963c95b229c45a45f3add95c9ba494c5a61916e5fb75"),
+    # A_r, B_k and the profile have 2, 3 and 30 rows: the rest is blank.
+    ({"field": "Q", "kind": "explicit", "members": [2, 3]},
+     ["--max-norm", "100000", "--k-max", "3", "--r-max", "5"],
+     "62e7e0fd860a485a8cf8fab211709ea0534463e16d4ba15cc6533434acf61055"),
+])
+def test_main_theorem_csv_matches_pinned_digest(doc, argv, csv_sha, tmp_path):
+    aset, out = tmp_path / "aset.json", tmp_path / "main.csv"
+    aset.write_text(json.dumps(doc))
+    code = cli.main(["experiment", "main-theorem", "--aset", str(aset),
+                     *argv, "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha

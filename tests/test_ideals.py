@@ -328,8 +328,11 @@ class TestStoredCounts:
         c = idd.ideals.count_ideals.__wrapped__(K, X)
         H = np.cumsum(c.h, dtype=np.int64)
         assert c.H_checkpoints[-1] == H[X // 32 * 32] in (1 << 7, 1 << 15)
-        H_read, L_read = c.sums_at(np.arange(X + 1), logs=False)
-        assert H_read.tolist() == H.tolist() and L_read is None
+        h = c.h.tolist()
+        L = list(itertools.accumulate(
+            (h[k] / k for k in range(1, X + 1)), initial=0.0))
+        H_read, L_read = c.sums_at(np.arange(X + 1))
+        assert H_read.tolist() == H.tolist() and L_read.tolist() == L
         assert [c.H_of(y) for y in range(X - 40, X + 1)] == H[-41:].tolist()
         assert idd.multiples_count(idd.unit_ideal(K), X) == H[X]
 
