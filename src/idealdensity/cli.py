@@ -104,16 +104,15 @@ def _sample_points(X: int, n: int) -> list[int]:
 
 def cmd_field_info(args) -> int:
     K = parse_field(args.field)
-    print(f"field: {K.label()}")
-    print(f"degree: {K.degree}")
-    print(f"discriminant: {K.discriminant}")
     units = K.unit_count if K.unit_count is not None else "infinite"
-    print(f"unit_count: {units}")
+    lines = [f"field: {K.label()}", f"degree: {K.degree}",
+             f"discriminant: {K.discriminant}", f"unit_count: {units}"]
     if K.is_imaginary_quadratic:
+        # Counted before the first line is printed: a refusal prints none.
         h = class_number_imag_quadratic(K.discriminant)
         alpha = analytic_residue_imag_quadratic(K)
-        print(f"class_number: {h}")
-        print(f"analytic_residue: {_fmt(alpha)}")
+        lines += [f"class_number: {h}", f"analytic_residue: {_fmt(alpha)}"]
+    print("\n".join(lines))
     return EXIT_OK
 
 

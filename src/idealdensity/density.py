@@ -233,11 +233,10 @@ def finite_ie_density(A: AFamily) -> Fraction:
     """Exact density of M_A for a finite family, block by coprime block.
 
     A family's members are its ``working_members``: all of an explicit
-    family, and those of norm <= truncation of a rule.
+    family, and those of norm <= truncation of a rule, in norm order.
     """
     blocks: dict = {}           # id -> block
-    for merged, block in _grow_blocks(sorted(A.working_members(),
-                                             key=Ideal.sort_key)):
+    for merged, block in _grow_blocks(A.working_members()):
         for old in merged:
             del blocks[id(old)]
         blocks[id(block)] = block
@@ -418,10 +417,9 @@ def restrict_family(A: AFamily, k: int) -> ExplicitFamily:
 
 @dataclass(frozen=True)
 class MultDensityState:
-    """B_k = dens(M_{A'}) and the members of A', the restriction of A to
-    the first k primes (their Euler product: ``partial_euler_product``)."""
+    """B_k = dens(M_{A'}) and the members of A', A restricted to the first
+    k primes, k the caller's (Euler product: ``partial_euler_product``)."""
 
-    k: int
     b_k: Fraction
     restricted_members: tuple[Ideal, ...]
 
@@ -429,8 +427,7 @@ class MultDensityState:
 def multiplicative_density(A: AFamily, k: int) -> MultDensityState:
     """Multiplicative density step B_k, computed exactly as dens(M_{A'})."""
     restricted = restrict_family(A, k)
-    return MultDensityState(k, finite_ie_density(restricted),
-                            restricted.members)
+    return MultDensityState(finite_ie_density(restricted), restricted.members)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +440,6 @@ class DensityReport:
     tail estimates d/D and delta/Delta are their min/max over the last
     half of the sample window."""
 
-    field: NumberField
     X: int
     sample_points: tuple[int, ...]
     member_counts: tuple[int, ...]
@@ -483,7 +479,7 @@ class DensityReport:
     def complement(self) -> "DensityReport":
         """Profile of the complement set; ratios satisfy M + V = 1 exactly."""
         return DensityReport(
-            field=self.field, X=self.X, sample_points=self.sample_points,
+            X=self.X, sample_points=self.sample_points,
             member_counts=tuple(t - m for m, t in
                                 zip(self.member_counts, self.total_counts)),
             total_counts=self.total_counts,
@@ -502,8 +498,7 @@ def density_profile(A: AFamily, X: int = 10**4,
         raise ValueError("X must be >= 100")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    K = A.field
-    counter = _counter(K, X)
+    counter = _counter(A.field, X)
     xs = sample_grid(10, X, n_samples)
     member_counts, log_num = _member_sums(A, xs, counter)
     if counter is None:
@@ -514,7 +509,7 @@ def density_profile(A: AFamily, X: int = 10**4,
         total_counts, L = H.tolist(), L.tolist()
     natural = tuple(Fraction(m, t) for m, t in zip(member_counts, total_counts))
     log_ratios = tuple(n / d for n, d in zip(log_num, L))
-    return DensityReport(field=K, X=X, sample_points=tuple(int(x) for x in xs),
+    return DensityReport(X=X, sample_points=tuple(int(x) for x in xs),
                          member_counts=tuple(member_counts),
                          total_counts=tuple(total_counts),
                          natural_ratios=natural, log_ratios=log_ratios)

@@ -260,7 +260,9 @@ def rational_primes_up_to(n: int) -> np.ndarray:
     """All rational primes <= n (numpy int64, ascending), by the segmented
     sieve, into one array sized by pi(n) < 1.25506 n / ln n (Rosser and
     Schoenfeld) and shrunk in place: sized first, a bound beyond memory
-    fails at once."""
+    fails at once; TooLarge for an n beyond the int64 range."""
+    if n > np.iinfo(np.int64).max:
+        raise TooLarge(f"bound {n} is beyond the int64 range")
     if n < 2:
         return np.empty(0, dtype=np.int64)
     out = np.empty(int(1.25506 * n / math.log(n)) + 1, dtype=np.int64)

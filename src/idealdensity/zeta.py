@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import SNotGreaterThanOne
 from .fields import EULER_GAMMA, NumberField, first_prime_norms, prime_norm_array
-from .ideals import count_ideals, norm_blocks, pairwise_sum, run_starts
+from .ideals import (count_ideals, ideal_counts, norm_blocks, pairwise_sum,
+                     run_starts)
 
 #: Largest prime count for which the Euler product is kept as a Fraction.
 _EXACT_PRIME_LIMIT = 64
@@ -36,19 +37,16 @@ _LIST_CHUNK = 1 << 12
 class EulerProductState:
     """Partial Euler product of zeta_K at s=1 over a prime-ideal prefix."""
 
-    field: NumberField
     k: int                       # number of prime ideals used
     cutoff: int | None           # norm cutoff, if the prefix was cut by norm
     value: float
     exact: Fraction | None       # exact value when k is small enough
 
 
-def _chunks(a: np.ndarray, k: int | None = None):
-    """a[:k] (all of a by default) as Python lists of at most
-    ``_LIST_CHUNK`` entries each."""
-    k = a.size if k is None else k
-    return (a[i:min(i + _LIST_CHUNK, k)].tolist()
-            for i in range(0, k, _LIST_CHUNK))
+def _chunks(a: np.ndarray):
+    """a as Python lists of at most ``_LIST_CHUNK`` entries each."""
+    return (a[i:i + _LIST_CHUNK].tolist()
+            for i in range(0, a.size, _LIST_CHUNK))
 
 
 def _log_factors(norms: np.ndarray) -> np.ndarray:
@@ -62,8 +60,8 @@ def _log_factors(norms: np.ndarray) -> np.ndarray:
     return logs
 
 
-def _euler_product(K: NumberField, norms: np.ndarray, logs: np.ndarray,
-                   k: int, cutoff: int | None) -> EulerProductState:
+def _euler_product(norms: np.ndarray, logs: np.ndarray, k: int,
+                   cutoff: int | None) -> EulerProductState:
     """The product over norms[:k]; ``logs`` holds log1p(-1/q) for each norm."""
     exact = None
     if k <= _EXACT_PRIME_LIMIT:
@@ -72,9 +70,8 @@ def _euler_product(K: NumberField, norms: np.ndarray, logs: np.ndarray,
             exact *= Fraction(q, q - 1)
         value = float(exact)
     else:
-        value = math.exp(-math.fsum(chain.from_iterable(_chunks(logs, k))))
-    return EulerProductState(field=K, k=k, cutoff=cutoff, value=value,
-                             exact=exact)
+        value = math.exp(-math.fsum(chain.from_iterable(_chunks(logs[:k]))))
+    return EulerProductState(k=k, cutoff=cutoff, value=value, exact=exact)
 
 
 def euler_products_at(K: NumberField,
@@ -82,8 +79,8 @@ def euler_products_at(K: NumberField,
     """Partial Euler products over all prime ideals of norm <= c, for each c.
 
     The cached prime-norm array at the largest cutoff, and one float64
-    array of log factors, serve every cutoff; each product is the
-    cutoff's prefix.
+    array of log factors, serve every cutoff, one or many; each product
+    is the cutoff's prefix.
     """
     if not cutoffs:
         return []
@@ -92,26 +89,21 @@ def euler_products_at(K: NumberField,
     norms = prime_norm_array(K, max(cutoffs))
     ks = np.searchsorted(norms, cutoffs, side="right").tolist()
     logs = _log_factors(norms)
-    return [_euler_product(K, norms, logs, k, c)
-            for k, c in zip(ks, cutoffs)]
+    return [_euler_product(norms, logs, k, c) for k, c in zip(ks, cutoffs)]
 
 
-def partial_euler_product(K: NumberField, k: int | None = None,
-                          cutoff: int | None = None) -> EulerProductState:
-    """Product of (1 - 1/N(p))^-1 over the first k primes or all of norm <= cutoff."""
-    if (k is None) == (cutoff is None):
-        raise ValueError("specify exactly one of k and cutoff")
-    if cutoff is not None:
-        return euler_products_at(K, [cutoff])[0]
+def partial_euler_product(K: NumberField, k: int) -> EulerProductState:
+    """Product of (1 - 1/N(p))^-1 over the first k prime ideals; products
+    at norm cutoffs come from ``euler_products_at``."""
     if k < 0:
         raise ValueError("k must be >= 0")
     norms = first_prime_norms(K, k)
-    return _euler_product(K, norms, _log_factors(norms), norms.size, None)
+    return _euler_product(norms, _log_factors(norms), norms.size, None)
 
 
 def _zeta_terms(K: NumberField, X: int, s: float):
-    """The field's cached counter up to X (None over Q, where h = 1) and
-    terms(i, j), a new float64 array of h(k)/k^s for k = i + 1, ..., j."""
+    """terms(i, j), a new float64 array of h(k)/k^s for k = i + 1, ..., j,
+    h read from the field's cached counter up to X (over Q, h = 1)."""
     counter = None if K.is_rational else count_ideals(K, X)
 
     def terms(i, j):
@@ -125,7 +117,7 @@ def _zeta_terms(K: NumberField, X: int, s: float):
             return np.divide(1.0, t, out=t)
         return np.divide(counter.h[i + 1:j + 1], t, out=t)
 
-    return counter, terms
+    return terms
 
 
 def harmonic_ideal_sum(K: NumberField, x: int) -> float:
@@ -135,7 +127,7 @@ def harmonic_ideal_sum(K: NumberField, x: int) -> float:
     if x < 1:
         raise ValueError("x must be >= 1")
     x = int(x)
-    _, terms = _zeta_terms(K, x, 1.0)
+    terms = _zeta_terms(K, x, 1.0)
     blocks = (terms(lo - 1, hi - 1) for lo, hi in norm_blocks(x))
     return math.fsum(chain.from_iterable(
         part for t in blocks for part in _chunks(t[t != 0])))
@@ -148,7 +140,7 @@ def mertens_ratio(K: NumberField, cutoff: int) -> float:
     """
     if cutoff < 10:
         raise ValueError("cutoff must be >= 10")
-    return partial_euler_product(K, cutoff=cutoff).value / math.log(cutoff)
+    return euler_products_at(K, [cutoff])[0].value / math.log(cutoff)
 
 
 def mertens_target(alpha_K: float) -> float:
@@ -162,25 +154,21 @@ def dedekind_zeta(K: NumberField, s: float, X: int) -> tuple[float, float]:
     Returns (value, tail_bound) with value = sum_{k<=X} h(k)/k^s.  The tail
     estimate is an empirical envelope, not a proven bound: it takes the
     largest H(x)/x sampled over [X/10, X], times a safety factor 2, as the
-    ideal density beyond X.  Over Q, h = 1 and H(x) = x need no counter;
-    over a quadratic field h is read from the cached counter block by
-    block.  The terms are built in pieces of at most 2^16 norms and added
-    by ``ideals.pairwise_sum`` along numpy's pairwise tree, so the value
-    is bit for bit that of ``np.sum`` over one array of all X terms.
+    ideal density beyond X; those at most 32 H(x) are point counts
+    (``ideals.ideal_counts``; H(x) = x over Q).  Over a quadratic field h
+    is read from the cached counter block by block.  The terms are built
+    in pieces of at most 2^16 norms and added by ``ideals.pairwise_sum``
+    along numpy's pairwise tree, so the value is bit for bit that of
+    ``np.sum`` over one array of all X terms.
     """
     if s <= 1:
         raise SNotGreaterThanOne("truncated zeta sums require s > 1")
     if X < 10:
         raise ValueError("X must be >= 10")
-    counter, terms = _zeta_terms(K, X, s)
-    value = pairwise_sum(terms, X)
-    if counter is None:
-        c_upper = 1.0
-    else:
-        xs = np.geomspace(max(1, X // 10), X, 32).astype(np.int64)
-        xs = xs[run_starts(xs)].tolist()
-        H, _ = counter.sums_at(xs)
-        c_upper = max(n / x for n, x in zip(H.tolist(), xs))
+    value = pairwise_sum(_zeta_terms(K, X, s), X)
+    xs = np.geomspace(max(1, X // 10), X, 32).astype(np.int64)
+    xs = xs[run_starts(xs)].tolist()
+    c_upper = max(n / x for n, x in zip(ideal_counts(K, xs), xs))
     tail_bound = 2.0 * c_upper * (s / (s - 1.0)) * X ** (1.0 - s)
     return value, tail_bound
 

@@ -79,6 +79,7 @@ class TestFieldInfo:
                            "--field", HUGE_FIELD)
         assert time.perf_counter() - start < 5
         assert proc.returncode == 2
+        assert proc.stdout == ""
         (line,) = proc.stderr.strip().splitlines()
         assert line.startswith("numeric error:")
 

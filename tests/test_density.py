@@ -9,7 +9,7 @@ from sympy import primerange
 import idealdensity as idd
 from idealdensity import density
 from idealdensity.density import _member_sums
-from idealdensity.errors import DuplicateMembers
+from idealdensity.errors import DuplicateMembers, TooLarge
 from idealdensity.ideals import (
     _L_BLOCK,
     prefix_sums_at,
@@ -91,6 +91,14 @@ class TestFiniteIEDensity:
 
     def test_minimality_applied(self, Q):
         assert idd.finite_ie_density(int_family(Q, 2, 4, 8)) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("truncation", [10**40, 10**60])
+    def test_primes_past_int64_are_refused(self, truncation):
+        # Its members are the squares of the primes up to 10^20 or 10^30.
+        fam = idd.parse_family({"field": "Q", "kind": "prime_powers", "l": 2,
+                                "truncation": truncation})
+        with pytest.raises(TooLarge, match="int64"):
+            idd.finite_ie_density(fam)
 
 
 class TestALimit:

@@ -151,6 +151,11 @@ class TestSegmentedSieve:
             assert fields_module.rational_primes_up_to(n).tolist() == \
                 primes_below(n)
 
+    def test_bound_past_int64_is_refused(self):
+        # Refused before the prime array is sized.
+        with pytest.raises(TooLarge, match="int64"):
+            fields_module.rational_primes_up_to(2**63)
+
     def test_sieve_memory_is_the_prime_array_and_one_block(self):
         # Measured 6.7 MB: 6.2 MB for the array sized by the prime bound
         # (5.3 MB after the shrink) and the 128 KB block; the bound is 1.2

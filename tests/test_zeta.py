@@ -57,7 +57,7 @@ class TestEulerProductsAt:
         states = idd.euler_products_at(K, self.CUTOFFS)
         norms = [pr.norm for pr in idd.primes_up_to_norm(K, max(self.CUTOFFS))]
         for c, state in zip(self.CUTOFFS, states):
-            single = idd.partial_euler_product(K, cutoff=c)
+            single = idd.euler_products_at(K, [c])[0]
             qs = [q for q in norms if q <= c]
             assert (state.k, state.cutoff) == (len(qs), c)
             assert state.value == single.value
@@ -127,7 +127,7 @@ class TestEulerProductsFromArrays:
 
 class TestEulerProduct:
     def test_rational_cutoff(self, Q):
-        state = idd.partial_euler_product(Q, cutoff=10)
+        state = idd.euler_products_at(Q, [10])[0]
         assert state.exact == Fraction(35, 8)
         assert state.value == pytest.approx(4.375)
 
@@ -137,7 +137,7 @@ class TestEulerProduct:
 
     def test_gaussian_cutoff(self, Qi):
         # ramified 2 and the two split primes of norm 5
-        assert idd.partial_euler_product(Qi, cutoff=5).exact == Fraction(25, 8)
+        assert idd.euler_products_at(Qi, [5])[0].exact == Fraction(25, 8)
 
     def test_monotone_in_k(self, Qi):
         values = [idd.partial_euler_product(Qi, k=k).value for k in range(12)]
@@ -146,16 +146,14 @@ class TestEulerProduct:
     def test_exact_matches_float_path(self, Q):
         # same prefix computed exactly and in log space
         from idealdensity import zeta
-        state = idd.partial_euler_product(Q, cutoff=300)
+        state = idd.euler_products_at(Q, [300])[0]
         norms = [pr.norm for pr in idd.primes_up_to_norm(Q, 300)]
         log_value = math.exp(-math.fsum(math.log1p(-1.0 / q) for q in norms))
         assert state.value == pytest.approx(log_value, rel=1e-12)
 
     def test_argument_validation(self, Q):
         with pytest.raises(ValueError):
-            idd.partial_euler_product(Q)
-        with pytest.raises(ValueError):
-            idd.partial_euler_product(Q, k=2, cutoff=10)
+            idd.partial_euler_product(Q, k=-1)
 
 
 def _restricted_harmonic_sum(K, k, bound):
