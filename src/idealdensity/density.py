@@ -404,7 +404,8 @@ def restrict_family(A: AFamily, k: int) -> ExplicitFamily:
     if isinstance(A, PrimePowerFamily):
         members = A.first_members(k)
     elif isinstance(A, NormIntervalFamily):
-        top = min(A.truncation, max(hi for _, hi in A.intervals))
+        # With no intervals only O_K (norm 1) is walked, and it is no member.
+        top = min(A.truncation, max((hi for _, hi in A.intervals), default=1))
         members = [m for m in enumerate_ideals(K, top,
                                                first_prime_ideals(K, k))
                    if A.norm_in_intervals(m.norm)]
@@ -440,7 +441,6 @@ class DensityReport:
     tail estimates d/D and delta/Delta are their min/max over the last
     half of the sample window."""
 
-    X: int
     sample_points: tuple[int, ...]
     member_counts: tuple[int, ...]
     total_counts: tuple[int, ...]
@@ -479,7 +479,7 @@ class DensityReport:
     def complement(self) -> "DensityReport":
         """Profile of the complement set; ratios satisfy M + V = 1 exactly."""
         return DensityReport(
-            X=self.X, sample_points=self.sample_points,
+            sample_points=self.sample_points,
             member_counts=tuple(t - m for m, t in
                                 zip(self.member_counts, self.total_counts)),
             total_counts=self.total_counts,
@@ -509,7 +509,7 @@ def density_profile(A: AFamily, X: int = 10**4,
         total_counts, L = H.tolist(), L.tolist()
     natural = tuple(Fraction(m, t) for m, t in zip(member_counts, total_counts))
     log_ratios = tuple(n / d for n, d in zip(log_num, L))
-    return DensityReport(X=X, sample_points=tuple(int(x) for x in xs),
+    return DensityReport(sample_points=tuple(int(x) for x in xs),
                          member_counts=tuple(member_counts),
                          total_counts=tuple(total_counts),
                          natural_ratios=natural, log_ratios=log_ratios)

@@ -28,12 +28,10 @@ class ExperimentResult:
     summary: dict = dataclass_field(default_factory=dict)
     verdict: bool = False
 
-    def summary_document(self, config: dict | None = None) -> dict:
-        doc = {"scenario": self.name, "parameters": self.params,
-               "summary": self.summary, "verdict": self.verdict}
-        if config is not None:
-            doc["config"] = config
-        return doc
+    def summary_document(self, config: dict) -> dict:
+        return {"scenario": self.name, "parameters": self.params,
+                "summary": self.summary, "verdict": self.verdict,
+                "config": config}
 
 
 def primepower_free_experiment(K: NumberField, l: int, X: int,
@@ -116,6 +114,8 @@ def besicovitch_intervals(T0: int, growth: int, depth: int,
         if T > X:
             break
         intervals.append((T, 2 * T))
+        if T >= 2 and growth >= X.bit_length():
+            break                   # T^growth >= 2^growth > X: not built
         T = T ** growth
     return intervals
 
@@ -135,11 +135,8 @@ def besicovitch_experiment(K: NumberField, T0: int = 10, growth: int = 3,
     family = NormIntervalFamily(field=K, intervals=tuple(intervals),
                                 truncation=X)
     report = density_profile(family, X=X, n_samples=n_samples)
-    tail = report.tail_start
-    nat_tail = [float(r) for r in report.natural_ratios[tail:]]
-    log_tail = list(report.log_ratios[tail:])
-    oscillation = max(nat_tail) - min(nat_tail)
-    log_variation = max(log_tail) - min(log_tail)
+    oscillation = float(report.d_upper) - float(report.d_lower)
+    log_variation = report.delta_upper - report.delta_lower
     columns, rows = report.table()
     result = ExperimentResult(
         name="besicovitch",

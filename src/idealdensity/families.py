@@ -26,6 +26,8 @@ def _integer_root(n: int, k: int) -> int:
     down from 2^ceil(bits(n)/k) > root, never below it (AM-GM)."""
     if n < 1:
         return 0
+    if k >= n.bit_length():
+        return 1                # 2^k > n, and 2^(k-1) is never built
     r = 1 << -(-n.bit_length() // k)
     while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
         r = s

@@ -14,9 +14,9 @@ table, in about 2 bytes per norm, and H and the harmonic prefix L are
 kept at every 32nd norm and completed on read.  Over Q, where h = 1,
 hot paths need no counter at all: the harmonic prefix at a profile's
 sample points comes from ``rational_harmonic_prefix``, summed in blocks
-of norms by ``prefix_sums_at``.  Exhaustive enumeration over the same
-prime norms serves the tests, and ``ideals_of_norm`` lists the ideals of
-one norm from its factorization.
+of norms by ``prefix_sums_at``.  ``ideals_of_norm`` lists the ideals of
+one norm from its factorization; the exhaustive enumeration that checks
+the sieve lives in the tests.
 """
 
 from __future__ import annotations
@@ -251,16 +251,10 @@ class NormCounter:
     read-only.
     """
 
-    field: NumberField
     X: int
     h: np.ndarray
     H_checkpoints: np.ndarray
     L_checkpoints: np.ndarray
-
-    @property
-    def H(self) -> np.ndarray:
-        """The full int64 array H[x], x <= X, built on each read (tests)."""
-        return np.cumsum(self.h, dtype=np.int64)
 
     def sums_at(self, ys) -> tuple[np.ndarray, np.ndarray]:
         """H(y) and L(y) at each y of the integer array ys, 0 <= y <= X
@@ -335,7 +329,7 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
             t, out=t)[_STRIDE - 1::_STRIDE]
     H = H.astype(np.min_scalar_type(-int(H[-1]) - 1))  # holds the last one
     h.flags.writeable = H.flags.writeable = L.flags.writeable = False
-    return NormCounter(field=K, X=X, h=h, H_checkpoints=H, L_checkpoints=L)
+    return NormCounter(X=X, h=h, H_checkpoints=H, L_checkpoints=L)
 
 
 #: Largest x of the hyperbola sums in int64: a block of ``norm_blocks`` adds
@@ -378,29 +372,6 @@ def ideal_counts(K: NumberField, xs: Sequence[int]) -> list[int]:
 def ideal_count(K: NumberField, x: int) -> int:
     """Exact H(x) = #{a : N(a) <= x} in O(sqrt x); see ``ideal_counts``."""
     return ideal_counts(K, [x])[0]
-
-
-def enumeration_norm_counts(K: NumberField, X: int) -> np.ndarray:
-    """Per-norm ideal counts by exhaustive recursive enumeration.
-
-    Independent of the multiplicative sieve; used to cross-check it.
-    """
-    qs = prime_norm_array(K, X).tolist()
-    counts = np.zeros(X + 1, dtype=np.int64)
-    n_primes = len(qs)
-
-    def rec(start: int, n: int) -> None:
-        counts[n] += 1
-        for j in range(start, n_primes):
-            m = n * qs[j]
-            if m > X:
-                break
-            while m <= X:
-                rec(j + 1, m)
-                m *= qs[j]
-
-    rec(0, 1)
-    return counts
 
 
 def ideals_of_norm(K: NumberField, n: int) -> list[Ideal]:
@@ -510,20 +481,3 @@ def gaussian_lattice_H(x: int) -> int:
         b_max = math.isqrt(x - a * a)
         total += 2 * b_max if a == 0 else 2 * (2 * b_max + 1)
     return total // 4
-
-
-def gaussian_lattice_counts(x: int) -> np.ndarray:
-    """Per-norm Gaussian ideal counts up to x by lattice point counting."""
-    counts = np.zeros(x + 1, dtype=np.int64)
-    for a in range(0, math.isqrt(x) + 1):
-        b_max = math.isqrt(x - a * a)
-        bs = np.arange(0, b_max + 1)
-        norms = a * a + bs * bs
-        weights = np.full_like(bs, 4)
-        if a == 0:
-            weights[:] = 2
-        else:
-            weights[0] = 2
-        np.add.at(counts, norms, weights)
-    counts[0] = 0
-    return counts // 4

@@ -171,19 +171,3 @@ def dedekind_zeta(K: NumberField, s: float, X: int) -> tuple[float, float]:
     c_upper = max(n / x for n, x in zip(ideal_counts(K, xs), xs))
     tail_bound = 2.0 * c_upper * (s / (s - 1.0)) * X ** (1.0 - s)
     return value, tail_bound
-
-
-def rankin_tail_bound(prime_norms: list[int], bound: int) -> float:
-    """Upper bound for sum of 1/N over ideals supported on the given primes
-    with norm exceeding ``bound``.
-
-    Rankin's trick: for any 0 < sigma < 1 the tail is at most
-    bound^(sigma-1) * prod (1 - q^-sigma)^-1; minimized over a grid.
-    """
-    best = math.inf
-    for sigma in (0.35, 0.5, 0.65, 0.8, 0.9):
-        prod = 1.0
-        for q in prime_norms:
-            prod /= 1.0 - q ** (-sigma)
-        best = min(best, bound ** (sigma - 1.0) * prod)
-    return best

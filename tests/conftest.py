@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import idealdensity as idd
+from idealdensity.fields import prime_norm_array
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +64,62 @@ def peak_bytes(fn, *args, **kwargs) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def enumeration_norm_counts(K, X: int) -> np.ndarray:
+    """Per-norm ideal counts by exhaustive recursive enumeration.
+
+    Independent of the multiplicative sieve; used to cross-check it.
+    """
+    qs = prime_norm_array(K, X).tolist()
+    counts = np.zeros(X + 1, dtype=np.int64)
+    n_primes = len(qs)
+
+    def rec(start: int, n: int) -> None:
+        counts[n] += 1
+        for j in range(start, n_primes):
+            m = n * qs[j]
+            if m > X:
+                break
+            while m <= X:
+                rec(j + 1, m)
+                m *= qs[j]
+
+    rec(0, 1)
+    return counts
+
+
+def gaussian_lattice_counts(x: int) -> np.ndarray:
+    """Per-norm Gaussian ideal counts up to x by lattice point counting."""
+    counts = np.zeros(x + 1, dtype=np.int64)
+    for a in range(0, math.isqrt(x) + 1):
+        b_max = math.isqrt(x - a * a)
+        bs = np.arange(0, b_max + 1)
+        norms = a * a + bs * bs
+        weights = np.full_like(bs, 4)
+        if a == 0:
+            weights[:] = 2
+        else:
+            weights[0] = 2
+        np.add.at(counts, norms, weights)
+    counts[0] = 0
+    return counts // 4
+
+
+def rankin_tail_bound(prime_norms: list[int], bound: int) -> float:
+    """Upper bound for sum of 1/N over ideals supported on the given primes
+    with norm exceeding ``bound``.
+
+    Rankin's trick: for any 0 < sigma < 1 the tail is at most
+    bound^(sigma-1) * prod (1 - q^-sigma)^-1; minimized over a grid.
+    """
+    best = math.inf
+    for sigma in (0.35, 0.5, 0.65, 0.8, 0.9):
+        prod = 1.0
+        for q in prime_norms:
+            prod /= 1.0 - q ** (-sigma)
+        best = min(best, bound ** (sigma - 1.0) * prod)
+    return best
 
 
 def full_H_and_L(counter):

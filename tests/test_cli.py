@@ -285,6 +285,19 @@ class TestDensity:
             a_r.append(read_summary(out_path)["summary"]["A_r"])
         assert a_r[0] == a_r[1] and len(a_r[0]) == 8
 
+    def test_prime_power_exponent_past_the_bits(self, capsys, tmp_path):
+        # 2^l is past every bound, so there is no member, and 2^(l-1) is
+        # not built to find that out.
+        aset = write_aset(tmp_path, {"field": "Q", "kind": "prime_powers",
+                                     "l": 10**9})
+        out_path = tmp_path / "pp.csv"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "density", "--aset", str(aset),
+                           "--max-norm", "1000", "--out", str(out_path))
+        assert time.perf_counter() - start < 5
+        assert code == 0, err
+        assert read_summary(out_path)["summary"]["A_r"] == []
+
     def test_explicit_member_above_default_truncation(self, capsys,
                                                       tmp_path):
         # An explicit family is finite: all of its members count for A.
@@ -344,6 +357,18 @@ class TestExperiment:
         assert proc.returncode in (0, 3), proc.stderr
         assert "Traceback" not in proc.stderr
         assert read_summary(out_path)["summary"]["a_r_final"] == 0.0
+
+    def test_main_theorem_with_no_intervals(self, capsys, tmp_path):
+        # B_k of no interval is 0, as A reads 0.0 with A_r empty.
+        aset = write_aset(tmp_path, {"field": "Q", "kind": "norm_intervals",
+                                     "intervals": []})
+        out_path = tmp_path / "exp.csv"
+        code, _, err = run(capsys, "experiment", "main-theorem", "--aset",
+                           str(aset), "--max-norm", "1000",
+                           "--out", str(out_path))
+        assert code == 0, err
+        summary = read_summary(out_path)["summary"]
+        assert summary["b_k_final"] == summary["a_r_final"] == 0.0
 
     def test_main_theorem_b_k_is_exact(self, capsys, tmp_path):
         # Past 20 entangled members B_k once fell back to a sieve ratio at

@@ -29,15 +29,10 @@ import idealdensity as idd
 from idealdensity import fields as fields_module
 from idealdensity.density import _ie_terms
 from idealdensity.errors import DuplicateMembers, TooLarge
-from idealdensity.ideals import (
-    enumeration_norm_counts,
-    gaussian_lattice_counts,
-    gaussian_lattice_H,
-    ideal_count,
-    ideal_counts,
-)
+from idealdensity.ideals import gaussian_lattice_H, ideal_count, ideal_counts
 
-from conftest import trial_division_primes
+from conftest import (enumeration_norm_counts, full_H_and_L,
+                      gaussian_lattice_counts, trial_division_primes)
 
 #: Largest bound of the brute-force enumerations.
 BRUTE_X = 3000
@@ -76,7 +71,7 @@ def brute_profile(K, X, member):
 
 
 def assert_matches_brute_force(report, K, member):
-    hits, all_norms = brute_profile(K, report.X, member)
+    hits, all_norms = brute_profile(K, report.sample_points[-1], member)
     for x, m, t, r in zip(report.sample_points, report.member_counts,
                           report.total_counts, report.log_ratios):
         assert m == bisect.bisect_right(hits, x)
@@ -364,7 +359,7 @@ def test_prime_norms_match_scalar_splitting_in_small_pieces(m, monkeypatch):
 def test_sieve_matches_enumeration(K, X):
     counter = idd.count_ideals(K, X)
     assert np.array_equal(counter.h, enumeration_norm_counts(K, X))
-    assert np.array_equal(counter.H, np.cumsum(counter.h))
+    assert np.array_equal(full_H_and_L(counter)[0], np.cumsum(counter.h))
 
 
 @pytest.mark.parametrize("X", [10**4 + 1, 65537])

@@ -15,9 +15,8 @@ from idealdensity.ideals import (
     prefix_sums_at,
     rational_harmonic_prefix,
 )
-from idealdensity.zeta import rankin_tail_bound
 
-from conftest import full_H_and_L, int_family, peak_bytes
+from conftest import full_H_and_L, int_family, peak_bytes, rankin_tail_bound
 
 #: Bounds around the edges of the blocks that running sums are added in.
 B = _L_BLOCK
@@ -224,6 +223,11 @@ class TestRestrictAndMultiplicative:
             2 ** a * 5 ** b for a, b in expected)
         assert len(idd.restrict_family(fam, 3).members) == sum(
             b + 1 for _, b in expected)
+
+    def test_restrict_no_intervals(self, Q):
+        fam = idd.NormIntervalFamily(field=Q, intervals=())
+        assert idd.restrict_family(fam, 5).members == ()
+        assert idd.multiplicative_density(fam, 5).b_k == 0
 
     def test_b_k_nondecreasing(self, Q):
         fam = idd.PrimePowerFamily(field=Q, l=2)
@@ -437,7 +441,7 @@ class TestSamplePointSums:
 class TestBlockedSums:
     """Running sums in blocks of norms against one ``np.cumsum``."""
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(X=st.sampled_from(BLOCK_EDGE_XS), seed=st.integers(0, 2**32 - 1),
            extra=st.lists(st.integers(1, 2 * B + 1), max_size=6))
     def test_equal_one_cumsum_bit_for_bit(self, X, seed, extra):
@@ -453,7 +457,7 @@ class TestBlockedSums:
         assert (prefix_sums_at(lambda lo, hi: n[lo:hi].copy(), xs)
                 == np.cumsum(n)[xs].tolist())
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
     @given(X=st.sampled_from(BLOCK_EDGE_XS),
            members=st.lists(st.integers(1, 60), min_size=1, max_size=5,
                             unique=True),

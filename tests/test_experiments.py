@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -86,6 +87,12 @@ class TestBesicovitch:
         assert ex.besicovitch_intervals(10, 3, 3, 10**6) == [
             (10, 20), (1000, 2000)]
 
+    def test_growth_past_the_bits_builds_no_power(self):
+        # 10^(10^18) would not fit in memory: the walk stops before it.
+        start = time.perf_counter()
+        assert ex.besicovitch_intervals(10, 10**18, 3, 10**6) == [(10, 20)]
+        assert time.perf_counter() - start < 0.5
+
     def test_t0_beyond_bound(self):
         with pytest.raises(BoundsExceedX):
             ex.besicovitch_intervals(100, 3, 2, 50)
@@ -109,6 +116,17 @@ class TestBesicovitch:
         for row in result.rows:
             x = row[0]
             assert row[1] == int(divisors[1:x + 1].sum())
+
+    @pytest.mark.parametrize("label,oscillation,variation", [
+        ("Q", "0x1.282917db2c2c8p-3", "0x1.103e90e76323cp-4"),
+        ("Q(sqrt -1)", "0x1.43c8457b56eacp-3", "0x1.0c5c580a00dc8p-4"),
+        ("Q(sqrt 5)", "0x1.951abb36a5a28p-4", "0x1.a0a71f8097468p-5"),
+    ])
+    def test_summary_floats_at_the_defaults(self, label, oscillation,
+                                            variation):
+        result = ex.besicovitch_experiment(idd.parse_field(label))
+        assert result.summary["natural_oscillation"].hex() == oscillation
+        assert result.summary["log_variation"].hex() == variation
 
     def test_gaussian_intervals_hold_only_marking_arrays(self, Qi):
         # Norm intervals are counted by norm: one bool mark per norm, and
@@ -155,6 +173,6 @@ class TestEmission:
         for name in ("a.json", "b.json"):
             result = ex.primepower_free_experiment(Q, 2, 10**4, n_samples=6)
             p = tmp_path / name
-            cli.write_json(p, result.summary_document())
+            cli.write_json(p, result.summary_document({}))
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]

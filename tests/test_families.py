@@ -90,6 +90,14 @@ class TestIntegerRoot:
         assert time.perf_counter() - start < 0.5
         assert r == 10**24
 
+    def test_exponent_past_the_bits_builds_no_power(self):
+        # 2^(k-1) for k = 10^18 would not fit in memory.
+        start = time.perf_counter()
+        assert families._integer_root(10**6, 10**18) == 1
+        assert families._integer_root(10**6, 20) == 1
+        assert families._integer_root(2**20, 20) == 2
+        assert time.perf_counter() - start < 0.5
+
 
 class TestNormIntervalFamily:
     def test_membership_via_divisor_norms(self, Q):

@@ -9,9 +9,8 @@ import idealdensity as idd
 from idealdensity.errors import SNotGreaterThanOne
 from idealdensity.fields import EULER_GAMMA, first_prime_ideals, prime_norm_array
 from idealdensity.ideals import norm_blocks, run_starts
-from idealdensity.zeta import rankin_tail_bound
 
-from conftest import peak_bytes
+from conftest import peak_bytes, rankin_tail_bound
 
 CATALAN = 0.915965594177219015
 
