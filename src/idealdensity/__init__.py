@@ -49,7 +49,6 @@ from .ideals import (
     unit_ideal,
 )
 from .zeta import (
-    EulerProductState,
     dedekind_zeta,
     euler_products_at,
     harmonic_ideal_sum,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import json
 import math
 import sys
@@ -40,6 +41,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_VERDICT = 3
+
+#: Most digits of the denominator of ``A_exact`` (A <= 1), written through
+#: Decimal past str's 4300-digit limit: 10^6 bits take over a second.
+MAX_EXACT_DIGITS = 10**5
 
 
 class UsageError(Exception):
@@ -137,7 +142,7 @@ def cmd_mertens(args) -> int:
         alpha = ideal_count(K, x) / x
     target = mertens_target(alpha)
     cutoffs = [c for c in _sample_points(args.cutoff, args.samples) if c >= 10]
-    rows = [(c, pi.value, pi.value / math.log(c), target)
+    rows = [(c, pi, pi / math.log(c), target)
             for c, pi in zip(cutoffs, euler_products_at(K, cutoffs))]
     write_csv(args.out, ("cutoff", "euler_product", "ratio", "target"), rows)
     # The last sample point is the cutoff itself.
@@ -155,7 +160,11 @@ def cmd_density(args) -> int:
     if isinstance(family, ExplicitFamily):
         density = finite_ie_density(family)
         summary["A"] = float(density)
-        summary["A_exact"] = str(density)
+        digits = int(density.denominator.bit_length() * math.log10(2)) + 1
+        if digits > MAX_EXACT_DIGITS:
+            raise TooLarge(f"A_exact: about {digits} > {MAX_EXACT_DIGITS} digits")
+        n, d = (str(decimal.Decimal(v)) for v in density.as_integer_ratio())
+        summary["A_exact"] = n if d == "1" else f"{n}/{d}"
     else:
         seq = a_limit(family, r_max=args.r_max)
         summary["A_r"] = [float(v) for v in seq]

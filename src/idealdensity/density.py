@@ -62,43 +62,41 @@ def _ie_terms(members: Sequence[Ideal], X: int) -> list[tuple[int, int]]:
     lcms l of norm <= X, for N(b) <= X.
 
     Each member a, in norm order, adds +a and -c * lcm(l, a) for every
-    term (l, c) so far, into dicts keyed by the lcm's factorization;
-    non-minimal members cancel out, and so do terms that reach c = 0.
+    term (l, c) so far; non-minimal members cancel out, and so do terms
+    that reach c = 0.  As bit sets (``_complement_density``), lcm(l, a) =
+    l | a, of norm N(l) N(a) / N(l & a) from a table of a's divisors.
     """
+    members = [a for a in sorted(members, key=Ideal.sort_key) if a.norm <= X]
+    # prime ideal -> largest exponent, the last of its factors in order
+    top = dict(sorted(f for a in members for f in a.factors))
+    start = dict(zip(top, itertools.accumulate(top.values(), initial=0)))
     # Terms are bucketed by norm bit length: N(lcm(l, a)) is at least N(l)
-    # times the norm of a's part off the support so far.
-    buckets: list[dict[frozenset, list]] = []   # lcm factors -> [N, exps, c]
-    support: set = set()
-    for a in sorted(members, key=Ideal.sort_key):
-        if a.norm > X:
-            break
-        exps_a = dict(a.factors)
-        fresh = 1
+    # times N(a) / N(gcd(a, the lcm of the members so far)).
+    buckets: list[dict[int, list]] = []     # lcm bits -> [N, c]
+    seen = 0
+    for a in members:
+        norm_of = {0: 1}                    # bits of a's divisors -> norm
         for pr, e in a.factors:
-            if pr not in support:
-                fresh *= pr.norm ** e
-        updates = [(a.norm, exps_a, 1)]
-        for bucket in buckets[:(X // fresh).bit_length() + 1]:
-            for n, exps, c in bucket.values():
-                lcm = dict(exps)
-                for pr, e in a.factors:
-                    old = lcm.get(pr, 0)
-                    if e > old:
-                        lcm[pr] = e
-                        n *= pr.norm ** (e - old)
+            norm_of = {d | ((1 << j) - 1) << start[pr]: n * pr.norm ** j
+                       for d, n in norm_of.items() for j in range(e + 1)}
+        g = sum(((1 << e) - 1) << start[pr] for pr, e in a.factors)
+        updates = [(g, a.norm, 1)]
+        cut = (X * norm_of[g & seen] // a.norm).bit_length()
+        for bucket in buckets[:cut + 1]:
+            for l, (n, c) in bucket.items():
+                n = n * a.norm // norm_of[l & g]
                 if n <= X:
-                    updates.append((n, lcm, -c))
-        for n, exps, c in updates:
+                    updates.append((l | g, n, -c))
+        for l, n, c in updates:
             while len(buckets) <= n.bit_length():
                 buckets.append({})
             bucket = buckets[n.bit_length()]
-            key = frozenset(exps.items())
-            term = bucket.setdefault(key, [n, exps, 0])
-            term[2] += c
-            if not term[2]:
-                del bucket[key]
-        support.update(exps_a)
-    return sorted((n, c) for bucket in buckets for n, _, c in bucket.values())
+            term = bucket.setdefault(l, [n, 0])
+            term[1] += c
+            if not term[1]:
+                del bucket[l]
+        seen |= g
+    return sorted((n, c) for bucket in buckets for n, c in bucket.values())
 
 
 def _complement_density(block: Sequence[Ideal]) -> Fraction:

@@ -336,6 +336,9 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
 #: at most 2^16 terms chi(d) floor(x/d), so |sum| <= x (1 + log 2^16) < 2^63.
 _HYPERBOLA_LIMIT = 1 << 59
 
+#: Longest chi_D table of the hyperbola sums, about 10 bytes an entry.
+_CHI_TABLE_LIMIT = 10**8
+
 
 def ideal_counts(K: NumberField, xs: Sequence[int]) -> list[int]:
     """Exact H(x) = #{a : N(a) <= x} at each x in xs, without a sieve.
@@ -355,8 +358,10 @@ def ideal_counts(K: NumberField, xs: Sequence[int]) -> list[int]:
         return xs
     if max(xs) > _HYPERBOLA_LIMIT:
         raise TooLarge(f"H(x) is evaluated for x <= {_HYPERBOLA_LIMIT} only")
-    chi, S = kronecker_table(K, min(abs(K.discriminant), max(xs) + 1))
-    n = chi.size
+    n = min(abs(K.discriminant), max(xs) + 1)
+    if n > _CHI_TABLE_LIMIT:
+        raise TooLarge(f"H(x) reads {n} > {_CHI_TABLE_LIMIT} values of chi_D")
+    chi, S = kronecker_table(K, n)
     out = []
     for x in xs:
         u = math.isqrt(x)

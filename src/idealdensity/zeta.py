@@ -1,10 +1,9 @@
 """Harmonic ideal sums, partial Euler products and truncated Dedekind zeta.
 
 The truncated zeta and the harmonic ideal sum (at s = 1) add the same
-terms h(k)/k^s.  Partial Euler products are kept as exact rationals
-while the number of prime factors is small; beyond that they are summed
-in log space by ``math.fsum`` over float64 arrays, which rounds the sum
-correctly, so the order and the chunks it is read in do not change it.
+terms h(k)/k^s.  Partial Euler products are summed in log space by
+``math.fsum`` over float64 arrays, which rounds the sum correctly, so
+the order and the chunks it is read in do not change it.
 Every sum runs over blocks of norms or of prime ideals: no Python list
 or float array of length X is built beside the cached prime norms and
 ideal counts.
@@ -13,8 +12,6 @@ ideal counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -24,23 +21,10 @@ from .fields import EULER_GAMMA, NumberField, first_prime_norms, prime_norm_arra
 from .ideals import (count_ideals, ideal_counts, norm_blocks, pairwise_sum,
                      run_starts)
 
-#: Largest prime count for which the Euler product is kept as a Fraction.
-_EXACT_PRIME_LIMIT = 64
-
 #: Terms per Python list handed to ``math.fsum`` or ``math.log1p``; a
 #: list costs about 32 bytes per float, four times its array, so one
 #: chunk takes 128 KB.
 _LIST_CHUNK = 1 << 12
-
-
-@dataclass(frozen=True)
-class EulerProductState:
-    """Partial Euler product of zeta_K at s=1 over a prime-ideal prefix."""
-
-    k: int                       # number of prime ideals used
-    cutoff: int | None           # norm cutoff, if the prefix was cut by norm
-    value: float
-    exact: Fraction | None       # exact value when k is small enough
 
 
 def _chunks(a: np.ndarray):
@@ -60,22 +44,12 @@ def _log_factors(norms: np.ndarray) -> np.ndarray:
     return logs
 
 
-def _euler_product(norms: np.ndarray, logs: np.ndarray, k: int,
-                   cutoff: int | None) -> EulerProductState:
-    """The product over norms[:k]; ``logs`` holds log1p(-1/q) for each norm."""
-    exact = None
-    if k <= _EXACT_PRIME_LIMIT:
-        exact = Fraction(1)
-        for q in norms[:k].tolist():
-            exact *= Fraction(q, q - 1)
-        value = float(exact)
-    else:
-        value = math.exp(-math.fsum(chain.from_iterable(_chunks(logs[:k]))))
-    return EulerProductState(k=k, cutoff=cutoff, value=value, exact=exact)
+def _euler_product(logs: np.ndarray) -> float:
+    """The Euler product whose log factors log1p(-1/q) are ``logs``."""
+    return math.exp(-math.fsum(chain.from_iterable(_chunks(logs))))
 
 
-def euler_products_at(K: NumberField,
-                      cutoffs: list[int]) -> list[EulerProductState]:
+def euler_products_at(K: NumberField, cutoffs: list[int]) -> list[float]:
     """Partial Euler products over all prime ideals of norm <= c, for each c.
 
     The cached prime-norm array at the largest cutoff, and one float64
@@ -89,16 +63,15 @@ def euler_products_at(K: NumberField,
     norms = prime_norm_array(K, max(cutoffs))
     ks = np.searchsorted(norms, cutoffs, side="right").tolist()
     logs = _log_factors(norms)
-    return [_euler_product(norms, logs, k, c) for k, c in zip(ks, cutoffs)]
+    return [_euler_product(logs[:k]) for k in ks]
 
 
-def partial_euler_product(K: NumberField, k: int) -> EulerProductState:
+def partial_euler_product(K: NumberField, k: int) -> float:
     """Product of (1 - 1/N(p))^-1 over the first k prime ideals; products
     at norm cutoffs come from ``euler_products_at``."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    norms = first_prime_norms(K, k)
-    return _euler_product(norms, _log_factors(norms), norms.size, None)
+    return _euler_product(_log_factors(first_prime_norms(K, k)))
 
 
 def _zeta_terms(K: NumberField, X: int, s: float):
@@ -140,7 +113,7 @@ def mertens_ratio(K: NumberField, cutoff: int) -> float:
     """
     if cutoff < 10:
         raise ValueError("cutoff must be >= 10")
-    return euler_products_at(K, [cutoff])[0].value / math.log(cutoff)
+    return euler_products_at(K, [cutoff])[0] / math.log(cutoff)
 
 
 def mertens_target(alpha_K: float) -> float:

@@ -1,4 +1,5 @@
 import csv
+import decimal
 import json
 import os
 import subprocess
@@ -136,6 +137,17 @@ class TestCount:
             code, _, err = run(capsys, *argv, "--out",
                                str(tmp_path / "o.csv"))
             assert code == 0, err
+
+    def test_chi_table_past_its_bound(self, capsys, tmp_path, monkeypatch):
+        # |D| = 40028 entries of chi_D: refused with one line and no file.
+        monkeypatch.setattr(idd.ideals, "_CHI_TABLE_LIMIT", 10**4)
+        out_path = tmp_path / "count.csv"
+        code, _, err = run(capsys, "count", "--field", "Q(sqrt 10007)",
+                           "--max-norm", "1000000", "--out", str(out_path))
+        assert code == 2
+        (line,) = err.strip().splitlines()
+        assert line.startswith("numeric error:")
+        assert not out_path.exists()
 
     def test_missing_out(self, capsys):
         code, _, err = run(capsys, "count", "--max-norm", "10")
@@ -310,6 +322,39 @@ class TestDensity:
         summary = read_summary(out_path)["summary"]
         assert summary["A_exact"] == "1/1000003"
         assert read_csv(out_path)[-1][:2] == ["2000000", "1"]
+
+    def test_exact_density_past_the_int_string_limit(self, capsys, tmp_path):
+        # The 1100 primes in (10^4, 20681]: the denominator of A has 4565
+        # digits, past Python's 4300-digit limit on str(int).
+        primes = [pr.p for pr in idd.primes_up_to_norm(
+            idd.make_rational_field(), 20681) if pr.p > 10**4]
+        doc = {"field": "Q", "kind": "explicit", "members": primes}
+        out_path = tmp_path / "density.csv"
+        code, _, err = run(capsys, "density", "--aset",
+                           str(write_aset(tmp_path, doc)), "--max-norm", "1000",
+                           "--out", str(out_path))
+        assert code == 0, err
+        exact = idd.finite_ie_density(idd.parse_family(doc))
+        n, d = (str(decimal.Decimal(v)) for v in exact.as_integer_ratio())
+        assert len(primes) == 1100 and len(d) == 4565
+        assert read_summary(out_path)["summary"]["A_exact"] == f"{n}/{d}"
+
+    def test_exact_density_past_its_digit_bound(self, tmp_path):
+        # N(a) = 2^(10^7) has about 3 * 10^6 digits: refused before the
+        # decimal conversion, which would take minutes, and before any file.
+        aset = write_aset(tmp_path, {"field": "Q(sqrt -1)", "kind": "explicit",
+                                     "members": [[[2, 0, 10**7]]]})
+        start = time.perf_counter()
+        proc = run_process("-m", "idealdensity.cli", "density",
+                           "--field", "Q(sqrt -1)", "--aset", str(aset),
+                           "--max-norm", "1000",
+                           "--out", str(tmp_path / "out.csv"))
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 2
+        (line,) = proc.stderr.strip().splitlines()
+        assert line.startswith("numeric error:")
+        assert str(cli.MAX_EXACT_DIGITS) in line
+        assert not (tmp_path / "out.csv").exists()
 
     def test_missing_aset_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "density", "--aset",

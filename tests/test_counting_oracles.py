@@ -15,9 +15,11 @@ complement identity of profiles are property-checked on the same fields.
 
 import bisect
 import functools
+import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -195,6 +197,29 @@ def test_ie_terms_match_subset_inclusion_exclusion(m):
             for _ in range(8):
                 members = rng.sample(pool, rng.randint(1, 10))
                 assert _ie_terms(members, X) == subset_ie_terms(members, X)
+
+
+@pytest.mark.parametrize("m, hi, digest", [
+    (-1, 60, "09cb8cdc0b9e96f1167506490b00eb48ea0b6ff3aea980b1922d892135ab8476"),
+    (-5, 60, "fc0fb754aabf530384a8182c12b797a5d3d05bed1b1d546e0c17ff3050ab2533"),
+    (5, 80, "a889547635cfa5fa185c6838cf35e895ffdfeef0243cc7cc6d1c57a6540a50cc"),
+])
+def test_ie_terms_of_norm_ranges_are_pinned(m, hi, digest):
+    # Every ideal of norm in (2, hi], at X = 10^5: 1860, 2229 and 2377
+    # terms, pinned while each term was still keyed by its exponent dict.
+    members = [a for a in idd.enumerate_ideals(field(m), hi) if a.norm > 2]
+    terms = repr(_ie_terms(members, 10**5)).encode()
+    assert hashlib.sha256(terms).hexdigest() == digest
+
+
+def test_ie_terms_of_many_entangled_members_are_fast():
+    # The 118 ideals of Q(i) of norm in (50, 200] give 32410 terms at
+    # X = 10^6: about 0.5 s on bit sets, 4 s with an exponent dict a term.
+    members = [a for a in idd.enumerate_ideals(field(-1), 200) if a.norm > 50]
+    start = time.perf_counter()
+    terms = _ie_terms(members, 10**6)
+    assert time.perf_counter() - start < 2
+    assert len(terms) == 32410
 
 
 @pytest.mark.parametrize("m", [None, -1, -5, 5])

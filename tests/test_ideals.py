@@ -264,6 +264,17 @@ class TestPointCounts:
         with pytest.raises(TooLarge):
             idd.ideal_count(Qi, 2**62)
 
+    def test_chi_table_past_its_bound_raises(self, monkeypatch):
+        # |D| = 40028: a table of 10^4 entries is built, and one of |D|
+        # entries, for x = 10^6, is refused before it is built.
+        monkeypatch.setattr(idd.ideals, "_CHI_TABLE_LIMIT", 10**4)
+        K = idd.make_quadratic_field(10007)
+        assert idd.ideal_counts(K, [9999]) == [
+            idd.count_ideals(K, 9999).H_of(9999)]
+        monkeypatch.setattr(idd.ideals, "kronecker_table", None)
+        with pytest.raises(TooLarge, match="40028"):
+            idd.ideal_counts(K, [10**6])
+
 
 def test_run_starts_is_unique_on_the_sample_grids():
     # The grids of fields.sample_grid from 1 (cli) and from 10 (density),

@@ -53,21 +53,14 @@ class TestEulerProductsAt:
     @pytest.mark.parametrize("m", [1, -1, 5])
     def test_equals_per_cutoff_products(self, m):
         K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
-        states = idd.euler_products_at(K, self.CUTOFFS)
+        products = idd.euler_products_at(K, self.CUTOFFS)
         norms = [pr.norm for pr in idd.primes_up_to_norm(K, max(self.CUTOFFS))]
-        for c, state in zip(self.CUTOFFS, states):
+        for c, value in zip(self.CUTOFFS, products):
             single = idd.euler_products_at(K, [c])[0]
             qs = [q for q in norms if q <= c]
-            assert (state.k, state.cutoff) == (len(qs), c)
-            assert state.value == single.value
-            if state.k <= 64:
-                exact = math.prod((Fraction(q, q - 1) for q in qs),
-                                  start=Fraction(1))
-                assert state.exact == single.exact == exact
-            else:
-                assert state.exact is None
-                assert state.value == math.exp(
-                    -math.fsum(math.log1p(-1.0 / q) for q in qs))
+            assert value == single
+            assert value.hex() == math.exp(
+                -math.fsum(math.log1p(-1.0 / q) for q in qs)).hex()
 
     def test_validation(self, Q):
         assert idd.euler_products_at(Q, []) == []
@@ -75,23 +68,10 @@ class TestEulerProductsAt:
             idd.euler_products_at(Q, [10, 1])
 
 
-def _euler_reference(K, norms, k, cutoff):
-    # The products from Python lists of every norm and log factor.
-    norms = norms.tolist()
-    logs = [math.log1p(-1.0 / q) for q in norms]
-    exact = None
-    if k <= 64:
-        exact = Fraction(1)
-        for q in norms[:k]:
-            exact *= Fraction(q, q - 1)
-        value = float(exact)
-    else:
-        value = math.exp(-math.fsum(logs[:k]))
-    return value.hex(), exact, k, cutoff
-
-
-def _state(state):
-    return state.value.hex(), state.exact, state.k, state.cutoff
+def _euler_reference(norms, k):
+    # The product from Python lists of every norm and log factor.
+    logs = [math.log1p(-1.0 / q) for q in norms.tolist()]
+    return math.exp(-math.fsum(logs[:k])).hex()
 
 
 class TestEulerProductsFromArrays:
@@ -102,9 +82,9 @@ class TestEulerProductsFromArrays:
         K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
         cutoffs = [2, 10, 311, 312, 20000, 65536 * 3, 10**6]
         norms = prime_norm_array(K, max(cutoffs))
-        for c, state in zip(cutoffs, idd.euler_products_at(K, cutoffs)):
+        for c, value in zip(cutoffs, idd.euler_products_at(K, cutoffs)):
             k = int(np.searchsorted(norms, c, side="right"))
-            assert _state(state) == _euler_reference(K, norms, k, c)
+            assert value.hex() == _euler_reference(norms, k)
 
     @pytest.mark.parametrize("m", FIELDS)
     def test_first_k_equal_the_list_reference(self, m):
@@ -112,8 +92,8 @@ class TestEulerProductsFromArrays:
         for k in (0, 1, 64, 65, 1000, 20000):
             norms = np.array([pr.norm for pr in first_prime_ideals(K, k)],
                              dtype=np.int64)
-            state = idd.partial_euler_product(K, k=k)
-            assert _state(state) == _euler_reference(K, norms, k, None)
+            value = idd.partial_euler_product(K, k=k)
+            assert value.hex() == _euler_reference(norms, k)
 
     def test_memory_is_bounded(self):
         # Warm, the prime norms are cached: one float64 array of log
@@ -126,29 +106,27 @@ class TestEulerProductsFromArrays:
 
 class TestEulerProduct:
     def test_rational_cutoff(self, Q):
-        state = idd.euler_products_at(Q, [10])[0]
-        assert state.exact == Fraction(35, 8)
-        assert state.value == pytest.approx(4.375)
+        assert idd.euler_products_at(Q, [10])[0] == pytest.approx(4.375)
 
     def test_empty(self, Q):
-        state = idd.partial_euler_product(Q, k=0)
-        assert state.exact == 1
+        assert idd.partial_euler_product(Q, k=0) == 1
 
     def test_gaussian_cutoff(self, Qi):
         # ramified 2 and the two split primes of norm 5
-        assert idd.euler_products_at(Qi, [5])[0].exact == Fraction(25, 8)
+        assert idd.euler_products_at(Qi, [5])[0] == pytest.approx(3.125)
 
     def test_monotone_in_k(self, Qi):
-        values = [idd.partial_euler_product(Qi, k=k).value for k in range(12)]
+        values = [idd.partial_euler_product(Qi, k=k) for k in range(12)]
         assert all(b >= a >= 1.0 for a, b in zip(values, values[1:]))
 
-    def test_exact_matches_float_path(self, Q):
-        # same prefix computed exactly and in log space
-        from idealdensity import zeta
-        state = idd.euler_products_at(Q, [300])[0]
-        norms = [pr.norm for pr in idd.primes_up_to_norm(Q, 300)]
-        log_value = math.exp(-math.fsum(math.log1p(-1.0 / q) for q in norms))
-        assert state.value == pytest.approx(log_value, rel=1e-12)
+    def test_exact_matches_float_path(self, Q, Qi):
+        # The log-space product against the exact rational one.
+        for K, cutoff in ((Q, 10), (Q, 300), (Qi, 5)):
+            exact = math.prod((Fraction(pr.norm, pr.norm - 1)
+                               for pr in idd.primes_up_to_norm(K, cutoff)),
+                              start=Fraction(1))
+            assert idd.euler_products_at(K, [cutoff])[0] == pytest.approx(
+                float(exact), rel=1e-15, abs=0)
 
     def test_argument_validation(self, Q):
         with pytest.raises(ValueError):
@@ -180,7 +158,7 @@ class TestEulerProductVsRestrictedSum:
         K = Q if field_name == "Q" else Qi
         bound = 10**6
         partial = _restricted_harmonic_sum(K, k, bound)
-        pi_k = idd.partial_euler_product(K, k=k).value
+        pi_k = idd.partial_euler_product(K, k=k)
         tail = rankin_tail_bound([pr.norm for pr in first_prime_ideals(K, k)],
                                  bound)
         assert partial <= pi_k + 1e-12
