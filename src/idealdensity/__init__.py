@@ -24,7 +24,6 @@ from .fields import (
     PrimeIdeal,
     analytic_residue_imag_quadratic,
     class_number_imag_quadratic,
-    kronecker_symbol,
     make_quadratic_field,
     make_rational_field,
     parse_field,
@@ -38,15 +37,11 @@ from .ideals import (
     divides,
     enumerate_ideals,
     estimate_residue_constant,
-    gcd,
     ideal_count,
     ideal_counts,
     integer_ideal,
     intersect,
     make_ideal,
-    multiples_count,
-    multiply,
-    unit_ideal,
 )
 from .zeta import (
     dedekind_zeta,

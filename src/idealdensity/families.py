@@ -2,9 +2,9 @@
 
 A family is either an explicit finite list of ideals, the rule "all l-th
 powers of prime ideals", or the rule "all ideals with norm in a union of
-intervals".  Rule-based families decide membership of any ideal straight
-from its factorization and enumerate their members in nondecreasing norm
-order with the global deterministic tie-break.
+intervals".  Rule-based families list their members in nondecreasing
+norm order with the global deterministic tie-break, up to a truncation
+norm that makes them finite.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _integer_root(n: int, k: int) -> int:
 
 
 class AFamily:
-    """Base class; concrete families implement members and membership."""
+    """Base class; concrete families list their members in norm order."""
 
     field: NumberField
     kind: str
@@ -51,15 +51,6 @@ class AFamily:
     def first_members(self, r: int) -> list[Ideal]:
         """The first r working members in norm order (all, if fewer)."""
         raise NotImplementedError
-
-    def is_multiple(self, b: Ideal) -> bool:
-        """True iff b is a multiple of some family member."""
-        raise NotImplementedError
-
-    def _check_field(self, b: Ideal) -> None:
-        if b.field != self.field:
-            raise FieldMismatch(
-                f"ideal over {b.field.label()}, family over {self.field.label()}")
 
 
 @dataclass(frozen=True)
@@ -85,10 +76,6 @@ class ExplicitFamily(AFamily):
 
     def first_members(self, r: int) -> list[Ideal]:
         return list(self.members[:r])
-
-    def is_multiple(self, b: Ideal) -> bool:
-        self._check_field(b)
-        return any(divides(a, b) for a in self.members if a.norm <= b.norm)
 
 
 @dataclass(frozen=True)
@@ -117,10 +104,6 @@ class PrimePowerFamily(AFamily):
         q_max = _integer_root(self.truncation, self.l)
         return [make_ideal(self.field, [(pr, self.l)])
                 for pr in first_prime_ideals(self.field, r, bound=q_max)]
-
-    def is_multiple(self, b: Ideal) -> bool:
-        self._check_field(b)
-        return b.max_exponent() >= self.l
 
 
 @dataclass(frozen=True)
@@ -157,10 +140,6 @@ class NormIntervalFamily(AFamily):
 
     def first_members(self, r: int) -> list[Ideal]:
         return list(islice(self._walk(self.truncation), r))
-
-    def is_multiple(self, b: Ideal) -> bool:
-        self._check_field(b)
-        return any(self.norm_in_intervals(n) for n in b.divisor_norms())
 
 
 def minimal_members(members: list[Ideal]) -> list[Ideal]:

@@ -189,63 +189,33 @@ def parse_field(text: str) -> NumberField:
     return make_quadratic_field(int(match.group(1)))
 
 
-def _jacobi(a: int, n: int) -> int:
-    # Jacobi symbol (a/n) for odd positive n.
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def kronecker_symbol(D: int, n: int) -> int:
-    """Kronecker symbol (D/n) for positive n.
-
-    Completely multiplicative in n; for D = 0, 1 (mod 4) it is periodic
-    with period dividing |D|.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return 1
-    result = 1
-    while n % 2 == 0:
-        n //= 2
-        if D % 2 == 0:
-            return 0
-        if D % 8 in (3, 5):
-            result = -result
-    return result * _jacobi(D % n, n)
-
-
 def split_prime(K: NumberField, p: int) -> list[tuple[PrimeIdeal, int]]:
-    """Factor (p) in O_K; returns (prime ideal, exponent in (p)) pairs."""
+    """Factor (p) in O_K; returns (prime ideal, exponent in (p)) pairs.
+
+    p ramifies when it divides D, and otherwise splits when chi_D(p) = 1:
+    for p = 2 when D = 1 or 7 mod 8, for odd p by Euler's criterion on
+    Python ints, so p may be past the int64 reach of ``_symbols_at_primes``.
+    """
     if p < 2 or not isprime(p):
         raise NotPrime(f"{p} is not a rational prime")
     if K.is_rational:
         return [(PrimeIdeal(norm=p, p=p, conjugate_index=0, e=1, f=1), 1)]
-    s = kronecker_symbol(K.discriminant, p)
-    if s == 1:
+    D = K.discriminant
+    if D % p == 0:
+        return [(PrimeIdeal(norm=p, p=p, conjugate_index=0, e=2, f=1), 2)]
+    splits = D % 8 in (1, 7) if p == 2 else pow(D, (p - 1) // 2, p) == 1
+    if splits:
         return [
             (PrimeIdeal(norm=p, p=p, conjugate_index=0, e=1, f=1), 1),
             (PrimeIdeal(norm=p, p=p, conjugate_index=1, e=1, f=1), 1),
         ]
-    if s == -1:
-        return [(PrimeIdeal(norm=p * p, p=p, conjugate_index=0, e=1, f=2), 1)]
-    return [(PrimeIdeal(norm=p, p=p, conjugate_index=0, e=2, f=1), 2)]
+    return [(PrimeIdeal(norm=p * p, p=p, conjugate_index=0, e=1, f=2), 1)]
 
 
 def _symbols_at_primes(D: int, ps: np.ndarray) -> np.ndarray:
-    # kronecker_symbol(D, p) at every prime of an int64 array (p^2 must
-    # fit): Euler's criterion by vectorised square-and-multiply, and the
-    # Kronecker rule at p = 2.
+    # chi_D(p), the Kronecker symbol (D/p), at every prime of an int64
+    # array (p^2 must fit): Euler's criterion by vectorised
+    # square-and-multiply, and the Kronecker rule at p = 2.
     base, e = D % ps, (ps - 1) // 2
     r = np.ones_like(ps)
     while e.any():
@@ -293,8 +263,8 @@ def rational_primes_up_to(n: int) -> np.ndarray:
 
 
 def _split_symbols(K: NumberField, ps: np.ndarray) -> np.ndarray:
-    # chi_D(p) = kronecker_symbol(D, p) at every prime of ps (ascending),
-    # for a quadratic field K, as int8, computed in pieces of primes.
+    # chi_D(p) at every prime of ps (ascending), for a quadratic field K,
+    # as int8, computed in pieces of primes.
     # chi_D is a character mod |D|, so Euler's criterion runs only on the
     # primes below |D|, each the first prime of its residue class, and
     # every larger prime reads its class's symbol from the cached table of
@@ -426,8 +396,8 @@ def euler_series(n: int, qs: np.ndarray, cs: np.ndarray,
 
 @lru_cache(maxsize=8)
 def kronecker_table(K: NumberField, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """chi[k] = kronecker_symbol(D, k) and S[k] = chi[1] + ... + chi[k] for
-    0 <= k < n <= |D|, D the discriminant of the quadratic field K
+    """chi[k] = (D/k), the Kronecker symbol, and S[k] = chi[1] + ... + chi[k]
+    for 0 <= k < n <= |D|, D the discriminant of the quadratic field K
     (read-only arrays: chi int8, S the smallest signed integer type that
     holds -n; chi[0] = 0).
 

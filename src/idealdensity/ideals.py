@@ -1,22 +1,23 @@
-"""Factored-representation arithmetic on integral ideals and norm counting.
+"""Integral ideals as prime factorizations, and ideal counts by norm.
 
-Every nonzero integral ideal is stored as its sorted prime factorization,
-so divisibility, gcd, lcm (= intersection) and norms are exact
-exponent-vector operations.  Counting by norm is done three ways, so
-each can check the others.  ``ideal_count`` gives H(x) at one point in
-O(sqrt x) by the Dirichlet hyperbola method over zeta_K = zeta L(s, chi_D)
-(H(x) = x over Q), for callers that read a few points.  ``count_ideals``
-keeps the counts of a quadratic field up to X for callers that read
-them at many points (the harmonic ideal sum reads h through the zeta
-terms h(k)/k^s): h is ``fields.euler_series`` over the prime-ideal norms
+Every nonzero integral ideal is stored as its sorted prime
+factorization, so divisibility, lcm (= intersection) and norms are exact
+exponent-vector operations.  Ideals are counted by norm in the form each
+caller reads, and the tests check each form against the others.
+``ideal_count`` gives H(x) at one point in O(sqrt x) by the Dirichlet
+hyperbola method over zeta_K = zeta L(s, chi_D) (H(x) = x over Q), for
+callers that read a few points.  ``count_ideals`` keeps the counts of a
+quadratic field up to X for callers that read them at many points (the
+harmonic ideal sum reads h through the zeta terms h(k)/k^s): h is
+``fields.euler_series`` over the prime-ideal norms
 (``fields.prime_norm_array``), the sieve that also builds the chi_D
 table, in about 2 bytes per norm, and H and the harmonic prefix L are
-kept at every 32nd norm and completed on read.  Over Q, where h = 1,
-hot paths need no counter at all: the harmonic prefix at a profile's
-sample points comes from ``rational_harmonic_prefix``, summed in blocks
-of norms by ``prefix_sums_at``.  ``ideals_of_norm`` lists the ideals of
-one norm from its factorization; the exhaustive enumeration that checks
-the sieve lives in the tests.
+kept at every 32nd norm and completed on read.  Over Q, where h = 1, hot
+paths need no counter at all: the harmonic prefix at a profile's sample
+points comes from ``rational_harmonic_prefix``, summed in blocks of
+norms by ``prefix_sums_at``.  ``ideals_of_norm`` lists the ideals of one
+norm from its factorization; the exhaustive enumeration that checks the
+sieve lives in the tests.
 """
 
 from __future__ import annotations
@@ -56,21 +57,6 @@ class Ideal:
     def sort_key(self):
         return (self.norm, self.factors)
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.factors
-
-    def max_exponent(self) -> int:
-        return max((e for _, e in self.factors), default=0)
-
-    def divisor_norms(self) -> list[int]:
-        """Norms of all divisors (with multiplicity one per divisor)."""
-        norms = [1]
-        for pr, e in self.factors:
-            powers = [pr.norm ** j for j in range(e + 1)]
-            norms = [n * q for n in norms for q in powers]
-        return norms
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if not self.factors:
             return f"Ideal(O_{self.field.label()})"
@@ -79,10 +65,6 @@ class Ideal:
             else f"P({pr.p},{pr.conjugate_index})"
             for pr, e in self.factors)
         return f"Ideal({parts}, norm={self.norm})"
-
-
-def unit_ideal(K: NumberField) -> Ideal:
-    return Ideal(field=K, factors=(), norm=1)
 
 
 def make_ideal(K: NumberField, factors: Iterable[tuple[PrimeIdeal, int]]) -> Ideal:
@@ -111,15 +93,6 @@ def _check_same_field(a: Ideal, b: Ideal) -> None:
         raise FieldMismatch(f"{a.field.label()} vs {b.field.label()}")
 
 
-def multiply(a: Ideal, b: Ideal) -> Ideal:
-    """Product ideal: exponent-wise sum, norm multiplies."""
-    _check_same_field(a, b)
-    exps = dict(a.factors)
-    for pr, e in b.factors:
-        exps[pr] = exps.get(pr, 0) + e
-    return make_ideal(a.field, exps.items())
-
-
 def intersect(ideals: Sequence[Ideal]) -> Ideal:
     """Intersection = least common multiple: exponent-wise maximum."""
     ideals = list(ideals)
@@ -134,14 +107,6 @@ def intersect(ideals: Sequence[Ideal]) -> Ideal:
             if exps.get(pr, 0) < e:
                 exps[pr] = e
     return make_ideal(first.field, exps.items())
-
-
-def gcd(a: Ideal, b: Ideal) -> Ideal:
-    """Ideal sum a + b: exponent-wise minimum."""
-    _check_same_field(a, b)
-    exps_b = dict(b.factors)
-    exps = {pr: min(e, exps_b[pr]) for pr, e in a.factors if pr in exps_b}
-    return make_ideal(a.field, exps.items())
 
 
 def divides(a: Ideal, b: Ideal) -> bool:
@@ -441,17 +406,6 @@ def enumerate_ideals(K: NumberField, X: int,
     rec(0, 1)
     found.sort(key=Ideal.sort_key)
     return found
-
-
-def multiples_count(a: Ideal, X: int) -> int:
-    """Number of ideals b with a | b and N(b) <= X.
-
-    Dividing out a is a norm-dividing bijection, so this is H(floor(X/N(a))),
-    read by ``ideal_count`` over the field of a.
-    """
-    if X < 1:
-        raise ValueError("X must be >= 1")
-    return ideal_count(a.field, X // a.norm)
 
 
 def estimate_residue_constant(K: NumberField, X: int,

@@ -17,9 +17,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import SNotGreaterThanOne
-from .fields import EULER_GAMMA, NumberField, first_prime_norms, prime_norm_array
-from .ideals import (count_ideals, ideal_counts, norm_blocks, pairwise_sum,
-                     run_starts)
+from .fields import (EULER_GAMMA, NumberField, first_prime_norms,
+                     prime_norm_array, run_starts)
+from .ideals import count_ideals, ideal_counts, norm_blocks, pairwise_sum
 
 #: Terms per Python list handed to ``math.fsum`` or ``math.log1p``; a
 #: list costs about 32 bytes per float, four times its array, so one

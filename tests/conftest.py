@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import idealdensity as idd
+from idealdensity.errors import FieldMismatch
 from idealdensity.fields import prime_norm_array
+from idealdensity.ideals import _check_same_field
 
 
 @pytest.fixture(scope="session")
@@ -32,9 +34,92 @@ def int_family(K, *ns):
         field=K, members=tuple(idd.integer_ideal(K, n) for n in ns))
 
 
+def unit_ideal(K):
+    """The unit ideal O_K: norm 1, no prime factor."""
+    return idd.Ideal(field=K, factors=(), norm=1)
+
+
+def multiply(a, b):
+    """Product ideal: exponent-wise sum, norm multiplies."""
+    _check_same_field(a, b)
+    exps = dict(a.factors)
+    for pr, e in b.factors:
+        exps[pr] = exps.get(pr, 0) + e
+    return idd.make_ideal(a.field, exps.items())
+
+
+def gcd(a, b):
+    """Ideal sum a + b: exponent-wise minimum."""
+    _check_same_field(a, b)
+    exps_b = dict(b.factors)
+    return idd.make_ideal(a.field, [(pr, min(e, exps_b[pr]))
+                                    for pr, e in a.factors if pr in exps_b])
+
+
+def divisor_norms(b) -> list[int]:
+    """Norms of all divisors of b, one per divisor."""
+    norms = [1]
+    for pr, e in b.factors:
+        norms = [n * pr.norm ** j for n in norms for j in range(e + 1)]
+    return norms
+
+
+def is_multiple(family, b) -> bool:
+    """True iff b is a multiple of some member of the family, decided from
+    the factorization of b: the membership oracle for the family counts."""
+    if b.field != family.field:
+        raise FieldMismatch(
+            f"ideal over {b.field.label()}, family over {family.field.label()}")
+    if isinstance(family, idd.ExplicitFamily):
+        return any(idd.divides(a, b) for a in family.members
+                   if a.norm <= b.norm)
+    if isinstance(family, idd.PrimePowerFamily):
+        return any(e >= family.l for _, e in b.factors)
+    if isinstance(family, idd.NormIntervalFamily):
+        return any(map(family.norm_in_intervals, divisor_norms(b)))
+    raise TypeError(f"no membership rule for {type(family).__name__}")
+
+
+def _jacobi(a: int, n: int) -> int:
+    # Jacobi symbol (a/n) for odd positive n.
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def kronecker_symbol(D: int, n: int) -> int:
+    """Kronecker symbol (D/n) for positive n, by Jacobi reciprocity: the
+    reference for the package's Euler-criterion symbols.
+
+    Completely multiplicative in n; for D = 0, 1 (mod 4) it is periodic
+    with period dividing |D|.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n == 1:
+        return 1
+    result = 1
+    while n % 2 == 0:
+        n //= 2
+        if D % 2 == 0:
+            return 0
+        if D % 8 in (3, 5):
+            result = -result
+    return result * _jacobi(D % n, n)
+
+
 def random_explicit_family(K, rng: random.Random, max_members=5, max_norm=50):
     """Seeded random family with distinct members of norm <= max_norm."""
-    pool = [i for i in idd.enumerate_ideals(K, max_norm) if not i.is_unit]
+    pool = [i for i in idd.enumerate_ideals(K, max_norm) if i.factors]
     n = rng.randint(1, max_members)
     return idd.ExplicitFamily(field=K, members=tuple(rng.sample(pool, n)))
 
@@ -145,7 +230,7 @@ def box_density(members) -> Fraction:
     """
     if not members:
         return Fraction(0)
-    if any(a.is_unit for a in members):
+    if any(not a.factors for a in members):
         return Fraction(1)
     primes = sorted({pr for a in members for pr, _ in a.factors})
     caps = [max(dict(a.factors).get(pr, 0) for a in members) for pr in primes]

@@ -12,7 +12,7 @@ import pytest
 import idealdensity as idd
 from idealdensity import cli
 
-from conftest import box_density
+from conftest import box_density, is_multiple
 
 
 def run(capsys, *argv):
@@ -254,8 +254,8 @@ class TestDensity:
             assert summary["A_r"] == [] and summary["A"] == 0.0
         else:
             fam = idd.parse_family(json.loads(aset.read_text()))
-            hits = sum(map(fam.is_multiple,
-                           idd.enumerate_ideals(fam.field, 1000)))
+            hits = sum(is_multiple(fam, b)
+                       for b in idd.enumerate_ideals(fam.field, 1000))
             assert rows[-1][:2] == ["1000", str(hits)] and hits > 0
             assert summary["A_r"][0] > 0
 

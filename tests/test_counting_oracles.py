@@ -33,8 +33,9 @@ from idealdensity.density import _ie_terms
 from idealdensity.errors import DuplicateMembers, TooLarge
 from idealdensity.ideals import gaussian_lattice_H, ideal_count, ideal_counts
 
-from conftest import (enumeration_norm_counts, full_H_and_L,
-                      gaussian_lattice_counts, trial_division_primes)
+from conftest import (divisor_norms, enumeration_norm_counts, full_H_and_L,
+                      gaussian_lattice_counts, gcd, is_multiple,
+                      kronecker_symbol, trial_division_primes, unit_ideal)
 
 #: Largest bound of the brute-force enumerations.
 BRUTE_X = 3000
@@ -62,7 +63,7 @@ def brute_ideals(K):
 
 @functools.lru_cache(maxsize=None)
 def member_pool(K):
-    return [b for b in brute_ideals(K)[0] if not b.is_unit and b.norm <= 60]
+    return [b for b in brute_ideals(K)[0] if b.factors and b.norm <= 60]
 
 
 def brute_profile(K, X, member):
@@ -89,16 +90,16 @@ fields = st.sampled_from([None] + SQUAREFREE_M).map(field)
 @PROPERTY_SETTINGS
 @given(K=fields, data=st.data())
 def test_explicit_family_counts_match_brute_force(K, data):
-    pool = member_pool(K) + [idd.unit_ideal(K)]
+    pool = member_pool(K) + [unit_ideal(K)]
     members = data.draw(st.lists(st.sampled_from(pool),
                                  min_size=1, max_size=5, unique=True))
     X = data.draw(st.integers(100, BRUTE_X))
     fam = idd.ExplicitFamily(field=K, members=tuple(members))
-    hits, all_norms = brute_profile(K, X, fam.is_multiple)
+    member = functools.partial(is_multiple, fam)
+    hits, all_norms = brute_profile(K, X, member)
     assert idd.sieve_multiples_density(fam, X) == Fraction(len(hits),
                                                           len(all_norms))
-    assert_matches_brute_force(idd.density_profile(fam, X=X), K,
-                               fam.is_multiple)
+    assert_matches_brute_force(idd.density_profile(fam, X=X), K, member)
 
 
 @PROPERTY_SETTINGS
@@ -106,7 +107,7 @@ def test_explicit_family_counts_match_brute_force(K, data):
 def test_gcd_lcm_norms_and_divisibility(K, data):
     a, b = data.draw(st.lists(st.sampled_from(brute_ideals(K)[0]),
                               min_size=2, max_size=2))
-    g, m = idd.gcd(a, b), idd.intersect([a, b])
+    g, m = gcd(a, b), idd.intersect([a, b])
     assert g.norm * m.norm == a.norm * b.norm
     assert idd.divides(a, b) == (g == a)
     assert idd.divides(a, m) and idd.divides(b, m)
@@ -134,7 +135,7 @@ def test_complement_ratios_sum_to_one(K, data):
 @PROPERTY_SETTINGS
 @given(K=fields, data=st.data())
 def test_incremental_a_limit_equals_prefix_densities(K, data):
-    pool = member_pool(K)[:30] + [idd.unit_ideal(K)]
+    pool = member_pool(K)[:30] + [unit_ideal(K)]
     members = sorted(data.draw(st.lists(st.sampled_from(pool), min_size=1,
                                         max_size=8)), key=idd.Ideal.sort_key)
 
@@ -167,11 +168,11 @@ def test_entangled_family_over_the_cap_counts_exactly(K, X):
     assert len(fam.members) == 21
     assert idd.finite_ie_density(fam) == Fraction(1, first.norm) * (
         1 - math.prod(Fraction(q.norm - 1, q.norm) for q in others))
-    hits, all_norms = brute_profile(K, X, fam.is_multiple)
+    member = functools.partial(is_multiple, fam)
+    hits, all_norms = brute_profile(K, X, member)
     assert idd.sieve_multiples_density(fam, X) == Fraction(len(hits),
                                                           len(all_norms))
-    assert_matches_brute_force(idd.density_profile(fam, X=X), K,
-                               fam.is_multiple)
+    assert_matches_brute_force(idd.density_profile(fam, X=X), K, member)
 
 
 def subset_ie_terms(members, X):
@@ -190,7 +191,7 @@ def subset_ie_terms(members, X):
 def test_ie_terms_match_subset_inclusion_exclusion(m):
     # Pools of every ideal (the unit too) of norm <= 60, where members
     # share primes and their lcms cancel, and of norm <= 400.
-    K, rng = field(m), random.Random(m)
+    K, rng = field(m), random.Random(m or 0)
     for bound in (60, 400):
         pool = idd.enumerate_ideals(K, bound)
         for X in (40, 1000, 10**6):
@@ -227,7 +228,7 @@ def test_unit_member_makes_every_ideal_a_multiple(m):
     K = field(m)
     P, Q = idd.primes_up_to_norm(K, 20)[:2]
     fam = idd.ExplicitFamily(field=K, members=(
-        idd.unit_ideal(K), idd.make_ideal(K, [(P, 1)]),
+        unit_ideal(K), idd.make_ideal(K, [(P, 1)]),
         idd.make_ideal(K, [(P, 2)]), idd.make_ideal(K, [(P, 1), (Q, 1)])))
     assert idd.sieve_multiples_density(fam, 1000) == 1
     report = idd.density_profile(fam, X=1000)
@@ -245,18 +246,18 @@ def test_wide_entangled_family_counts_exactly(m):
     fam = idd.ExplicitFamily(field=K, members=tuple(
         idd.make_ideal(K, [(first, 1), (q, 1)]) for q in others))
     assert len(fam.members) > 150
-    hits, all_norms = brute_profile(K, X, fam.is_multiple)
+    member = functools.partial(is_multiple, fam)
+    hits, all_norms = brute_profile(K, X, member)
     assert idd.sieve_multiples_density(fam, X) == Fraction(len(hits),
                                                           len(all_norms))
-    assert_matches_brute_force(idd.density_profile(fam, X=X), K,
-                               fam.is_multiple)
+    assert_matches_brute_force(idd.density_profile(fam, X=X), K, member)
 
 
 def test_irregular_gaussian_family_matches_brute_force(Qi):
     # The multiples of a prime above 5 or of a prime square are the ideals
     # whose norm is divisible by 5 or that have an exponent >= 2.
     def member(b):
-        return b.norm % 5 == 0 or b.max_exponent() >= 2
+        return b.norm % 5 == 0 or any(e >= 2 for _, e in b.factors)
 
     X = 2000
     primes = idd.primes_up_to_norm(Qi, math.isqrt(X))
@@ -264,7 +265,7 @@ def test_irregular_gaussian_family_matches_brute_force(Qi):
         [idd.make_ideal(Qi, [(pr, 1)]) for pr in primes if pr.p == 5]
         + [idd.make_ideal(Qi, [(pr, 2)]) for pr in primes]))
     ideals, norms = brute_ideals(Qi)
-    assert all(fam.is_multiple(b) == member(b)
+    assert all(is_multiple(fam, b) == member(b)
                for b in ideals[:bisect.bisect_right(norms, X)])
     assert_matches_brute_force(idd.density_profile(fam, X=X), Qi, member)
     hits, all_norms = brute_profile(Qi, X, member)
@@ -275,8 +276,9 @@ def test_irregular_gaussian_family_matches_brute_force(Qi):
 def test_norm_intervals_over_gaussian_field(Qi):
     fam = idd.NormIntervalFamily(field=Qi, intervals=((8, 13), (40, 60)))
     report = idd.density_profile(fam, X=2000)
-    assert_matches_brute_force(report, Qi, fam.is_multiple)
-    hits, all_norms = brute_profile(Qi, 2000, fam.is_multiple)
+    member = functools.partial(is_multiple, fam)
+    assert_matches_brute_force(report, Qi, member)
+    hits, all_norms = brute_profile(Qi, 2000, member)
     assert idd.sieve_multiples_density(fam, 2000) == Fraction(len(hits),
                                                              len(all_norms))
 
@@ -291,7 +293,7 @@ def test_divisor_norms_depend_on_the_norm_alone(K):
     for b in brute_ideals(K)[0]:
         if b.norm not in expected:
             expected[b.norm] = {d for d in sympy.divisors(b.norm) if h[d]}
-        assert set(b.divisor_norms()) == expected[b.norm]
+        assert set(divisor_norms(b)) == expected[b.norm]
 
 
 @PROPERTY_SETTINGS
@@ -303,11 +305,11 @@ def test_norm_interval_family_counts_match_brute_force(K, data):
     fam = idd.NormIntervalFamily(field=K, intervals=tuple(
         (lo, lo + width) for lo, width in spans))
     X = data.draw(st.integers(100, BRUTE_X))
-    hits, all_norms = brute_profile(K, X, fam.is_multiple)
+    member = functools.partial(is_multiple, fam)
+    hits, all_norms = brute_profile(K, X, member)
     assert idd.sieve_multiples_density(fam, X) == Fraction(len(hits),
                                                           len(all_norms))
-    assert_matches_brute_force(idd.density_profile(fam, X=X), K,
-                               fam.is_multiple)
+    assert_matches_brute_force(idd.density_profile(fam, X=X), K, member)
 
 
 @pytest.mark.parametrize("m", [None, -1, 5, -5])
@@ -323,11 +325,11 @@ def test_norm_intervals_across_sqrt_X_match_brute_force(m, intervals):
     # per multiplier.
     K = field(m)
     fam = idd.NormIntervalFamily(field=K, intervals=intervals)
-    hits, all_norms = brute_profile(K, BRUTE_X, fam.is_multiple)
+    member = functools.partial(is_multiple, fam)
+    hits, all_norms = brute_profile(K, BRUTE_X, member)
     assert idd.sieve_multiples_density(fam, BRUTE_X) == Fraction(
         len(hits), len(all_norms))
-    assert_matches_brute_force(idd.density_profile(fam, X=BRUTE_X), K,
-                               fam.is_multiple)
+    assert_matches_brute_force(idd.density_profile(fam, X=BRUTE_X), K, member)
 
 
 @PROPERTY_SETTINGS
@@ -482,11 +484,11 @@ def test_splitting_by_residue_class_matches_scalar_kronecker(m, monkeypatch):
     ideals_of_norm_p = (np.searchsorted(norm, picked, side="right")
                         - np.searchsorted(norm, picked))
     assert (ideals_of_norm_p - 1).tolist() == [
-        idd.kronecker_symbol(D, p) for p in picked.tolist()]
+        kronecker_symbol(D, p) for p in picked.tolist()]
     # The class table itself, on both sides of 10^6.
     for lo in (0, 10**6 - 1000, abs(D) - 1000):
         assert chi[lo:lo + 1000].tolist() == [
-            idd.kronecker_symbol(D, k) if k else 0
+            kronecker_symbol(D, k) if k else 0
             for k in range(lo, lo + 1000)]
     assert S[-1] == int(chi.sum(dtype=np.int64)) == 0
 

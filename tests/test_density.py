@@ -16,7 +16,8 @@ from idealdensity.ideals import (
     rational_harmonic_prefix,
 )
 
-from conftest import full_H_and_L, int_family, peak_bytes, rankin_tail_bound
+from conftest import (full_H_and_L, int_family, is_multiple, peak_bytes,
+                      rankin_tail_bound, unit_ideal)
 
 #: Bounds around the edges of the blocks that running sums are added in.
 B = _L_BLOCK
@@ -50,7 +51,7 @@ class TestFiniteIEDensity:
 
     def test_unit_member(self, Q):
         assert idd.finite_ie_density(idd.ExplicitFamily(
-            field=Q, members=(idd.unit_ideal(Q),))) == 1
+            field=Q, members=(unit_ideal(Q),))) == 1
 
     def test_gaussian_split_pair(self, Qi):
         # the two primes above 5 are distinct, each of density 1/5
@@ -152,7 +153,7 @@ class TestSieveDensity:
             field=Qi, members=(idd.make_ideal(Qi, [(pr2, 1)]),))
         counter = idd.count_ideals(Qi, 1000)
         got = idd.sieve_multiples_density(fam, 1000)
-        assert got == Fraction(idd.multiples_count(fam.members[0], 1000),
+        assert got == Fraction(idd.ideal_count(Qi, 1000 // pr2.norm),
                                counter.H_of(1000))
 
     def test_matches_direct_filter(self, Qi):
@@ -161,7 +162,7 @@ class TestSieveDensity:
             idd.make_ideal(Qi, [(pr5, 1)]),))
         X = 500
         ideals = idd.enumerate_ideals(Qi, X)
-        direct = sum(1 for b in ideals if fam.is_multiple(b))
+        direct = sum(1 for b in ideals if is_multiple(fam, b))
         assert idd.sieve_multiples_density(fam, X) == Fraction(direct,
                                                               len(ideals))
 
@@ -332,8 +333,8 @@ class TestDensityProfile:
         rep = idd.density_profile(fam, X=10**4)
         counter = idd.count_ideals(Qi, 10**4)
         assert rep.total_counts[-1] == counter.H_of(10**4)
-        assert rep.member_counts[-1] == idd.multiples_count(
-            fam.members[0], 10**4)
+        assert rep.member_counts[-1] == idd.ideal_count(Qi,
+                                                        10**4 // pr2.norm)
 
     def test_complement_identity(self, Q):
         rep = idd.density_profile(int_family(Q, 2, 3), X=5000)
@@ -402,7 +403,7 @@ class TestSamplePointSums:
         X = 4000
         per_norm = np.zeros(X + 1, dtype=np.int64)
         for b in idd.enumerate_ideals(Qi, X):
-            if fam.is_multiple(b):
+            if is_multiple(fam, b):
                 per_norm[b.norm] += 1
         xs = np.arange(1, X + 1)
         counts, log_sums = _member_sums(fam, xs, idd.count_ideals(Qi, X))

@@ -9,14 +9,14 @@ from idealdensity.errors import FamilySpecError, FieldMismatch
 from idealdensity import families
 from idealdensity.families import minimal_members
 
-from conftest import int_family
+from conftest import int_family, is_multiple, unit_ideal
 
 
 class TestExplicitFamily:
     def test_is_multiple(self, Q):
         fam = int_family(Q, 4, 9)
-        assert fam.is_multiple(idd.integer_ideal(Q, 12))
-        assert not fam.is_multiple(idd.integer_ideal(Q, 6))
+        assert is_multiple(fam, idd.integer_ideal(Q, 12))
+        assert not is_multiple(fam, idd.integer_ideal(Q, 6))
 
     def test_members_sorted(self, Q):
         fam = int_family(Q, 9, 4, 25)
@@ -26,15 +26,15 @@ class TestExplicitFamily:
     def test_field_mismatch(self, Q, Qi):
         fam = int_family(Q, 2)
         with pytest.raises(FieldMismatch):
-            fam.is_multiple(idd.unit_ideal(Qi))
+            is_multiple(fam, unit_ideal(Qi))
 
 
 class TestPrimePowerFamily:
     def test_squarefull_membership(self, Q):
         fam = idd.PrimePowerFamily(field=Q, l=2)
-        assert fam.is_multiple(idd.integer_ideal(Q, 8))
-        assert not fam.is_multiple(idd.integer_ideal(Q, 6))
-        assert not fam.is_multiple(idd.unit_ideal(Q))
+        assert is_multiple(fam, idd.integer_ideal(Q, 8))
+        assert not is_multiple(fam, idd.integer_ideal(Q, 6))
+        assert not is_multiple(fam, unit_ideal(Q))
 
     def test_members(self, Q):
         fam = idd.PrimePowerFamily(field=Q, l=2)
@@ -47,8 +47,8 @@ class TestPrimePowerFamily:
 
     def test_all_primes(self, Q):
         fam = idd.PrimePowerFamily(field=Q, l=1)
-        assert fam.is_multiple(idd.integer_ideal(Q, 2))
-        assert not fam.is_multiple(idd.unit_ideal(Q))
+        assert is_multiple(fam, idd.integer_ideal(Q, 2))
+        assert not is_multiple(fam, unit_ideal(Q))
 
     def test_validation(self, Q):
         with pytest.raises(FamilySpecError):
@@ -102,10 +102,10 @@ class TestIntegerRoot:
 class TestNormIntervalFamily:
     def test_membership_via_divisor_norms(self, Q):
         fam = idd.NormIntervalFamily(field=Q, intervals=((10, 20),))
-        assert fam.is_multiple(idd.integer_ideal(Q, 24))   # divisor 12
-        assert fam.is_multiple(idd.integer_ideal(Q, 11))
-        assert not fam.is_multiple(idd.integer_ideal(Q, 9))
-        assert not fam.is_multiple(idd.integer_ideal(Q, 46))  # divisors 1,2,23,46
+        assert is_multiple(fam, idd.integer_ideal(Q, 24))   # divisor 12
+        assert is_multiple(fam, idd.integer_ideal(Q, 11))
+        assert not is_multiple(fam, idd.integer_ideal(Q, 9))
+        assert not is_multiple(fam, idd.integer_ideal(Q, 46))  # divisors 1,2,23,46
 
     def test_members(self, Q):
         fam = idd.NormIntervalFamily(field=Q, intervals=((10, 13), (100, 200)))

@@ -19,7 +19,7 @@ from idealdensity.errors import (
     UnsupportedField,
 )
 
-from conftest import peak_bytes, trial_division_primes
+from conftest import kronecker_symbol, peak_bytes, trial_division_primes
 
 
 class TestFieldConstruction:
@@ -63,10 +63,10 @@ class TestFieldConstruction:
 class TestKronecker:
     def test_values(self):
         # oracle: x^2+1 = (x-2)(x+2) mod 5, irreducible mod 3
-        assert idd.kronecker_symbol(-4, 5) == 1
-        assert idd.kronecker_symbol(-4, 3) == -1
-        assert idd.kronecker_symbol(-4, 1) == 1
-        assert idd.kronecker_symbol(-4, 2) == 0
+        assert kronecker_symbol(-4, 5) == 1
+        assert kronecker_symbol(-4, 3) == -1
+        assert kronecker_symbol(-4, 1) == 1
+        assert kronecker_symbol(-4, 2) == 0
 
     @pytest.mark.parametrize("D", [-4, -3, -20, 5, 8, 13])
     def test_completely_multiplicative(self, D):
@@ -75,14 +75,14 @@ class TestKronecker:
             expected = 1
             for p, e in factorint(n).items():
                 if p not in at_prime:
-                    at_prime[p] = idd.kronecker_symbol(D, p)
+                    at_prime[p] = kronecker_symbol(D, p)
                 expected *= at_prime[p] ** e
-            assert idd.kronecker_symbol(D, n) == expected
+            assert kronecker_symbol(D, n) == expected
 
     @pytest.mark.parametrize("D", [-4, -3, -20, 5, 8])
     def test_periodic_mod_abs_D(self, D):
         for n in range(1, 3 * abs(D)):
-            assert idd.kronecker_symbol(D, n) == idd.kronecker_symbol(D, n + abs(D))
+            assert kronecker_symbol(D, n) == kronecker_symbol(D, n + abs(D))
 
     @pytest.mark.parametrize("m", [-1, -3, -5, 5, 2, 13, -21, 3001])
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 3000])
@@ -91,7 +91,7 @@ class TestKronecker:
         D = K.discriminant
         n = min(n, abs(D))
         chi, S = kronecker_table(K, n)
-        expected = [idd.kronecker_symbol(D, k) if k else 0 for k in range(n)]
+        expected = [kronecker_symbol(D, k) if k else 0 for k in range(n)]
         assert chi.tolist() == expected
         assert S.tolist() == list(itertools.accumulate(expected))
         assert not chi.flags.writeable and not S.flags.writeable
@@ -112,7 +112,7 @@ class TestKronecker:
         K = idd.make_quadratic_field(1000003)
         chi, _ = kronecker_table.__wrapped__(K, 20000)
         assert calls == [19999]
-        assert chi[-500:].tolist() == [idd.kronecker_symbol(K.discriminant, k)
+        assert chi[-500:].tolist() == [kronecker_symbol(K.discriminant, k)
                                        for k in range(19500, 20000)]
 
 
@@ -218,6 +218,16 @@ class TestSplitting:
             has_root = any((r * r - m) % p == 0 for r in range(p))
             split = len(idd.split_prime(K, p)) == 2
             assert split == has_root
+
+    @pytest.mark.parametrize("m", [-1, -2, -3, -5, 2, 3, 5, 13, -14, 21])
+    def test_splitting_type_is_the_kronecker_symbol(self, m):
+        # Euler's criterion on Python ints against Jacobi reciprocity, at
+        # every prime below 10^4 and at two primes whose squares pass int64.
+        K = idd.make_quadratic_field(m)
+        for p in [*primerange(2, 10**4), 10**12 + 39, 2**61 - 1]:
+            (_, e), *other = idd.split_prime(K, p)
+            symbol = 1 if other else 0 if e == 2 else -1
+            assert symbol == kronecker_symbol(K.discriminant, p)
 
 
 class TestPrimeNumbering:

@@ -21,7 +21,7 @@ from idealdensity.ideals import (
 )
 
 from conftest import (enumeration_norm_counts, full_H_and_L,
-                      gaussian_lattice_counts)
+                      gaussian_lattice_counts, gcd, multiply, unit_ideal)
 
 
 def p2(Qi):
@@ -31,20 +31,20 @@ def p2(Qi):
 class TestArithmetic:
     def test_multiply_integers(self, Q):
         a, b = idd.integer_ideal(Q, 4), idd.integer_ideal(Q, 6)
-        assert idd.multiply(a, b) == idd.integer_ideal(Q, 24)
+        assert multiply(a, b) == idd.integer_ideal(Q, 24)
 
     def test_unit_identity(self, Q):
         a = idd.integer_ideal(Q, 42)
-        assert idd.multiply(a, idd.unit_ideal(Q)) == a
+        assert multiply(a, unit_ideal(Q)) == a
 
     def test_multiply_gaussian(self, Qi):
         pr = p2(Qi)
-        sq = idd.multiply(idd.make_ideal(Qi, [(pr, 1)]), idd.make_ideal(Qi, [(pr, 1)]))
+        sq = multiply(idd.make_ideal(Qi, [(pr, 1)]), idd.make_ideal(Qi, [(pr, 1)]))
         assert sq.norm == 4
 
     def test_field_mismatch(self, Q, Qi):
         with pytest.raises(FieldMismatch):
-            idd.multiply(idd.unit_ideal(Q), idd.unit_ideal(Qi))
+            multiply(unit_ideal(Q), unit_ideal(Qi))
 
     def test_intersect(self, Q):
         ideals = [idd.integer_ideal(Q, 4), idd.integer_ideal(Q, 6)]
@@ -56,17 +56,17 @@ class TestArithmetic:
             idd.intersect([])
 
     def test_gcd(self, Q):
-        g = idd.gcd(idd.integer_ideal(Q, 4), idd.integer_ideal(Q, 6))
+        g = gcd(idd.integer_ideal(Q, 4), idd.integer_ideal(Q, 6))
         assert g == idd.integer_ideal(Q, 2)
-        assert idd.gcd(idd.integer_ideal(Q, 8), idd.integer_ideal(Q, 12)) == \
+        assert gcd(idd.integer_ideal(Q, 8), idd.integer_ideal(Q, 12)) == \
             idd.integer_ideal(Q, 4)
         a = idd.integer_ideal(Q, 9)
-        assert idd.gcd(a, idd.unit_ideal(Q)) == idd.unit_ideal(Q)
+        assert gcd(a, unit_ideal(Q)) == unit_ideal(Q)
 
     def test_divides(self, Q):
         assert idd.divides(idd.integer_ideal(Q, 2), idd.integer_ideal(Q, 6))
         assert not idd.divides(idd.integer_ideal(Q, 4), idd.integer_ideal(Q, 6))
-        assert idd.divides(idd.unit_ideal(Q), idd.integer_ideal(Q, 97))
+        assert idd.divides(unit_ideal(Q), idd.integer_ideal(Q, 97))
 
     @pytest.mark.parametrize("field_name,bound", [
         ("Q", 60), ("Qi", 40), ("Q(sqrt -5)", 40), ("Q(sqrt 5)", 40)])
@@ -74,7 +74,7 @@ class TestArithmetic:
         K = idd.parse_field("Q(sqrt -1)" if field_name == "Qi" else field_name)
         ideals = idd.enumerate_ideals(K, bound)
         for a, b in itertools.combinations_with_replacement(ideals, 2):
-            g = idd.gcd(a, b)
+            g = gcd(a, b)
             m = idd.intersect([a, b])
             assert g.norm * m.norm == a.norm * b.norm
 
@@ -89,9 +89,9 @@ class TestArithmetic:
                 for pr, e in a.factors:
                     exps[pr] -= e
                 c = idd.make_ideal(K, exps.items())
-                assert idd.multiply(a, c) == b
+                assert multiply(a, c) == b
             else:
-                assert not any(idd.multiply(a, c) == b for c in ideals
+                assert not any(multiply(a, c) == b for c in ideals
                                if c.norm * a.norm <= 30)
 
     def test_norm_multiplicativity(self, Qi):
@@ -99,7 +99,7 @@ class TestArithmetic:
         ideals = idd.enumerate_ideals(Qi, 100)
         for _ in range(300):
             a, b = rng.choice(ideals), rng.choice(ideals)
-            assert idd.multiply(a, b).norm == a.norm * b.norm
+            assert multiply(a, b).norm == a.norm * b.norm
 
 
     def test_repeated_prime_rejected(self, Qi):
@@ -126,7 +126,7 @@ class TestEnumeration:
         assert norms == sorted(norms)
 
     def test_bound_one(self, Qi):
-        assert idd.enumerate_ideals(Qi, 1) == [idd.unit_ideal(Qi)]
+        assert idd.enumerate_ideals(Qi, 1) == [unit_ideal(Qi)]
 
     def test_rational(self, Q):
         ideals = idd.enumerate_ideals(Q, 10)
@@ -254,8 +254,8 @@ class TestPointCounts:
 
     def test_point_callers_build_no_counter(self, Q, Qi, no_sieve):
         a = idd.make_ideal(Qi, [(p2(Qi), 1)])
-        assert idd.multiples_count(a, 10) == 5
-        assert idd.multiples_count(a, 10**12) == gaussian_lattice_H(
+        assert idd.ideal_count(Qi, 10 // a.norm) == 5
+        assert idd.ideal_count(Qi, 10**12 // a.norm) == gaussian_lattice_H(
             10**12 // 2)
         c_hat, _ = idd.estimate_residue_constant(Qi, 10**5)
         assert c_hat == gaussian_lattice_H(10**5) / 10**5
@@ -345,7 +345,7 @@ class TestStoredCounts:
         H_read, L_read = c.sums_at(np.arange(X + 1))
         assert H_read.tolist() == H.tolist() and L_read.tolist() == L
         assert [c.H_of(y) for y in range(X - 40, X + 1)] == H[-41:].tolist()
-        assert idd.multiples_count(idd.unit_ideal(K), X) == H[X]
+        assert idd.ideal_count(K, X) == H[X]
 
     @pytest.mark.parametrize("X,dtype", [(4095, np.int8), (4096, np.int16)])
     def test_counts_at_the_edges_of_their_integer_type(self, Qi, X, dtype):
@@ -385,15 +385,18 @@ class TestStoredCounts:
 
 
 class TestMultiplesCount:
+    """The multiples of a of norm <= X number H(X // N(a)): dividing out a
+    is a bijection that divides norms by N(a)."""
+
     def test_rational(self, Q):
-        assert idd.multiples_count(idd.integer_ideal(Q, 3), 10) == 3
-        assert idd.multiples_count(idd.unit_ideal(Q), 10) == 10
+        assert idd.ideal_count(Q, 10 // 3) == 3
+        assert idd.ideal_count(Q, 10) == 10
 
     def test_gaussian(self, Qi):
         # multiples of the ramified prime of norm 2 up to norm 10:
         # norms 2,4,8,10,10 -> H(5) = 5 (lattice count: ideals of norm
         # 1,2,4,5,5)
-        assert idd.multiples_count(idd.make_ideal(Qi, [(p2(Qi), 1)]), 10) == 5
+        assert idd.ideal_count(Qi, 10 // p2(Qi).norm) == 5
         assert gaussian_lattice_H(5) == 5
 
     @pytest.mark.parametrize("field_name",
@@ -404,7 +407,7 @@ class TestMultiplesCount:
         all_ideals = idd.enumerate_ideals(K, X)
         for a in idd.enumerate_ideals(K, 30):
             direct = sum(1 for b in all_ideals if idd.divides(a, b))
-            assert idd.multiples_count(a, X) == direct
+            assert idd.ideal_count(K, X // a.norm) == direct
 
 
 class TestResidueConstant:
