@@ -47,6 +47,7 @@ from .ideals import (
     NormCounter,
     count_ideals,
     enumerate_ideals,
+    ideal_counts,
     prefix_sums_at,
     rational_harmonic_prefix,
 )
@@ -233,6 +234,20 @@ def finite_ie_density(A: AFamily) -> Fraction:
     A family's members are its ``working_members``: all of an explicit
     family, and those of norm <= truncation of a rule, in norm order.
     """
+    if isinstance(A, NormIntervalFamily) and A.intervals:
+        # Members of norm in (lo, top] divide no other (norm >= 2 lo + 2); the
+        # n of them on a prime of norm q share its block: C(n, 2) comparisons.
+        lo, hi = A.intervals[0]
+        top = max(lo, min(hi, 2 * lo + 1, A.truncation))
+        qs = [pr.norm for pr in first_prime_ideals(A.field, 8)]
+        try:
+            H = ideal_counts(A.field, [x // q for q in qs for x in (top, lo)])
+        except TooLarge:        # H out of reach: the full path decides
+            H = []
+        for q, n in zip(qs, map(int.__sub__, H[::2], H[1::2])):
+            if n * (n - 1) // 2 > WORK_LIMIT:
+                raise TooLarge(f"{n} members share a prime ideal of norm "
+                               f"{q}: over {WORK_LIMIT} comparisons")
     blocks: dict = {}           # id -> block
     for merged, block in _grow_blocks(A.working_members()):
         for old in merged:
@@ -416,17 +431,16 @@ def restrict_family(A: AFamily, k: int) -> ExplicitFamily:
 
 @dataclass(frozen=True)
 class MultDensityState:
-    """B_k = dens(M_{A'}) and the members of A', A restricted to the first
-    k primes, k the caller's (Euler product: ``partial_euler_product``)."""
+    """B_k = dens(M_{A'}), A' the members of A on the first k primes (for a
+    rule family, of norm <= truncation); k is the caller's (Euler product:
+    ``partial_euler_product``)."""
 
     b_k: Fraction
-    restricted_members: tuple[Ideal, ...]
 
 
 def multiplicative_density(A: AFamily, k: int) -> MultDensityState:
     """Multiplicative density step B_k, computed exactly as dens(M_{A'})."""
-    restricted = restrict_family(A, k)
-    return MultDensityState(finite_ie_density(restricted), restricted.members)
+    return MultDensityState(finite_ie_density(restrict_family(A, k)))
 
 
 # ---------------------------------------------------------------------------

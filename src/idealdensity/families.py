@@ -35,11 +35,11 @@ def _integer_root(n: int, k: int) -> int:
 
 
 class AFamily:
-    """Base class; concrete families list their members in norm order."""
+    """Base class; concrete families list their members in norm order, and
+    rule families (not explicit ones) stop at a ``truncation`` norm."""
 
     field: NumberField
     kind: str
-    truncation: int
 
     def members_up_to(self, bound: int) -> list[Ideal]:
         raise NotImplementedError
@@ -58,7 +58,6 @@ class ExplicitFamily(AFamily):
     field: NumberField
     members: tuple[Ideal, ...]
     kind: str = dataclass_field(default="explicit", init=False)
-    truncation: int = dataclass_field(default=DEFAULT_TRUNCATION, init=False)
 
     def __post_init__(self):
         for m in self.members:

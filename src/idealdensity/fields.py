@@ -46,7 +46,6 @@ class NumberField:
     fields and None where the unit group is infinite (Q and real quadratic).
     """
 
-    kind: str                 # "rational" | "quadratic"
     m: int | None             # squarefree integer for quadratic fields
     degree: int
     discriminant: int
@@ -54,11 +53,11 @@ class NumberField:
 
     @property
     def is_rational(self) -> bool:
-        return self.kind == "rational"
+        return self.degree == 1
 
     @property
     def is_imaginary_quadratic(self) -> bool:
-        return self.kind == "quadratic" and self.m is not None and self.m < 0
+        return self.degree == 2 and self.m < 0
 
     def label(self) -> str:
         if self.is_rational:
@@ -74,16 +73,16 @@ class PrimeIdeal:
     """A prime ideal of O_K, identified by its rational prime and type.
 
     For a split prime there are two conjugate ideals above p, labelled by
-    ``conjugate_index`` 0 and 1; index 0 is the ideal containing the root r
-    of the splitting congruence x^2 = m (mod p) with 0 <= r <= p/2.  The
-    ordering of the dataclass fields realizes the global tie-break
+    ``conjugate_index`` 0 and 1: the index is a label, first or second of
+    the two ideals of one norm, and no root of x^2 = m (mod p) picks it;
+    every density here is symmetric under conjugation.  The ordering of
+    the dataclass fields realizes the global tie-break
     (norm, p, conjugate_index).
     """
 
     norm: int
     p: int
     conjugate_index: int
-    e: int                    # ramification index
     f: int                    # residue degree
 
 
@@ -132,8 +131,8 @@ def isprime(n: int) -> bool:
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1, primes ascending.
 
-    Trial division up to 10^6, then a primality test of the cofactor: a
-    composite cofactor (two prime factors above 10^6) raises TooLarge.
+    Trial division up to 10^6: a cofactor left once d * d > n is prime, and
+    one left at 10^6 must pass ``isprime`` (two factors > 10^6: TooLarge).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -147,7 +146,7 @@ def factorint(n: int) -> dict[int, int]:
             factors[d] = e
         d += 1 if d == 2 else 2
     if n > 1:
-        if not isprime(n):
+        if d * d <= n and not isprime(n):
             raise TooLarge(f"cannot factor {n}: no prime factor below "
                            f"{_TRIAL_LIMIT}")
         factors[n] = 1
@@ -159,8 +158,7 @@ def _squarefree(m: int) -> bool:
 
 
 def make_rational_field() -> NumberField:
-    return NumberField(kind="rational", m=None, degree=1, discriminant=1,
-                       unit_count=None)
+    return NumberField(m=None, degree=1, discriminant=1, unit_count=None)
 
 
 def make_quadratic_field(m: int) -> NumberField:
@@ -172,8 +170,7 @@ def make_quadratic_field(m: int) -> NumberField:
     units = None
     if m < 0:
         units = {-4: 4, -3: 6}.get(disc, 2)
-    return NumberField(kind="quadratic", m=m, degree=2, discriminant=disc,
-                       unit_count=units)
+    return NumberField(m=m, degree=2, discriminant=disc, unit_count=units)
 
 
 _FIELD_RE = re.compile(r"^\s*Q\s*\(\s*sqrt\s*(-?\d+)\s*\)\s*$")
@@ -190,7 +187,7 @@ def parse_field(text: str) -> NumberField:
 
 
 def split_prime(K: NumberField, p: int) -> list[tuple[PrimeIdeal, int]]:
-    """Factor (p) in O_K; returns (prime ideal, exponent in (p)) pairs.
+    """Factor (p) = prod P^e in O_K: (P, e) pairs, e the ramification index.
 
     p ramifies when it divides D, and otherwise splits when chi_D(p) = 1:
     for p = 2 when D = 1 or 7 mod 8, for odd p by Euler's criterion on
@@ -199,17 +196,17 @@ def split_prime(K: NumberField, p: int) -> list[tuple[PrimeIdeal, int]]:
     if p < 2 or not isprime(p):
         raise NotPrime(f"{p} is not a rational prime")
     if K.is_rational:
-        return [(PrimeIdeal(norm=p, p=p, conjugate_index=0, e=1, f=1), 1)]
+        return [(PrimeIdeal(norm=p, p=p, conjugate_index=0, f=1), 1)]
     D = K.discriminant
     if D % p == 0:
-        return [(PrimeIdeal(norm=p, p=p, conjugate_index=0, e=2, f=1), 2)]
+        return [(PrimeIdeal(norm=p, p=p, conjugate_index=0, f=1), 2)]
     splits = D % 8 in (1, 7) if p == 2 else pow(D, (p - 1) // 2, p) == 1
     if splits:
         return [
-            (PrimeIdeal(norm=p, p=p, conjugate_index=0, e=1, f=1), 1),
-            (PrimeIdeal(norm=p, p=p, conjugate_index=1, e=1, f=1), 1),
+            (PrimeIdeal(norm=p, p=p, conjugate_index=0, f=1), 1),
+            (PrimeIdeal(norm=p, p=p, conjugate_index=1, f=1), 1),
         ]
-    return [(PrimeIdeal(norm=p * p, p=p, conjugate_index=0, e=1, f=2), 1)]
+    return [(PrimeIdeal(norm=p * p, p=p, conjugate_index=0, f=2), 1)]
 
 
 def _symbols_at_primes(D: int, ps: np.ndarray) -> np.ndarray:
@@ -323,9 +320,8 @@ def prime_norm_array(K: NumberField, X: int) -> np.ndarray:
 def primes_up_to_norm(K: NumberField, X: int) -> tuple[PrimeIdeal, ...]:
     """All prime ideals of O_K with norm <= X, sorted by (norm, p, index).
 
-    They are read off the norms: a square norm is p^2 for an inert p, a
-    repeated norm is the second ideal above a split p, and p ramifies when
-    it divides the discriminant.
+    They are read off the norms: a square norm is p^2 for an inert p, and
+    a repeated norm is the second ideal above a split p.
     """
     norm = prime_norm_array(K, X)
     root = np.sqrt(norm).astype(np.int64)       # exact for squares < 2^53
@@ -333,9 +329,8 @@ def primes_up_to_norm(K: NumberField, X: int) -> tuple[PrimeIdeal, ...]:
     p = np.where(f == 2, root, norm)
     conj = np.zeros_like(norm)
     conj[1:] = norm[1:] == norm[:-1]
-    e = np.where(K.discriminant % p == 0, 2, 1)
     return tuple(map(PrimeIdeal, norm.tolist(), p.tolist(), conj.tolist(),
-                     e.tolist(), f.tolist()))
+                     f.tolist()))
 
 
 def run_starts(a: np.ndarray) -> np.ndarray:

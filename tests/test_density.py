@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +101,54 @@ class TestFiniteIEDensity:
                                 "truncation": truncation})
         with pytest.raises(TooLarge, match="int64"):
             idd.finite_ie_density(fam)
+
+    def test_wide_interval_family_is_refused_before_its_list(self, Qi,
+                                                            monkeypatch):
+        # Its 157061 members were once all listed (12 s) before the
+        # refusal: the 39276 of norm in (10^5, 200001] that the prime
+        # above 2 divides share one block.
+        def refuse(self, bound):
+            raise AssertionError("members listed")
+
+        monkeypatch.setattr(idd.NormIntervalFamily, "members_up_to", refuse)
+        fam = idd.NormIntervalFamily(field=Qi, intervals=((100000, 300000),))
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="share a prime ideal of norm 2"):
+            idd.finite_ie_density(fam)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("m", [1, -1, 5, -5])
+    def test_early_refusal_only_where_the_full_path_refuses(self, m,
+                                                           monkeypatch):
+        # With a work limit of 3000, 74 of these 80 families are refused,
+        # 45 by the check before the list.  Each of those is refused by the
+        # full path too, which runs when H is out of reach.
+        def out_of_reach(K, xs):
+            raise TooLarge("H out of reach")
+
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        monkeypatch.setattr(density, "WORK_LIMIT", 3000)
+        rng = random.Random(m)
+        early = 0
+        for _ in range(20):
+            lo = rng.randint(1, 1500)
+            intervals = [(lo, lo + rng.randint(1, 1500))]
+            if rng.random() < 0.5:
+                a = rng.randint(lo, 3000)
+                intervals.append((a, a + rng.randint(1, 500)))
+            fam = idd.NormIntervalFamily(field=K, intervals=tuple(intervals),
+                                         truncation=rng.randint(lo, 4000))
+            try:
+                idd.finite_ie_density(fam)
+            except TooLarge as exc:
+                if "share a prime ideal" not in str(exc):
+                    continue
+                early += 1
+                with monkeypatch.context() as patch:
+                    patch.setattr(density, "ideal_counts", out_of_reach)
+                    with pytest.raises(TooLarge, match="entangled"):
+                        idd.finite_ie_density(fam)
+        assert early
 
 
 class TestALimit:
@@ -244,6 +294,7 @@ class TestRestrictAndMultiplicative:
         fam = int_family(Q, 4, 6, 9)
         for k in (1, 2, 3, 4):
             state = idd.multiplicative_density(fam, k)
+            restricted = idd.restrict_family(fam, k).members
             norms = [pr.norm for pr in
                      idd.fields.first_prime_ideals(Q, k)]
             bound = 10**6
@@ -252,8 +303,7 @@ class TestRestrictAndMultiplicative:
             while stack:
                 i, n = stack.pop()
                 den += 1.0 / n
-                if any(n % mem.norm == 0
-                       for mem in state.restricted_members):
+                if any(n % mem.norm == 0 for mem in restricted):
                     num += 1.0 / n
                 for j in range(i, len(norms)):
                     if n * norms[j] <= bound:
@@ -281,7 +331,8 @@ class TestRestrictAndMultiplicative:
         odd = list(primerange(3, 80))
         fam = int_family(Q, *(2 * p for p in odd))
         state = idd.multiplicative_density(fam, 22)
-        assert len(odd) == 21 and len(state.restricted_members) == 21
+        assert len(odd) == 21
+        assert len(idd.restrict_family(fam, 22).members) == 21
         assert state.b_k == Fraction(1, 2) * (
             1 - math.prod(Fraction(p - 1, p) for p in odd))
         # The sieve count at X is the sum of c * floor(X / l) over the lcm
@@ -289,7 +340,7 @@ class TestRestrictAndMultiplicative:
         # ratio is off B_k by at most the sum of min(1/X, 1/l), which is
         # <= X^(s-1) * 2^-s * prod(1 + p^-s) for 0 < s < 1 (Rankin), and
         # so within ``rankin_tail_bound`` of the first 22 primes.
-        X = fam.truncation
+        X = idd.families.DEFAULT_TRUNCATION
         marked = np.zeros(X + 1, dtype=bool)
         for p in odd:
             marked[2 * p::2 * p] = True

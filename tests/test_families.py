@@ -177,7 +177,7 @@ class TestFirstMembers:
         fam = int_family(Q, 1000003, 3)
         assert [m.norm for m in fam.first_members(5)] == [3, 1000003]
         assert fam.working_members() == list(fam.members)
-        assert fam.truncation < 1000003
+        assert idd.families.DEFAULT_TRUNCATION < 1000003
 
     def test_rules_stop_at_the_truncation(self, Q):
         fam = idd.PrimePowerFamily(field=Q, l=2, truncation=100)

@@ -185,7 +185,7 @@ class TestSplitting:
 
     def test_gaussian_ramified(self, Qi):
         ((pr, e),) = idd.split_prime(Qi, 2)
-        assert pr.norm == 2 and pr.e == 2 and e == 2
+        assert pr.norm == 2 and e == 2
 
     def test_rational(self, Q):
         ((pr, e),) = idd.split_prime(Q, 7)
@@ -200,7 +200,7 @@ class TestSplitting:
         K = idd.make_quadratic_field(m)
         for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]:
             above = idd.split_prime(K, p)
-            assert sum(pr.e * pr.f for pr, _ in above) == K.degree
+            assert sum(e * pr.f for pr, e in above) == K.degree
             # product of the factors has norm p^d
             norm = 1
             for pr, e in above:
@@ -228,6 +228,37 @@ class TestSplitting:
             (_, e), *other = idd.split_prime(K, p)
             symbol = 1 if other else 0 if e == 2 else -1
             assert symbol == kronecker_symbol(K.discriminant, p)
+
+
+class TestFactorint:
+    @pytest.fixture
+    def isprime_calls(self, monkeypatch):
+        calls = []
+        real = fields_module.isprime
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(fields_module, "isprime", counted)
+        return calls
+
+    def test_a_cofactor_past_its_square_root_is_not_retested(
+            self, isprime_calls):
+        for n in range(1, 10**5):
+            assert math.prod(p ** e for p, e in
+                             fields_module.factorint(n).items()) == n
+        assert fields_module.factorint(2 * 999983) == {2: 1, 999983: 1}
+        assert fields_module.factorint(10**12 + 39) == {10**12 + 39: 1}
+        assert isprime_calls == []
+
+    def test_a_cofactor_at_the_trial_limit_is_tested(self, isprime_calls,
+                                                     Qi):
+        with pytest.raises(TooLarge):
+            fields_module.factorint(1000003 * 1000033)
+        assert isprime_calls == [1000003 * 1000033]
+        with pytest.raises(NotPrime):
+            idd.split_prime(Qi, 6)
 
 
 class TestPrimeNumbering:

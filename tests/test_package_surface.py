@@ -5,7 +5,10 @@ A function that only the tests call belongs in the tests, as an oracle in
 ``src/idealdensity/*.py`` and list every function and method whose name
 no code in ``src/`` reads: imports do not count, and neither do reads
 inside the function's own body.  Each such name must be in ``KEPT`` with
-the reason it stays.
+the reason it stays.  The same holds for the annotated fields of the
+package's classes: a field whose name no code in ``src/`` reads as an
+attribute holds a fact that nothing uses, and must be in ``KEPT_FIELDS``
+with the reason it stays.
 """
 
 import ast
@@ -30,6 +33,10 @@ KEPT = {
         "documented in the README until L(1, chi_D) replaces it",
     "_Parser.error": "argparse calls it on a usage error",
 }
+
+#: Class fields that no package code reads, as "Class.field", and why
+#: they stay.
+KEPT_FIELDS: dict[str, str] = {}
 
 
 def _unread_functions() -> set[str]:
@@ -68,3 +75,29 @@ def test_every_function_is_run_by_the_package_or_kept_for_a_reason():
 def test_every_kept_name_is_still_unread():
     # A kept name that the package now calls, or that is gone, leaves KEPT.
     assert sorted(KEPT.keys() - _unread_functions()) == []
+
+
+def _unread_fields() -> set[str]:
+    """Qualified names Class.field of the annotated fields of the package's
+    classes whose name no package code reads as an attribute."""
+    fields, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                fields += [(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                reads.add(node.attr)
+    return {f"{cls}.{name}" for cls, name in fields if name not in reads}
+
+
+def test_every_field_is_read_by_the_package_or_kept_for_a_reason():
+    assert sorted(_unread_fields() - KEPT_FIELDS.keys()) == []
+
+
+def test_every_kept_field_is_still_unread():
+    # A kept field that the package now reads, or that is gone, leaves
+    # KEPT_FIELDS.
+    assert sorted(KEPT_FIELDS.keys() - _unread_fields()) == []
