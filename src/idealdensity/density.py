@@ -235,8 +235,9 @@ def finite_ie_density(A: AFamily) -> Fraction:
     family, and those of norm <= truncation of a rule, in norm order.
     """
     if isinstance(A, NormIntervalFamily) and A.intervals:
-        # Members of norm in (lo, top] divide no other (norm >= 2 lo + 2); the
-        # n of them on a prime of norm q share its block: C(n, 2) comparisons.
+        # No other member divides one of norm in (lo, top] (a proper divisor
+        # has norm <= top / 2 <= lo); the n of them on a prime of norm q
+        # share its block: C(n, 2) comparisons.
         lo, hi = A.intervals[0]
         top = max(lo, min(hi, 2 * lo + 1, A.truncation))
         qs = [pr.norm for pr in first_prime_ideals(A.field, 8)]
@@ -321,23 +322,19 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
 
     def harmonic(lo, hi):
         # An unmarked norm adds +0.0, which leaves the running sum as it
-        # is, so a sparse block gives the terms of its marked norms only.
-        marks = c[lo:hi]
-        if _is_sparse(marks):
-            nz = np.flatnonzero(marks)
-            k = nz + float(lo)
-            if counter is None:
-                return np.divide(1.0, k, out=k)
-            return np.divide(counter.h[lo:hi][nz], k, out=k)
-        k = np.arange(lo, hi, dtype=np.float64)
-        return np.divide(weights(lo, hi), k, out=k)
+        # is, so a block gives the terms of its marked norms only.
+        nz = np.flatnonzero(c[lo:hi])
+        k = nz + float(lo)
+        if counter is None:
+            return np.divide(1.0, k, out=k)
+        return np.divide(counter.h[lo:hi][nz], k, out=k)
 
     counts = prefix_sums_at(weights, xs)
     return counts, prefix_sums_at(harmonic, xs) if logs else None
 
 
 #: Norms above sqrt X per block of ``_mark_interval_multiples``: its int64
-#: norms and their multiples take 256 KB, less than a block of the sums.
+#: norms and multiples take 256 KB, half of a fully marked block of sums.
 _MARK_BLOCK = 1 << 14
 
 
@@ -379,11 +376,6 @@ def _mark_interval_multiples(c: np.ndarray, intervals,
             if not k:
                 break
             c[ns[:k] * m] = True
-
-
-def _is_sparse(marks: np.ndarray) -> bool:
-    """True when fewer than half of a block's norms are marked."""
-    return 2 * np.count_nonzero(marks) < marks.size
 
 
 def _counter(K: NumberField, X: int) -> NormCounter | None:

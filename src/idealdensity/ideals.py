@@ -118,7 +118,7 @@ def divides(a: Ideal, b: Ideal) -> bool:
 
 #: Norms per block of the sums over norms, so that no array of length X
 #: is needed beside the one a caller keeps.
-_L_BLOCK = 1 << 16
+_L_BLOCK = 1 << 15
 
 
 def norm_blocks(X: int):
@@ -298,7 +298,7 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
 
 
 #: Largest x of the hyperbola sums in int64: a block of ``norm_blocks`` adds
-#: at most 2^16 terms chi(d) floor(x/d), so |sum| <= x (1 + log 2^16) < 2^63.
+#: <= B = _L_BLOCK terms chi(d) floor(x/d): |sum| <= x (1 + log B) < 2^63.
 _HYPERBOLA_LIMIT = 1 << 59
 
 #: Longest chi_D table of the hyperbola sums, about 10 bytes an entry.

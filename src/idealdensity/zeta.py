@@ -130,7 +130,7 @@ def dedekind_zeta(K: NumberField, s: float, X: int) -> tuple[float, float]:
     ideal density beyond X; those at most 32 H(x) are point counts
     (``ideals.ideal_counts``; H(x) = x over Q).  Over a quadratic field h
     is read from the cached counter block by block.  The terms are built
-    in pieces of at most 2^16 norms and added by ``ideals.pairwise_sum``
+    in pieces of at most 2^15 norms and added by ``ideals.pairwise_sum``
     along numpy's pairwise tree, so the value is bit for bit that of
     ``np.sum`` over one array of all X terms.
     """

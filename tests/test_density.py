@@ -23,7 +23,7 @@ from conftest import (full_H_and_L, int_family, is_multiple, peak_bytes,
 
 #: Bounds around the edges of the blocks that running sums are added in.
 B = _L_BLOCK
-BLOCK_EDGE_XS = (B - 1, B, B + 1, 2 * B + 1)
+BLOCK_EDGE_XS = (B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 4 * B + 1)
 
 
 def edge_points(X, extra=()):
@@ -481,13 +481,24 @@ class TestSamplePointSums:
     def test_wide_rational_interval_marks_in_blocks(self, Q):
         # One bool mark per norm (1 MB) and the interval's norms above
         # sqrt X in blocks: measured 1.26 MB for the count and 2.12 MB for
-        # the profile, whose float sums take blocks of 2^16 norms; the
-        # bounds are 1.1 times those.  With all the interval's norms in one
-        # int64 array the profile peaked at 33 MB.
+        # the profile, when a block of its float sums held a term for each
+        # of 2^16 norms; the bounds are 1.1 times those.  A block of 2^15
+        # norms holding an index and a term per marked norm peaks at
+        # 1.86 MB.  With all the interval's norms in one int64 array the
+        # profile peaked at 33 MB.
         fam = idd.NormIntervalFamily(field=Q, intervals=((10**3, 10**6),))
         idd.density_profile(fam, X=10**6)     # warm: the harmonic prefix
         assert peak_bytes(idd.sieve_multiples_density, fam, 10**6) < 1.39e6
         assert peak_bytes(idd.density_profile, fam, X=10**6) < 2.33e6
+
+    def test_wide_gaussian_interval_marks_in_blocks(self, Qi):
+        # Warm, the counter is cached: the marks and blocks of 2^15 norms
+        # holding an index and a term per marked norm, measured 1.52 MB;
+        # the bound is 1.1 times that.  When a block held a float term
+        # for each of 2^16 norms the profile peaked at 2.25 MB.
+        fam = idd.NormIntervalFamily(field=Qi, intervals=((10**3, 10**6),))
+        idd.density_profile(fam, X=10**6)     # warm: the counter
+        assert peak_bytes(idd.density_profile, fam, X=10**6) < 1.67e6
 
 
 class TestBlockedSums:
@@ -589,27 +600,36 @@ def rational_marks(X, moduli):
 
 class TestMarkingPath:
     """The marking path of ``_member_sums`` against per-norm sums, bit for
-    bit: sparse blocks add only their marked norms, dense blocks every norm."""
+    bit: every block adds the terms of its marked norms only.  ``forms``
+    names the harmonic blocks a case reaches: with none, some or all of
+    their norms marked."""
 
     X = 3 * 10**5
     XS = (10, 1000, B, 100002, 200006, 3 * 10**5)
 
     def sums_and_forms(self, monkeypatch, fam, xs, counter):
-        forms = []
-        is_sparse = density._is_sparse
-        monkeypatch.setattr(density, "_is_sparse",
-                            lambda marks: forms.append(is_sparse(marks))
-                            or forms[-1])
+        forms = set()
+
+        def recorded(terms, xs):
+            def block(lo, hi):
+                t = terms(lo, hi)
+                if t.dtype.kind == "f":
+                    forms.add("none" if not t.size else
+                              "all" if t.size == hi - lo else "some")
+                return t
+            return prefix_sums_at(block, xs)
+
+        monkeypatch.setattr(density, "prefix_sums_at", recorded)
         counts, log_sums = _member_sums(fam, np.array(xs), counter)
         monkeypatch.undo()
-        return counts, log_sums, set(forms)
+        return counts, log_sums, forms
 
     @pytest.mark.parametrize("members,forms", [
-        ((100003,), {True}),                # no mark before 100003
-        ((1,), {False}),                    # every norm marked
-        ((47,), {True}),
-        ((2, 3, 5, 7), {False}),            # 77% marked
-        ((2, 47, 1000), {False}),           # half of 1..10 marked
+        ((100003,), {"none", "some"}),      # no mark before 100003
+        ((1,), {"all"}),                    # every norm marked
+        ((47,), {"none", "some"}),
+        ((2, 3, 5, 7), {"some"}),           # 77% marked
+        ((2, 47, 1000), {"some"}),          # half of 1..10 marked
     ])
     def test_rational_explicit(self, Q, monkeypatch, members, forms):
         counts, log_sums, seen = self.sums_and_forms(
@@ -620,7 +640,8 @@ class TestMarkingPath:
         assert [s.hex() for s in log_sums] == [s.hex() for s in ref_sums]
         assert seen == forms
 
-    @pytest.mark.parametrize("l,forms", [(1, {False}), (2, {True})])
+    @pytest.mark.parametrize("l,forms", [(1, {"some", "all"}),
+                                         (2, {"some"})])
     def test_rational_prime_powers(self, Q, monkeypatch, l, forms):
         fam = idd.PrimePowerFamily(field=Q, l=l)
         counts, log_sums, seen = self.sums_and_forms(
@@ -633,23 +654,23 @@ class TestMarkingPath:
         assert seen == forms
 
     @pytest.mark.parametrize("m,intervals,forms", [
-        (None, ((3, 5), (B - 3, 2 * B)), {True, False}),
-        (-1, ((10, 20),), {True}),
-        (5, ((10, 20),), {True}),
-        (-1, ((1, 12),), {False}),
-        (5, ((1, 12),), {False}),
-        (-1, ((3, 5), (B - 3, 2 * B)), {True, False}),
-        (5, ((3, 5), (B - 3, 2 * B)), {True}),
-        (None, ((1, 400),), {False}),       # from norm 2, across sqrt X
-        (-1, ((1, 400),), {False}),
-        (None, ((300, B + 100),), {True, False}),   # across sqrt X, X / 2
-        (-1, ((300, B + 100),), {True}),
-        (5, ((300, B + 100),), {True}),
+        (None, ((3, 5), (B - 3, 2 * B)), {"some", "all"}),
+        (-1, ((10, 20),), {"none", "some"}),
+        (5, ((10, 20),), {"none", "some"}),
+        (-1, ((1, 12),), {"some"}),
+        (5, ((1, 12),), {"some"}),
+        (-1, ((3, 5), (B - 3, 2 * B)), {"some"}),
+        (5, ((3, 5), (B - 3, 2 * B)), {"some"}),
+        (None, ((1, 400),), {"some"}),      # from norm 2, across sqrt X
+        (-1, ((1, 400),), {"some"}),
+        (None, ((300, B + 100),), {"none", "some", "all"}),  # sqrt X, X / 2
+        (-1, ((300, B + 100),), {"none", "some"}),
+        (5, ((300, B + 100),), {"none", "some"}),
     ])
     def test_intervals(self, monkeypatch, m, intervals, forms):
         # Over quadratic fields a marked norm n adds h(n)/n.
         X = 2 * B + 1
-        xs = (10, 1000, B, 100003, X)
+        xs = (10, 1000, B, B + B // 2 + 3, X)
         if m is None:
             K, counter, h = idd.make_rational_field(), None, None
         else:

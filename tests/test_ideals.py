@@ -14,6 +14,9 @@ from idealdensity.errors import (
     TooLarge,
 )
 from idealdensity.ideals import (
+    _HYPERBOLA_LIMIT,
+    _L_BLOCK,
+    _STRIDE,
     gaussian_lattice_H,
     ideals_of_norm,
     pairwise_sum,
@@ -26,6 +29,20 @@ from conftest import (enumeration_norm_counts, full_H_and_L,
 
 def p2(Qi):
     return idd.primes_up_to_norm(Qi, 2)[0]
+
+
+#: The edges of the first two blocks of the sums over norms.
+B = _L_BLOCK
+BLOCK_EDGES = [B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1]
+
+
+def test_block_constants_meet_their_conditions():
+    # Every block of ``norm_blocks`` ends on a checkpoint of a NormCounter;
+    # ``pairwise_sum`` keeps numpy's tree only at leaves of >= 128 terms;
+    # a block of the hyperbola sums stays in int64.
+    assert _L_BLOCK % _STRIDE == 0
+    assert _L_BLOCK >= 128
+    assert _HYPERBOLA_LIMIT * (1 + math.log(_L_BLOCK)) < 2**63
 
 
 class TestArithmetic:
@@ -204,8 +221,7 @@ class TestNormCounter:
 class TestPairwiseSum:
     """``pairwise_sum`` adds pieces as ``np.add.reduce`` adds one array."""
 
-    LENGTHS = [*range(1, 300), (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
-               10**6, 1234567]
+    LENGTHS = [*range(1, 300), *BLOCK_EDGES, 10**6, 1234567]
 
     @staticmethod
     def _check(n, rng):
@@ -235,7 +251,7 @@ class TestPairwiseSum:
             return np.ones(j - i)
 
         assert pairwise_sum(terms, 10**6) == 10**6
-        assert sum(sizes) == 10**6 and max(sizes) <= 1 << 16
+        assert sum(sizes) == 10**6 and max(sizes) <= _L_BLOCK
 
 
 class TestPointCounts:
@@ -310,8 +326,7 @@ class TestStoredCounts:
         assert c.sums_at(np.arange(X + 1))[1].tolist() == expected
 
     @pytest.mark.parametrize("m", [1, -1, 5, -5])
-    @pytest.mark.parametrize("X", [1, 2, 31, 32, 33, (1 << 16) - 1, 1 << 16,
-                                   (1 << 16) + 1, 70000])
+    @pytest.mark.parametrize("X", [1, 2, 31, 32, 33, *BLOCK_EDGES, 70000])
     def test_reads_equal_the_full_prefix_sums(self, m, X):
         # Every y <= X: before, on and after the checkpoints, the block
         # edges of the checkpoint pass and the read's clip at X.

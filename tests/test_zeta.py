@@ -8,9 +8,12 @@ import pytest
 import idealdensity as idd
 from idealdensity.errors import SNotGreaterThanOne
 from idealdensity.fields import EULER_GAMMA, first_prime_ideals, prime_norm_array
-from idealdensity.ideals import norm_blocks, run_starts
+from idealdensity.ideals import _L_BLOCK, norm_blocks, run_starts
 
 from conftest import peak_bytes, rankin_tail_bound
+
+#: Norms per block of the sums over norms.
+B = _L_BLOCK
 
 CATALAN = 0.915965594177219015
 
@@ -32,7 +35,7 @@ class TestHarmonicIdealSum:
     @pytest.mark.parametrize("m", [1, -1, 5])
     def test_equals_the_generator_sum(self, m):
         K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
-        for x in (10**4, (1 << 16) + 1, 140000):
+        for x in (10**4, B + 1, 2 * B + 1, 140000):
             h = idd.count_ideals(K, x).h
             expected = math.fsum(int(h[k]) / k for k in range(1, x + 1)
                                  if h[k])
@@ -214,7 +217,7 @@ class TestDedekindZetaInBlocks:
     @pytest.mark.parametrize("m", [1, -1, 5, -5, -3])
     def test_equals_the_full_array_sum(self, m):
         K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
-        for X in (10, 11, 1 << 16, (1 << 16) + 1, 131073, 10**6):
+        for X in (10, 11, B, B + 1, 2 * B, 2 * B + 1, 131073, 10**6):
             for s in (1.0001, 2.0, 3.0, 7.5):
                 got = idd.dedekind_zeta(K, s, X)
                 want = _dedekind_zeta_reference(K, s, X)
