@@ -36,7 +36,6 @@ from .ideals import (
     count_ideals,
     divides,
     enumerate_ideals,
-    estimate_residue_constant,
     ideal_count,
     ideal_counts,
     integer_ideal,

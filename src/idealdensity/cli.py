@@ -21,7 +21,6 @@ from . import experiments
 from .density import a_limit, density_profile, finite_ie_density
 from .errors import (
     BoundsExceedX,
-    BoundTooSmall,
     IdealDensityError,
     SNotGreaterThanOne,
     TooLarge,
@@ -276,8 +275,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OverflowError, MemoryError, BoundTooSmall,
-            BoundsExceedX, TooLarge, SNotGreaterThanOne) as exc:
+    except (ValueError, OverflowError, MemoryError, BoundsExceedX,
+            TooLarge, SNotGreaterThanOne) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except IdealDensityError as exc:

@@ -45,10 +45,6 @@ class DuplicateMembers(IdealDensityError):
     """A family was given with repeated members."""
 
 
-class BoundTooSmall(IdealDensityError):
-    """The requested bound is below the minimum for a meaningful estimate."""
-
-
 class SNotGreaterThanOne(IdealDensityError):
     """Truncated zeta sums require s > 1."""
 

@@ -476,7 +476,7 @@ def analytic_residue_imag_quadratic(K: NumberField) -> float:
     if not K.is_imaginary_quadratic:
         raise UnsupportedField(
             "analytic residue formula implemented for imaginary quadratic "
-            "fields only; use the empirical estimator otherwise")
+            "fields only")
     h = class_number_imag_quadratic(K.discriminant)
     w = K.unit_count
     return 2.0 * math.pi * h / (w * math.sqrt(abs(K.discriminant)))

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BoundTooSmall, EmptySet, FieldMismatch, TooLarge
+from .errors import EmptySet, FieldMismatch, TooLarge
 from .fields import (
     NumberField,
     PrimeIdeal,
@@ -38,7 +38,6 @@ from .fields import (
     kronecker_table,
     prime_norm_array,
     primes_up_to_norm,
-    run_starts,
     split_prime,
 )
 
@@ -406,27 +405,6 @@ def enumerate_ideals(K: NumberField, X: int,
     rec(0, 1)
     found.sort(key=Ideal.sort_key)
     return found
-
-
-def estimate_residue_constant(K: NumberField, X: int,
-                              n_samples: int = 20) -> tuple[float, float]:
-    """Empirical ideal-count constant: c_hat = H(X)/X with an error band.
-
-    The band is kappa * X^(-1/d) with kappa fitted from the deviations
-    |H(x)/x - c_hat| over sample points x in [X/10, X].
-    """
-    if X < 100:
-        raise BoundTooSmall("estimate_residue_constant needs X >= 100")
-    grid = np.geomspace(X // 10, X, n_samples).astype(np.int64)
-    xs = grid[run_starts(grid)].tolist()
-    *Hs, H_X = ideal_counts(K, xs + [X])
-    c_hat = H_X / X
-    d = K.degree
-    kappa = 0.0
-    for x, H in zip(xs, Hs):
-        dev = abs(H / x - c_hat)
-        kappa = max(kappa, dev * x ** (1.0 / d))
-    return c_hat, kappa * X ** (-1.0 / d)
 
 
 def gaussian_lattice_H(x: int) -> int:

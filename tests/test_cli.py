@@ -167,6 +167,21 @@ class TestMertens:
         rows = read_csv(out_path)
         assert rows[0] == ["cutoff", "euler_product", "ratio", "target"]
 
+    def test_gaussian_target_is_the_analytic_residue(self, capsys, tmp_path,
+                                                     Qi):
+        # Over an imaginary field alpha is the class-number residue
+        # (pi / 4 for Q(i)), not a count.
+        out_path = tmp_path / "mertens.csv"
+        code, _, _ = run(capsys, "mertens", "--field", "Q(sqrt -1)",
+                         "--cutoff", "10000", "--out", str(out_path))
+        assert code == 0
+        target = read_summary(out_path)["summary"]["target"]
+        assert target == idd.mertens_target(
+            idd.analytic_residue_imag_quadratic(Qi))
+        assert target == 1.3988510059673538
+        rows = read_csv(out_path)[1:]
+        assert {row[3] for row in rows} == {cli._fmt(target)}
+
     def test_cutoff_too_small(self, capsys, tmp_path):
         code, _, err = run(capsys, "mertens", "--cutoff", "5",
                            "--out", str(tmp_path / "m.csv"))
@@ -525,28 +540,56 @@ class TestBadInput:
 
 
     @pytest.mark.parametrize("doc", [
-        {"field": "Q", "kind": "explicit", "members": [2.5]},
-        {"field": "Q", "kind": "explicit", "members": 5},
-        {"field": "Q", "kind": "explicit", "members": [True]},
-        {"field": "Q", "kind": "explicit", "members": [0]},
-        {"field": "Q(sqrt -1)", "kind": "explicit", "members": [[[2, 0]]]},
-        {"field": 5, "kind": "explicit", "members": [2]},
-        {"field": "Q", "kind": "explicit", "members": [2], "truncation": 0},
-        {"field": "Q", "kind": "prime_powers", "l": 2, "truncation": 1.5},
-        {"field": "Q", "kind": "prime_powers", "l": "2"},
-        {"field": "Q", "kind": "norm_intervals", "intervals": [[5]]},
-        {"field": "Q", "kind": "norm_intervals", "intervals": [[5, 6.5]]},
-        {"field": "Q(sqrt -1)", "kind": "explicit",
-         "members": [[[2, 0, 1], [2, 0, 1]], [[2, 0, 1], [5, 0, 1]]]},
+        # (--field, family document, the refusal it reaches)
+        ("Q", {"field": "Q", "kind": "explicit", "members": [2.5]},
+         "bad member 2.5"),
+        ("Q", {"field": "Q", "kind": "explicit", "members": 5},
+         "'members' must be a list"),
+        ("Q", {"field": "Q", "kind": "explicit", "members": [True]},
+         "bad member True"),
+        ("Q", {"field": "Q", "kind": "explicit", "members": [0]},
+         "member 0 is not positive"),
+        ("Q(sqrt -1)",
+         {"field": "Q(sqrt -1)", "kind": "explicit", "members": [[[2, 0]]]},
+         "bad factor entry [2, 0]"),
+        ("Q", {"field": 5, "kind": "explicit", "members": [2]},
+         "'field' must be a field label string"),
+        ("Q", {"field": "Q", "kind": "explicit", "members": [2],
+               "truncation": 0},
+         "'truncation' must be an integer >= 1, got 0"),
+        ("Q", {"field": "Q", "kind": "prime_powers", "l": 2,
+               "truncation": 1.5},
+         "'truncation' must be an integer >= 1, got 1.5"),
+        ("Q", {"field": "Q", "kind": "prime_powers", "l": "2"},
+         "'l' must be an integer >= 1, got '2'"),
+        ("Q", {"field": "Q", "kind": "norm_intervals", "intervals": [[5]]},
+         "'intervals' must be a list of [lo, hi] integer pairs"),
+        ("Q", {"field": "Q", "kind": "norm_intervals",
+               "intervals": [[5, 6.5]]},
+         "'intervals' must be a list of [lo, hi] integer pairs"),
+        ("Q(sqrt -1)",
+         {"field": "Q(sqrt -1)", "kind": "explicit",
+          "members": [[[2, 0, 1], [2, 0, 1]], [[2, 0, 1], [5, 0, 1]]]},
+         "prime (2, 0) repeated in a member"),
+        ("Q", {"field": "Q(sqrt -1)", "kind": "explicit",
+               "members": [[[2, 0, 1]]]},
+         "family field Q(sqrt -1) does not match Q"),
+        ("Q", [2, 3], "family specification must be a JSON object"),
+        ("Q(sqrt -1)",
+         {"field": "Q(sqrt -1)", "kind": "explicit", "members": [[[2, 0, 0]]]},
+         "exponents must be >= 1"),
     ])
     def test_bad_family_document(self, tmp_path, doc):
-        aset = write_aset(tmp_path, doc)
+        field, document, message = doc
+        aset = write_aset(tmp_path, document)
         proc = run_process("-m", "idealdensity.cli", "density",
-                           "--aset", str(aset), "--max-norm", "1000",
+                           "--field", field, "--aset", str(aset),
+                           "--max-norm", "1000",
                            "--out", str(tmp_path / "out.csv"))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert len(proc.stderr.strip().splitlines()) == 1
+        (line,) = proc.stderr.strip().splitlines()
+        assert message in line
         assert not (tmp_path / "out.csv").exists()
 
     def test_family_past_the_work_bound(self, tmp_path):

@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -90,6 +92,20 @@ class TestFiniteIEDensity:
         expected = 1 - math.prod(
             Fraction(p - 1, p) for p in primerange(2, 114))
         assert d == expected
+
+    def test_recursion_past_the_limit_is_refused(self, Q):
+        # The path p_i p_(i+1) on the first 201 primes is one entangled
+        # block whose slices nest more than 60 calls deep; under the
+        # default limit it has an exact density in well under a second.
+        primes = list(primerange(2, 1300))[:201]
+        fam = int_family(Q, *(p * q for p, q in zip(primes, primes[1:])))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            with pytest.raises(TooLarge, match="recursion limit"):
+                idd.finite_ie_density(fam)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_minimality_applied(self, Q):
         assert idd.finite_ie_density(int_family(Q, 2, 4, 8)) == Fraction(1, 2)

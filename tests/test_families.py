@@ -28,6 +28,10 @@ class TestExplicitFamily:
         with pytest.raises(FieldMismatch):
             is_multiple(fam, unit_ideal(Qi))
 
+    def test_member_of_another_field_rejected(self, Q, Qi):
+        with pytest.raises(FieldMismatch, match="different field"):
+            idd.ExplicitFamily(field=Q, members=(unit_ideal(Qi),))
+
 
 class TestPrimePowerFamily:
     def test_squarefull_membership(self, Q):
@@ -251,6 +255,10 @@ class TestParseFamily:
         with pytest.raises(FamilySpecError):
             idd.parse_family({"field": "Q(sqrt -1)", "kind": "explicit",
                               "members": []}, Q)
+
+    def test_no_field_given(self):
+        with pytest.raises(FamilySpecError, match="no field given"):
+            idd.parse_family({"kind": "explicit", "members": [2]})
 
     def test_unknown_kind(self, Q):
         with pytest.raises(FamilySpecError):

@@ -8,11 +8,11 @@ import pytest
 
 import idealdensity as idd
 from idealdensity.errors import (
-    BoundTooSmall,
     EmptySet,
     FieldMismatch,
     TooLarge,
 )
+from idealdensity.fields import factorint, prime_norm_array, run_starts
 from idealdensity.ideals import (
     _HYPERBOLA_LIMIT,
     _L_BLOCK,
@@ -20,11 +20,11 @@ from idealdensity.ideals import (
     gaussian_lattice_H,
     ideals_of_norm,
     pairwise_sum,
-    run_starts,
 )
 
 from conftest import (enumeration_norm_counts, full_H_and_L,
-                      gaussian_lattice_counts, gcd, multiply, unit_ideal)
+                      gaussian_lattice_counts, gcd, int_family, multiply,
+                      unit_ideal)
 
 
 def p2(Qi):
@@ -128,6 +128,10 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="negative exponent"):
             idd.make_ideal(Qi, [(P, -1)])
         assert idd.make_ideal(Qi, [(P, 2)]).norm == 4
+
+    def test_integer_ideal_only_over_q(self, Qi):
+        with pytest.raises(FieldMismatch, match="only defined over Q"):
+            idd.integer_ideal(Qi, 6)
 
 
 class TestEnumeration:
@@ -273,8 +277,8 @@ class TestPointCounts:
         assert idd.ideal_count(Qi, 10 // a.norm) == 5
         assert idd.ideal_count(Qi, 10**12 // a.norm) == gaussian_lattice_H(
             10**12 // 2)
-        c_hat, _ = idd.estimate_residue_constant(Qi, 10**5)
-        assert c_hat == gaussian_lattice_H(10**5) / 10**5
+        assert idd.ideal_counts(Qi, [10**4, 10**5]) == [
+            gaussian_lattice_H(10**4), gaussian_lattice_H(10**5)]
 
     def test_beyond_int64_reach_raises(self, Qi):
         with pytest.raises(TooLarge):
@@ -294,12 +298,11 @@ class TestPointCounts:
 
 def test_run_starts_is_unique_on_the_sample_grids():
     # The grids of fields.sample_grid from 1 (cli) and from 10 (density),
-    # dedekind_zeta and estimate_residue_constant.
+    # and of dedekind_zeta.
     for X in [*range(2, 400), 10**4, 3 * 10**5, 10**6, 10**12]:
         for grid in (np.rint(np.geomspace(1, X, 30)),
                      np.rint(np.geomspace(min(10, X), X, 24)),
-                     np.geomspace(max(1, X // 10), X, 32),
-                     np.geomspace(max(1, X // 10), X, 20)):
+                     np.geomspace(max(1, X // 10), X, 32)):
             xs = grid.astype(np.int64)
             assert np.array_equal(xs[run_starts(xs)], np.unique(xs))
 
@@ -425,16 +428,22 @@ class TestMultiplesCount:
             assert idd.ideal_count(K, X // a.norm) == direct
 
 
-class TestResidueConstant:
-    def test_rational_exact(self, Q):
-        c_hat, band = idd.estimate_residue_constant(Q, 10**4)
-        assert c_hat == 1.0
-        assert band >= 0.0
-
-    def test_gaussian(self, Qi):
-        c_hat, band = idd.estimate_residue_constant(Qi, 10**5)
-        assert abs(c_hat - math.pi / 4) / (math.pi / 4) < 0.005
-
-    def test_bound_too_small(self, Q):
-        with pytest.raises(BoundTooSmall):
-            idd.estimate_residue_constant(Q, 50)
+@pytest.mark.parametrize("call, message", [
+    (lambda Q, Qi: idd.sieve_multiples_density(int_family(Q, 2), 0),
+     "X must be >= 1"),
+    (lambda Q, Qi: idd.restrict_family(int_family(Q, 2), -1),
+     "k must be >= 0"),
+    (lambda Q, Qi: idd.density_profile(int_family(Q, 2), 1000, n_samples=1),
+     "n_samples must be >= 2"),
+    (lambda Q, Qi: idd.harmonic_ideal_sum(Qi, 0), "x must be >= 1"),
+    (lambda Q, Qi: idd.dedekind_zeta(Qi, 2.0, 5), "X must be >= 10"),
+    (lambda Q, Qi: idd.count_ideals(Qi, 0), "X must be >= 1"),
+    (lambda Q, Qi: prime_norm_array(Qi, 0), "X must be >= 1"),
+    (lambda Q, Qi: idd.enumerate_ideals(Qi, 0), "X must be >= 1"),
+    (lambda Q, Qi: factorint(0), "n must be a positive integer"),
+], ids=["sieve_multiples_density", "restrict_family", "density_profile",
+        "harmonic_ideal_sum", "dedekind_zeta", "count_ideals",
+        "prime_norm_array", "enumerate_ideals", "factorint"])
+def test_bounds_below_their_minimum_are_refused(Q, Qi, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(Q, Qi)

@@ -8,7 +8,8 @@ inside the function's own body.  Each such name must be in ``KEPT`` with
 the reason it stays.  The same holds for the annotated fields of the
 package's classes: a field whose name no code in ``src/`` reads as an
 attribute holds a fact that nothing uses, and must be in ``KEPT_FIELDS``
-with the reason it stays.
+with the reason it stays.  Every error class of ``errors.py`` is either
+a base of other error classes or named by some ``raise`` in ``src/``.
 """
 
 import ast
@@ -29,8 +30,6 @@ KEPT = {
     "minimal_members": _BENCH,
     "gaussian_lattice_H": _BENCH,
     "partial_euler_product": _BENCH,
-    "estimate_residue_constant":
-        "documented in the README until L(1, chi_D) replaces it",
     "_Parser.error": "argparse calls it on a usage error",
 }
 
@@ -101,3 +100,24 @@ def test_every_kept_field_is_still_unread():
     # A kept field that the package now reads, or that is gone, leaves
     # KEPT_FIELDS.
     assert sorted(KEPT_FIELDS.keys() - _unread_fields()) == []
+
+
+def _unraised_errors() -> set[str]:
+    """Classes of ``errors.py`` that no class there derives from and that
+    no ``raise`` statement in ``src/`` names."""
+    classes = [node for node in ast.parse((SRC / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases
+             if isinstance(base, ast.Name)}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= {n.id if isinstance(n, ast.Name) else n.attr
+                           for n in ast.walk(node.exc)
+                           if isinstance(n, (ast.Name, ast.Attribute))}
+    return {node.name for node in classes} - bases - raised
+
+
+def test_every_error_is_raised_or_a_base():
+    assert sorted(_unraised_errors()) == []

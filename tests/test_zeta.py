@@ -7,8 +7,9 @@ import pytest
 
 import idealdensity as idd
 from idealdensity.errors import SNotGreaterThanOne
-from idealdensity.fields import EULER_GAMMA, first_prime_ideals, prime_norm_array
-from idealdensity.ideals import _L_BLOCK, norm_blocks, run_starts
+from idealdensity.fields import (EULER_GAMMA, first_prime_ideals,
+                                 prime_norm_array, run_starts)
+from idealdensity.ideals import _L_BLOCK, norm_blocks
 
 from conftest import peak_bytes, rankin_tail_bound
 
