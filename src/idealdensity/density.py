@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DuplicateMembers, TooLarge
+from .errors import TooLarge
 from .families import (
     AFamily,
     ExplicitFamily,
@@ -41,7 +41,8 @@ from .families import (
     PrimePowerFamily,
     minimal_members,  # noqa: F401  (bench/spans.py traces this binding)
 )
-from .fields import NumberField, first_prime_ideals, sample_grid
+from .fields import (NumberField, first_prime_ideals, first_prime_norms,
+                     sample_grid)
 from .ideals import (
     Ideal,
     NormCounter,
@@ -209,15 +210,11 @@ def _grow_blocks(members: Sequence[Ideal]):
 
     After each member this yields the blocks it merged and the block they
     became: a list, the largest merged one extended in place, so blocks
-    are told apart by identity.  Raises ``DuplicateMembers`` at the first
-    repeated member.
+    are told apart by identity.  The members are distinct: an explicit
+    family refuses repeats when built, and rules list each ideal once.
     """
-    seen: set[Ideal] = set()
     block_of: dict = {}         # prime ideal -> block holding it
     for a in members:
-        if a in seen:
-            raise DuplicateMembers("family has repeated members")
-        seen.add(a)
         touched = sorted({id(block_of[pr]): block_of[pr] for pr, _ in a.factors
                           if pr in block_of}.values(), key=len)
         block = touched[-1] if touched else []
@@ -240,7 +237,7 @@ def finite_ie_density(A: AFamily) -> Fraction:
         # share its block: C(n, 2) comparisons.
         lo, hi = A.intervals[0]
         top = max(lo, min(hi, 2 * lo + 1, A.truncation))
-        qs = [pr.norm for pr in first_prime_ideals(A.field, 8)]
+        qs = first_prime_norms(A.field, 8).tolist()
         try:
             H = ideal_counts(A.field, [x // q for q in qs for x in (top, lo)])
         except TooLarge:        # H out of reach: the full path decides

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from itertools import zip_longest
 
 from .density import a_limit, density_profile, multiplicative_density
@@ -17,16 +17,17 @@ NATURAL_TOL = 1e-2
 LOG_TOL = 5e-2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentResult:
-    """Result tables of one scenario; every row carries its tolerance."""
+    """Result tables of one scenario, built whole by its experiment: the
+    rows, the summary of the final values and the verdict on them."""
 
     name: str
     params: dict
     columns: tuple[str, ...]
-    rows: list[tuple] = dataclass_field(default_factory=list)
-    summary: dict = dataclass_field(default_factory=dict)
-    verdict: bool = False
+    rows: list[tuple]
+    summary: dict
+    verdict: bool
 
     def summary_document(self, config: dict) -> dict:
         return {"scenario": self.name, "parameters": self.params,
@@ -47,7 +48,9 @@ def primepower_free_experiment(K: NumberField, l: int, X: int,
     zeta_value, zeta_tail = dedekind_zeta(K, float(l), X)
     target = 1.0 / zeta_value
     columns, rows = v_report.table()        # rows[i][3]: the natural ratio
-    result = ExperimentResult(
+    final_nat = float(v_report.natural_ratios[-1])
+    final_log = v_report.log_ratios[-1]
+    return ExperimentResult(
         name="primepower-free",
         params={"field": K.label(), "l": l, "max_norm": X,
                 "zeta_truncated": zeta_value, "zeta_tail_bound": zeta_tail,
@@ -55,17 +58,13 @@ def primepower_free_experiment(K: NumberField, l: int, X: int,
         columns=("x", "free_count", *columns[2:], "target", "deviation",
                  "tolerance"),
         rows=[row + (target, abs(row[3] - target), NATURAL_TOL)
-              for row in rows])
-    final_nat = float(v_report.natural_ratios[-1])
-    final_log = v_report.log_ratios[-1]
-    result.summary = {
-        "measured_natural": final_nat, "measured_log": final_log,
-        "target": target,
-        "natural_deviation": abs(final_nat - target),
-        "log_deviation": abs(final_log - target)}
-    result.verdict = (abs(final_nat - target) <= NATURAL_TOL
-                      and abs(final_log - target) <= LOG_TOL)
-    return result
+              for row in rows],
+        summary={"measured_natural": final_nat, "measured_log": final_log,
+                 "target": target,
+                 "natural_deviation": abs(final_nat - target),
+                 "log_deviation": abs(final_log - target)},
+        verdict=(abs(final_nat - target) <= NATURAL_TOL
+                 and abs(final_log - target) <= LOG_TOL))
 
 
 def main_theorem_experiment(A: AFamily, X: int = 10**6, k_max: int = 8,
@@ -84,23 +83,21 @@ def main_theorem_experiment(A: AFamily, X: int = 10**6, k_max: int = 8,
     a_final = float(a_seq[-1]) if a_seq else 0.0    # no member: M_A empty
     b_final = float(b_states[-1].b_k)
     log_final = report.log_ratios[-1]
-    result = ExperimentResult(
+    return ExperimentResult(
         name="main-theorem",
         params={"field": K.label(), "family": A.kind, "max_norm": X,
                 "k_max": k_max, "r_max": r_max,
                 "natural_tol": NATURAL_TOL, "log_tol": LOG_TOL},
-        columns=("index", "a_r", "b_k", "log_ratio_x", "log_ratio"))
-    result.rows = [(i, *row) for i, row in enumerate(zip_longest(
-        map(float, a_seq), (float(s.b_k) for s in b_states),
-        report.sample_points, report.log_ratios, fillvalue=""), start=1)]
-    result.summary = {
-        "a_r_final": a_final, "b_k_final": b_final,
-        "log_ratio_final": log_final,
-        "a_vs_b": abs(a_final - b_final),
-        "log_vs_a": abs(log_final - a_final)}
-    result.verdict = (abs(a_final - b_final) <= NATURAL_TOL
-                      and abs(log_final - a_final) <= LOG_TOL)
-    return result
+        columns=("index", "a_r", "b_k", "log_ratio_x", "log_ratio"),
+        rows=[(i, *row) for i, row in enumerate(zip_longest(
+            map(float, a_seq), (float(s.b_k) for s in b_states),
+            report.sample_points, report.log_ratios, fillvalue=""), start=1)],
+        summary={"a_r_final": a_final, "b_k_final": b_final,
+                 "log_ratio_final": log_final,
+                 "a_vs_b": abs(a_final - b_final),
+                 "log_vs_a": abs(log_final - a_final)},
+        verdict=(abs(a_final - b_final) <= NATURAL_TOL
+                 and abs(log_final - a_final) <= LOG_TOL))
 
 
 def besicovitch_intervals(T0: int, growth: int, depth: int,
@@ -138,15 +135,13 @@ def besicovitch_experiment(K: NumberField, T0: int = 10, growth: int = 3,
     oscillation = float(report.d_upper) - float(report.d_lower)
     log_variation = report.delta_upper - report.delta_lower
     columns, rows = report.table()
-    result = ExperimentResult(
+    return ExperimentResult(
         name="besicovitch",
         params={"field": K.label(), "T0": T0, "growth": growth,
                 "depth": depth, "max_norm": X,
                 "intervals": intervals, "oscillation_threshold": 0.01},
-        columns=columns, rows=rows)
-    result.summary = {
-        "natural_oscillation": oscillation,
-        "log_variation": log_variation,
-        "oscillation_flag": oscillation >= 0.01}
-    result.verdict = oscillation >= 0.01 and log_variation < oscillation
-    return result
+        columns=columns, rows=rows,
+        summary={"natural_oscillation": oscillation,
+                 "log_variation": log_variation,
+                 "oscillation_flag": oscillation >= 0.01},
+        verdict=oscillation >= 0.01 and log_variation < oscillation)

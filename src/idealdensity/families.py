@@ -9,10 +9,10 @@ norm that makes them finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from itertools import islice
 
-from .errors import FamilySpecError, FieldMismatch
+from .errors import DuplicateMembers, FamilySpecError, FieldMismatch
 from .fields import (NumberField, first_prime_ideals, parse_field,
                      primes_up_to_norm, split_prime)
 from .ideals import Ideal, divides, ideals_of_norm, integer_ideal, make_ideal
@@ -55,14 +55,20 @@ class AFamily:
 
 @dataclass(frozen=True)
 class ExplicitFamily(AFamily):
+    """A finite set of ideals, kept in norm order.  A member given twice
+    raises ``DuplicateMembers`` here, so every path that reads the members
+    sees each once."""
+
     field: NumberField
     members: tuple[Ideal, ...]
-    kind: str = dataclass_field(default="explicit", init=False)
+    kind = "explicit"
 
     def __post_init__(self):
         for m in self.members:
             if m.field != self.field:
                 raise FieldMismatch("family member from a different field")
+        if len(set(self.members)) < len(self.members):
+            raise DuplicateMembers("family has repeated members")
         ordered = tuple(sorted(self.members, key=Ideal.sort_key))
         object.__setattr__(self, "members", ordered)
 
@@ -84,7 +90,7 @@ class PrimePowerFamily(AFamily):
     field: NumberField
     l: int
     truncation: int = DEFAULT_TRUNCATION
-    kind: str = dataclass_field(default="prime_powers", init=False)
+    kind = "prime_powers"
 
     def __post_init__(self):
         if self.l < 1:
@@ -114,7 +120,7 @@ class NormIntervalFamily(AFamily):
     field: NumberField
     intervals: tuple[tuple[int, int], ...]
     truncation: int = DEFAULT_TRUNCATION
-    kind: str = dataclass_field(default="norm_intervals", init=False)
+    kind = "norm_intervals"
 
     def __post_init__(self):
         ivs = tuple(sorted((int(lo), int(hi)) for lo, hi in self.intervals))

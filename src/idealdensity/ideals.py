@@ -200,7 +200,8 @@ READ_POINTS = 128
 
 @dataclass(frozen=True)
 class NormCounter:
-    """Exact ideal counts by norm up to X, in about 2.4 bytes per norm.
+    """Exact ideal counts by norm up to X = h.size - 1, in about 2.4 bytes
+    per norm.
 
     ``h[k]`` is the number of ideals of norm k (h[0] = 0), in the smallest
     signed integer type that holds 2 isqrt(X) >= d(k) >= h(k): int8 up to
@@ -215,7 +216,6 @@ class NormCounter:
     read-only.
     """
 
-    X: int
     h: np.ndarray
     H_checkpoints: np.ndarray
     L_checkpoints: np.ndarray
@@ -236,7 +236,7 @@ class NormCounter:
         for i in range(0, ys.size, READ_POINTS):
             j, r = np.divmod(ys.reshape(-1)[i:i + READ_POINTS], _STRIDE)
             k = j * _STRIDE + _TAIL             # step, point
-            np.minimum(k, self.X, out=k)
+            np.minimum(k, self.h.size - 1, out=k)
             hk = self.h[k]
             H.reshape(-1)[i:i + j.size] = self.H_checkpoints[j] + (
                 hk * (_TAIL <= r)).sum(axis=0)
@@ -249,8 +249,8 @@ class NormCounter:
 
     def H_of(self, x: int) -> int:
         """H(x) for x <= X, a one-point ``sums_at`` read (0 for x < 0)."""
-        if x > self.X:
-            raise ValueError(f"H({x}) not computed (bound {self.X})")
+        if x >= self.h.size:
+            raise ValueError(f"H({x}) not computed (bound {self.h.size - 1})")
         return int(self.sums_at([max(x, 0)])[0][0])
 
 
@@ -293,7 +293,7 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
             t, out=t)[_STRIDE - 1::_STRIDE]
     H = H.astype(np.min_scalar_type(-int(H[-1]) - 1))  # holds the last one
     h.flags.writeable = H.flags.writeable = L.flags.writeable = False
-    return NormCounter(X=X, h=h, H_checkpoints=H, L_checkpoints=L)
+    return NormCounter(h=h, H_checkpoints=H, L_checkpoints=L)
 
 
 #: Largest x of the hyperbola sums in int64: a block of ``norm_blocks`` adds

@@ -385,6 +385,16 @@ class TestDensity:
                            "--out", str(tmp_path / "d.csv"))
         assert code == 1
 
+    def test_repeated_member_is_refused(self, capsys, tmp_path):
+        aset = write_aset(tmp_path, {"field": "Q", "kind": "explicit",
+                                     "members": [2, 2]})
+        out = tmp_path / "d.csv"
+        code, _, err = run(capsys, "density", "--aset", str(aset),
+                           "--max-norm", "100", "--out", str(out))
+        assert code == 1
+        assert "error: family has repeated members" in err
+        assert not out.exists()
+
 
 class TestExperiment:
     def test_primepower_free(self, capsys, tmp_path):

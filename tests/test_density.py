@@ -78,6 +78,20 @@ class TestFiniteIEDensity:
         with pytest.raises(DuplicateMembers):
             idd.finite_ie_density(int_family(Q, 6, 6))
 
+    @pytest.mark.parametrize("doc", [
+        {"field": "Q", "kind": "explicit", "members": [2, 2]},
+        {"field": "Q(sqrt -1)", "kind": "explicit",
+         "members": [[[5, 0, 1]], [[5, 0, 1]]]},
+    ])
+    def test_counting_paths_refuse_what_the_exact_path_refuses(self, doc):
+        # A repeat is refused, not read as the smaller set {2} (density 1/2
+        # at X = 100) or {P} over Q(i) (17/79): no path gets the family.
+        for measure in (lambda A: idd.density_profile(A, X=100),
+                        lambda A: idd.sieve_multiples_density(A, 100),
+                        idd.finite_ie_density):
+            with pytest.raises(DuplicateMembers):
+                measure(idd.parse_family(doc))
+
     def test_entangled_cap(self, Q):
         # 21 members all sharing the prime 2 form one block, more than the
         # 20 that inclusion-exclusion over subsets once took: n is a

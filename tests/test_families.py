@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import idealdensity as idd
-from idealdensity.errors import FamilySpecError, FieldMismatch
+from idealdensity.errors import DuplicateMembers, FamilySpecError, FieldMismatch
 from idealdensity import families
 from idealdensity.families import minimal_members
 
@@ -31,6 +31,22 @@ class TestExplicitFamily:
     def test_member_of_another_field_rejected(self, Q, Qi):
         with pytest.raises(FieldMismatch, match="different field"):
             idd.ExplicitFamily(field=Q, members=(unit_ideal(Qi),))
+
+    def test_repeated_member_rejected_when_built(self, Q, Qi):
+        # A family is a set: a member given twice is refused at once.
+        P5 = idd.make_ideal(Qi, [(idd.primes_up_to_norm(Qi, 5)[1], 1)])
+        for K, member in ((Q, idd.integer_ideal(Q, 2)), (Qi, P5)):
+            with pytest.raises(DuplicateMembers, match="repeated members"):
+                idd.ExplicitFamily(field=K, members=(member, member))
+
+    @pytest.mark.parametrize("doc", [
+        {"field": "Q", "kind": "explicit", "members": [2, 3, 2]},
+        {"field": "Q(sqrt -1)", "kind": "explicit",
+         "members": [[[5, 0, 1]], [[5, 0, 1]]]},
+    ])
+    def test_parse_family_rejects_a_repeated_member(self, doc):
+        with pytest.raises(DuplicateMembers, match="repeated members"):
+            idd.parse_family(doc)
 
 
 class TestPrimePowerFamily:

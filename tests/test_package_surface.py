@@ -10,6 +10,8 @@ package's classes: a field whose name no code in ``src/`` reads as an
 attribute holds a fact that nothing uses, and must be in ``KEPT_FIELDS``
 with the reason it stays.  Every error class of ``errors.py`` is either
 a base of other error classes or named by some ``raise`` in ``src/``.
+Every dataclass is frozen and takes each of its fields when built: a
+record is built whole, and a constant of its class is not a field.
 """
 
 import ast
@@ -121,3 +123,29 @@ def _unraised_errors() -> set[str]:
 
 def test_every_error_is_raised_or_a_base():
     assert sorted(_unraised_errors()) == []
+
+
+def _dataclass_faults() -> list[str]:
+    """"Class: fault" for each ``@dataclass`` of the package that is not
+    ``frozen=True`` or that declares a field with ``init=False``."""
+    faults = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for deco in cls.decorator_list:
+                call = deco if isinstance(deco, ast.Call) else ast.Call(
+                    func=deco, args=[], keywords=[])
+                if ast.unparse(call.func) != "dataclass":
+                    continue
+                if "frozen=True" not in map(ast.unparse, call.keywords):
+                    faults.append(f"{cls.name}: not frozen")
+                if any(isinstance(n, ast.keyword)
+                       and ast.unparse(n) == "init=False"
+                       for n in ast.walk(cls)):
+                    faults.append(f"{cls.name}: init=False field")
+    return faults
+
+
+def test_every_dataclass_is_frozen_and_built_whole():
+    assert _dataclass_faults() == []
