@@ -12,7 +12,8 @@ built in pieces, so the prime layer holds its output arrays and a few
 blocks of fixed size.
 
 ``euler_series`` is the package's one multiplicative sieve: it builds
-the chi_D table here and the ideal counts of ``ideals.count_ideals``.
+the chi_D tables here, which the point counts and the class number read,
+and the ideal counts of ``ideals.count_ideals``.
 """
 
 from __future__ import annotations
@@ -83,7 +84,10 @@ class PrimeIdeal:
     norm: int
     p: int
     conjugate_index: int
-    f: int                    # residue degree
+
+    @property
+    def f(self) -> int:                       # residue degree
+        return 2 if self.norm != self.p else 1
 
 
 #: Miller-Rabin with the prime bases up to 41 is deterministic below
@@ -96,10 +100,8 @@ _MR_LIMIT = 3317044064679887385961981
 #: their int64 temporaries take 32 KB each.
 _SIEVE_BLOCK = 1 << 17
 _PIECE = _SIEVE_BLOCK // 32
-#: Work bounds on outside input: the trial divisors of factorint, and |D|
-#: in the class number, which takes about |D|/3 steps (seconds at 10^8).
+#: Work bound on outside input: the trial divisors of factorint.
 _TRIAL_LIMIT = 10**6
-_CLASS_NUMBER_LIMIT = 10**8
 
 
 def isprime(n: int) -> bool:
@@ -196,17 +198,17 @@ def split_prime(K: NumberField, p: int) -> list[tuple[PrimeIdeal, int]]:
     if p < 2 or not isprime(p):
         raise NotPrime(f"{p} is not a rational prime")
     if K.is_rational:
-        return [(PrimeIdeal(norm=p, p=p, conjugate_index=0, f=1), 1)]
+        return [(PrimeIdeal(norm=p, p=p, conjugate_index=0), 1)]
     D = K.discriminant
     if D % p == 0:
-        return [(PrimeIdeal(norm=p, p=p, conjugate_index=0, f=1), 2)]
+        return [(PrimeIdeal(norm=p, p=p, conjugate_index=0), 2)]
     splits = D % 8 in (1, 7) if p == 2 else pow(D, (p - 1) // 2, p) == 1
     if splits:
         return [
-            (PrimeIdeal(norm=p, p=p, conjugate_index=0, f=1), 1),
-            (PrimeIdeal(norm=p, p=p, conjugate_index=1, f=1), 1),
+            (PrimeIdeal(norm=p, p=p, conjugate_index=0), 1),
+            (PrimeIdeal(norm=p, p=p, conjugate_index=1), 1),
         ]
-    return [(PrimeIdeal(norm=p * p, p=p, conjugate_index=0, f=2), 1)]
+    return [(PrimeIdeal(norm=p * p, p=p, conjugate_index=0), 1)]
 
 
 def _symbols_at_primes(D: int, ps: np.ndarray) -> np.ndarray:
@@ -325,12 +327,10 @@ def primes_up_to_norm(K: NumberField, X: int) -> tuple[PrimeIdeal, ...]:
     """
     norm = prime_norm_array(K, X)
     root = np.sqrt(norm).astype(np.int64)       # exact for squares < 2^53
-    f = np.where(root * root == norm, 2, 1)
-    p = np.where(f == 2, root, norm)
+    p = np.where(root * root == norm, root, norm)
     conj = np.zeros_like(norm)
     conj[1:] = norm[1:] == norm[:-1]
-    return tuple(map(PrimeIdeal, norm.tolist(), p.tolist(), conj.tolist(),
-                     f.tolist()))
+    return tuple(map(PrimeIdeal, norm.tolist(), p.tolist(), conj.tolist()))
 
 
 def run_starts(a: np.ndarray) -> np.ndarray:
@@ -389,20 +389,30 @@ def euler_series(n: int, qs: np.ndarray, cs: np.ndarray,
     return a
 
 
+#: The one bound on the chi_D sums: the longest table that the hyperbola
+#: sums of ``ideals.ideal_counts`` read, and the largest |D| of h(D).
+_CHI_TABLE_LIMIT = 10**8
+
+
+def _chi_series(K: NumberField, n: int) -> np.ndarray:
+    # chi[k] = (D/k) for 0 <= k < n <= |D| (int8, chi[0] = 0), uncached:
+    # chi_D is completely multiplicative, so chi is the ``euler_series`` of
+    # the primes p < n with c_p = chi_D(p), from Euler's criterion.  Its
+    # peak is 4 to 5 bytes per entry.
+    if not 1 <= n <= abs(K.discriminant):
+        raise ValueError(f"table length {n} not in [1, |D|]")
+    ps = rational_primes_up_to(n - 1)
+    return euler_series(n, ps, _split_symbols(K, ps), np.int8)
+
+
 @lru_cache(maxsize=8)
 def kronecker_table(K: NumberField, n: int) -> tuple[np.ndarray, np.ndarray]:
     """chi[k] = (D/k), the Kronecker symbol, and S[k] = chi[1] + ... + chi[k]
     for 0 <= k < n <= |D|, D the discriminant of the quadratic field K
     (read-only arrays: chi int8, S the smallest signed integer type that
-    holds -n; chi[0] = 0).
-
-    chi_D is completely multiplicative, so chi is the ``euler_series`` of
-    the primes p < n with c_p = chi_D(p), from Euler's criterion.
+    holds -n; chi[0] = 0), chi from ``_chi_series``.
     """
-    if not 1 <= n <= abs(K.discriminant):
-        raise ValueError(f"table length {n} not in [1, |D|]")
-    ps = rational_primes_up_to(n - 1)
-    chi = euler_series(n, ps, _split_symbols(K, ps), np.int8)
+    chi = _chi_series(K, n)
     S = np.cumsum(chi, dtype=np.min_scalar_type(-n))     # |S[k]| <= k < n
     chi.flags.writeable = S.flags.writeable = False
     return chi, S
@@ -445,30 +455,23 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 @lru_cache(maxsize=16)
 def class_number_imag_quadratic(D: int) -> int:
-    """Class number h(D) by counting reduced binary quadratic forms.
+    """Class number h(D) by the class number formula (Davenport, ch. 6),
+    h = w sum_{0<a<|D|/2} chi_D(a) / (2 (2 - chi_D(2))), w = unit_count.
 
-    Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
-    Cached; about |D|/3 steps, so TooLarge above _CLASS_NUMBER_LIMIT.
+    chi_D is one ``_chi_series`` of |D|//2 + 1 entries, at least 3 so that
+    it holds chi_D(2), dropped on return.  Cached; TooLarge for
+    |D| > _CHI_TABLE_LIMIT.
     """
     if D >= 0:
         raise NotNegative(f"D={D} must be negative")
-    if -D > _CLASS_NUMBER_LIMIT:
-        raise TooLarge(f"class number: |D| = {-D} > {_CLASS_NUMBER_LIMIT}")
+    if -D > _CHI_TABLE_LIMIT:
+        raise TooLarge(f"class number: |D| = {-D} > {_CHI_TABLE_LIMIT}")
     if not is_fundamental_discriminant(D):
         raise NotFundamental(f"D={D} is not a fundamental discriminant")
-    h = 0
-    for a in range(1, math.isqrt(-D // 3) + 1):
-        for b in range(-a, a + 1):
-            num = b * b - D
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (-b == a or a == c):
-                continue
-            h += 1
-    return h
+    K = make_quadratic_field(D if D % 4 == 1 else D // 4)
+    half = -D // 2 + 1
+    chi = _chi_series(K, max(half, 3))
+    return K.unit_count * int(chi[:half].sum()) // (2 * (2 - int(chi[2])))
 
 
 def analytic_residue_imag_quadratic(K: NumberField) -> float:

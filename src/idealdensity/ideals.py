@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import fields
 from .errors import EmptySet, FieldMismatch, TooLarge
 from .fields import (
     NumberField,
@@ -258,11 +259,10 @@ class NormCounter:
 def count_ideals(K: NumberField, X: int) -> NormCounter:
     """Exact norm counts up to X by a multiplicative sieve.
 
-    Over a quadratic field h is the ``fields.euler_series`` of the
-    prime-ideal norms, each with the local factor 1/(1 - N(p)^-s), built
-    in the counter's small integer type.  Over Q every n >= 1 is the norm
-    of exactly one ideal, so h = 1; the package's own paths over Q use
-    H(x) = x and h = 1 and build no counter.  H at the checkpoints sums h
+    h is the ``fields.euler_series`` of the prime-ideal norms, each with
+    the local factor 1/(1 - N(p)^-s), built in the counter's small integer
+    type: over Q the series of zeta, h = 1, though the package's own paths
+    over Q use H(x) = x and build no counter.  H at the checkpoints sums h
     over each stride; L comes from one pass over blocks of norms, each
     starting after a checkpoint, whose sum is added into the block's
     first term h(k)/k before an in-place ``np.cumsum``, as
@@ -273,12 +273,8 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
         raise ValueError("X must be >= 1")
     # h(k) <= d(k) <= 2 isqrt(k): a divisor pairs with one <= sqrt k.
     dtype = np.min_scalar_type(-2 * math.isqrt(X) - 1)
-    if K.is_rational:
-        h = np.ones(X + 1, dtype=dtype)
-        h[0] = 0
-    else:
-        norms = prime_norm_array(K, X)
-        h = euler_series(X + 1, norms, np.broadcast_to(1, norms.shape), dtype)
+    norms = prime_norm_array(K, X)
+    h = euler_series(X + 1, norms, np.broadcast_to(1, norms.shape), dtype)
     m = X // _STRIDE
     H = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(h[1:m * _STRIDE + 1].reshape(m, _STRIDE).sum(1, dtype=np.int64),
@@ -300,9 +296,6 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
 #: <= B = _L_BLOCK terms chi(d) floor(x/d): |sum| <= x (1 + log B) < 2^63.
 _HYPERBOLA_LIMIT = 1 << 59
 
-#: Longest chi_D table of the hyperbola sums, about 10 bytes an entry.
-_CHI_TABLE_LIMIT = 10**8
-
 
 def ideal_counts(K: NumberField, xs: Sequence[int]) -> list[int]:
     """Exact H(x) = #{a : N(a) <= x} at each x in xs, without a sieve.
@@ -323,8 +316,9 @@ def ideal_counts(K: NumberField, xs: Sequence[int]) -> list[int]:
     if max(xs) > _HYPERBOLA_LIMIT:
         raise TooLarge(f"H(x) is evaluated for x <= {_HYPERBOLA_LIMIT} only")
     n = min(abs(K.discriminant), max(xs) + 1)
-    if n > _CHI_TABLE_LIMIT:
-        raise TooLarge(f"H(x) reads {n} > {_CHI_TABLE_LIMIT} values of chi_D")
+    if n > fields._CHI_TABLE_LIMIT:
+        raise TooLarge(
+            f"H(x) reads {n} > {fields._CHI_TABLE_LIMIT} values of chi_D")
     chi, S = kronecker_table(K, n)
     out = []
     for x in xs:

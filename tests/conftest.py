@@ -117,6 +117,28 @@ def kronecker_symbol(D: int, n: int) -> int:
     return result * _jacobi(D % n, n)
 
 
+def reduced_form_class_number(D: int) -> int:
+    """Class number h(D) of a fundamental D < 0 by counting the reduced
+    binary quadratic forms (a, b, c) of discriminant b^2 - 4ac = D, about
+    |D|/3 steps: the reference for the class number formula.
+
+    Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
+    """
+    h = 0
+    for a in range(1, math.isqrt(-D // 3) + 1):
+        for b in range(-a, a + 1):
+            num = b * b - D
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and (-b == a or a == c):
+                continue
+            h += 1
+    return h
+
+
 def random_explicit_family(K, rng: random.Random, max_members=5, max_norm=50):
     """Seeded random family with distinct members of norm <= max_norm."""
     pool = [i for i in idd.enumerate_ideals(K, max_norm) if i.factors]

@@ -140,7 +140,7 @@ class TestCount:
 
     def test_chi_table_past_its_bound(self, capsys, tmp_path, monkeypatch):
         # |D| = 40028 entries of chi_D: refused with one line and no file.
-        monkeypatch.setattr(idd.ideals, "_CHI_TABLE_LIMIT", 10**4)
+        monkeypatch.setattr(idd.fields, "_CHI_TABLE_LIMIT", 10**4)
         out_path = tmp_path / "count.csv"
         code, _, err = run(capsys, "count", "--field", "Q(sqrt 10007)",
                            "--max-norm", "1000000", "--out", str(out_path))

@@ -19,7 +19,12 @@ from idealdensity.errors import (
     UnsupportedField,
 )
 
-from conftest import kronecker_symbol, peak_bytes, trial_division_primes
+from conftest import (
+    kronecker_symbol,
+    peak_bytes,
+    reduced_form_class_number,
+    trial_division_primes,
+)
 
 
 class TestFieldConstruction:
@@ -329,7 +334,8 @@ class TestPrimeNumbering:
 
 class TestClassNumber:
     @pytest.mark.parametrize("D,h", [(-3, 1), (-4, 1), (-8, 1), (-20, 2),
-                                     (-23, 3), (-47, 5), (-163, 1)])
+                                     (-23, 3), (-47, 5), (-163, 1),
+                                     (-4000004, 1032)])
     def test_known_values(self, D, h):
         assert idd.class_number_imag_quadratic(D) == h
 
@@ -344,6 +350,32 @@ class TestClassNumber:
     def test_past_the_work_bound(self):
         with pytest.raises(TooLarge):
             idd.class_number_imag_quadratic(-(10**24 + 7))
+
+    def test_equals_the_reduced_form_count(self):
+        Ds = [D for D in range(-2999, -2)
+              if fields_module.is_fundamental_discriminant(D)]
+        assert len(Ds) == 911
+        for D in Ds:
+            assert idd.class_number_imag_quadratic(D) == (
+                reduced_form_class_number(D)), D
+
+    def test_table_is_dropped_and_not_cached(self):
+        # One int8 table of |D|//2 + 1 entries, built beside the primes
+        # below its length, which the kronecker_table cache does not keep.
+        D = -4000004
+        before = kronecker_table.cache_info().currsize
+        build = fields_module.class_number_imag_quadratic.__wrapped__
+        assert peak_bytes(build, D) < 6 * (-D // 2 + 1)
+        assert kronecker_table.cache_info().currsize == before
+
+    def test_refused_before_the_sieve(self, monkeypatch):
+        # 10007 is prime, so D = -10007 is fundamental; it is refused by
+        # |D| > _CHI_TABLE_LIMIT before any prime is sieved.
+        monkeypatch.setattr(fields_module, "_CHI_TABLE_LIMIT", 10**4)
+        monkeypatch.setattr(fields_module, "rational_primes_up_to", None)
+        build = fields_module.class_number_imag_quadratic.__wrapped__
+        with pytest.raises(TooLarge, match="10007"):
+            build(-10007)
 
 
 class TestAnalyticResidue:

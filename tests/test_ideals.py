@@ -213,13 +213,13 @@ class TestNormCounter:
         assert (gaussian_lattice_counts(2000) == c.h).all()
         assert gaussian_lattice_H(2000) == c.H_of(2000)
 
-    def test_rational_counts_need_no_primes(self, Q, monkeypatch):
-        def no_primes(K, X):
-            raise AssertionError("prime norms read over Q")
-
-        monkeypatch.setattr(idd.ideals, "prime_norm_array", no_primes)
-        c = idd.ideals.count_ideals.__wrapped__(Q, 10**5)
-        assert np.array_equal(full_H_and_L(c)[0], np.arange(10**5 + 1))
+    def test_rational_counts_are_the_series_of_zeta(self, Q):
+        # The euler_series of the rational primes, each with the local
+        # factor 1/(1 - p^-s), is zeta's: every n >= 1 counts once.
+        for X in (10**3, 10**6):
+            c = idd.ideals.count_ideals.__wrapped__(Q, X)
+            assert c.h[0] == 0 and (c.h[1:] == 1).all()
+            assert np.array_equal(full_H_and_L(c)[0], np.arange(X + 1))
 
 
 class TestPairwiseSum:
@@ -287,7 +287,7 @@ class TestPointCounts:
     def test_chi_table_past_its_bound_raises(self, monkeypatch):
         # |D| = 40028: a table of 10^4 entries is built, and one of |D|
         # entries, for x = 10^6, is refused before it is built.
-        monkeypatch.setattr(idd.ideals, "_CHI_TABLE_LIMIT", 10**4)
+        monkeypatch.setattr(idd.fields, "_CHI_TABLE_LIMIT", 10**4)
         K = idd.make_quadratic_field(10007)
         assert idd.ideal_counts(K, [9999]) == [
             idd.count_ideals(K, 9999).H_of(9999)]
