@@ -4,7 +4,11 @@ Subcommands: field-info, count, mertens, density, experiment.  All
 outputs are reproducible: CSV files carry a header row, ratios are
 printed with 12 significant digits, counts as exact integers, and the
 summary JSON embeds the run configuration.  Results are independent of
---threads (computations are deterministic single-pass)."""
+--threads (computations are deterministic single-pass).
+
+Each command imports only the modules it runs: ``count`` and
+``field-info`` load no ``zeta``, ``density``, ``families`` or
+``experiments``, and ``mertens`` adds only ``zeta``."""
 
 from __future__ import annotations
 
@@ -17,24 +21,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import experiments
-from .density import a_limit, density_profile, finite_ie_density
-from .errors import (
-    BoundsExceedX,
-    IdealDensityError,
-    SNotGreaterThanOne,
-    TooLarge,
-)
-from .families import ExplicitFamily, parse_family
-from .fields import (
-    analytic_residue_imag_quadratic,
-    class_number_imag_quadratic,
-    parse_field,
-    sample_grid,
-)
+from .errors import (BoundsExceedX, IdealDensityError, SNotGreaterThanOne,
+                     TooLarge)
+from .fields import (analytic_residue_imag_quadratic,
+                     class_number_imag_quadratic, parse_field, sample_grid)
 from .ideals import count_ideals  # noqa: F401  (bench/ binds cli.count_ideals)
 from .ideals import ideal_count, ideal_counts
-from .zeta import euler_products_at, mertens_target
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,6 +125,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_mertens(args) -> int:
+    from .zeta import euler_products_at, mertens_target
+
     K = parse_field(args.field)
     if K.is_imaginary_quadratic:
         alpha = analytic_residue_imag_quadratic(K)
@@ -150,6 +144,9 @@ def cmd_mertens(args) -> int:
 
 
 def cmd_density(args) -> int:
+    from .density import a_limit, density_profile, finite_ie_density
+    from .families import ExplicitFamily, parse_family
+
     K = parse_field(args.field)
     with open(args.aset) as fh:
         family = parse_family(json.load(fh), K)
@@ -175,6 +172,9 @@ def cmd_density(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from . import experiments
+    from .families import parse_family
+
     K = parse_field(args.field)
     if args.name == "primepower-free":
         result = experiments.primepower_free_experiment(
@@ -282,6 +282,13 @@ def main(argv=None) -> int:
     except IdealDensityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def __getattr__(name):  # bench/ binds cli.density_profile
+    if name != "density_profile":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .density import density_profile
+    return density_profile
 
 
 if __name__ == "__main__":  # pragma: no cover

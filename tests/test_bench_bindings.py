@@ -38,6 +38,8 @@ def test_names_bench_reads_directly():
     # spans rebinds these in every module that imported them.
     assert cli.count_ideals is ideals.count_ideals
     assert density.minimal_members is families.minimal_members
+    # bench/tests reads it; cli loads density only when it is read.
+    assert cli.density_profile is density.density_profile
     # bench/run.py and bench/child.py call these.
     assert callable(ideals.gaussian_lattice_H)
     assert callable(ideals.count_ideals.__wrapped__)
