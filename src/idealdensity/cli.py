@@ -4,21 +4,22 @@ Subcommands: field-info, count, mertens, density, experiment.  All
 outputs are reproducible: CSV files carry a header row, ratios are
 printed with 12 significant digits, counts as exact integers, and the
 summary JSON embeds the run configuration.  Results are independent of
---threads (computations are deterministic single-pass).
+--threads (computations are deterministic single-pass).  One path writes
+every command's CSV and summary: ``main``, after the command has returned
+them, so a refusal writes no file; ``field-info`` only prints.
 
 Each command imports only the modules it runs: ``count`` and
-``field-info`` load no ``zeta``, ``density``, ``families`` or
-``experiments``, and ``mertens`` adds only ``zeta``."""
+``field-info`` load no ``zeta``, ``density``, ``families``,
+``experiments`` or ``decimal``, and ``mertens`` adds only ``zeta``."""
 
 from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import json
 import math
+import numbers
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import (BoundsExceedX, IdealDensityError, SNotGreaterThanOne,
@@ -60,10 +61,11 @@ def _int_at_least(lo: int):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        value = float(value)
-    if isinstance(value, float):
-        return format(value, ".12g")
+    # A float or a Fraction; ``numbers``, unlike ``fractions``, loads no
+    # ``decimal``.
+    if isinstance(value, (float, numbers.Rational)) and not isinstance(
+            value, numbers.Integral):
+        return format(float(value), ".12g")
     return str(value)
 
 
@@ -83,9 +85,10 @@ def write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _run_config(args, command: str) -> dict:
+def _run_config(args) -> dict:
     # --threads is an execution knob only: it is deliberately left out so
     # outputs are byte-identical across thread counts.
+    command = f"{args.command} {getattr(args, 'name', '')}".rstrip()
     config = {"command": command, "field": args.field, "seed": args.seed}
     for key in ("max_norm", "samples", "cutoff", "l", "aset", "out"):
         if hasattr(args, key):
@@ -98,8 +101,7 @@ def _sample_points(X: int, n: int) -> list[int]:
     return list(range(1, X + 1)) if X <= n else sample_grid(1, X, n).tolist()
 
 
-def cmd_field_info(args) -> int:
-    K = parse_field(args.field)
+def cmd_field_info(K, args) -> None:
     units = K.unit_count if K.unit_count is not None else "infinite"
     lines = [f"field: {K.label()}", f"degree: {K.degree}",
              f"discriminant: {K.discriminant}", f"unit_count: {units}"]
@@ -109,25 +111,19 @@ def cmd_field_info(args) -> int:
         alpha = analytic_residue_imag_quadratic(K)
         lines += [f"class_number: {h}", f"analytic_residue: {_fmt(alpha)}"]
     print("\n".join(lines))
-    return EXIT_OK
 
 
-def cmd_count(args) -> int:
-    K = parse_field(args.field)
+def cmd_count(K, args):
     xs = _sample_points(args.max_norm, args.samples)
     Hs = ideal_counts(K, xs)
-    write_csv(args.out, ("x", "H", "H_over_x"),
-              [(x, H, H / x) for x, H in zip(xs, Hs)])
     # The last sample point is the bound itself.
-    _write_summary(args, "count", {"H": Hs[-1],
-                                   "c_hat": Hs[-1] / args.max_norm})
-    return EXIT_OK
+    return (("x", "H", "H_over_x"), [(x, H, H / x) for x, H in zip(xs, Hs)],
+            {"summary": {"H": Hs[-1], "c_hat": Hs[-1] / args.max_norm}})
 
 
-def cmd_mertens(args) -> int:
+def cmd_mertens(K, args):
     from .zeta import euler_products_at, mertens_target
 
-    K = parse_field(args.field)
     if K.is_imaginary_quadratic:
         alpha = analytic_residue_imag_quadratic(K)
     else:
@@ -137,17 +133,15 @@ def cmd_mertens(args) -> int:
     cutoffs = [c for c in _sample_points(args.cutoff, args.samples) if c >= 10]
     rows = [(c, pi, pi / math.log(c), target)
             for c, pi in zip(cutoffs, euler_products_at(K, cutoffs))]
-    write_csv(args.out, ("cutoff", "euler_product", "ratio", "target"), rows)
     # The last sample point is the cutoff itself.
-    _write_summary(args, "mertens", {"ratio": rows[-1][2], "target": target})
-    return EXIT_OK
+    return (("cutoff", "euler_product", "ratio", "target"), rows,
+            {"summary": {"ratio": rows[-1][2], "target": target}})
 
 
-def cmd_density(args) -> int:
+def cmd_density(K, args):
     from .density import a_limit, density_profile, finite_ie_density
     from .families import ExplicitFamily, parse_family
 
-    K = parse_field(args.field)
     with open(args.aset) as fh:
         family = parse_family(json.load(fh), K)
     report = density_profile(family, X=args.max_norm, n_samples=args.samples)
@@ -159,6 +153,7 @@ def cmd_density(args) -> int:
         digits = int(density.denominator.bit_length() * math.log10(2)) + 1
         if digits > MAX_EXACT_DIGITS:
             raise TooLarge(f"A_exact: about {digits} > {MAX_EXACT_DIGITS} digits")
+        import decimal
         n, d = (str(decimal.Decimal(v)) for v in density.as_integer_ratio())
         summary["A_exact"] = n if d == "1" else f"{n}/{d}"
     else:
@@ -166,16 +161,13 @@ def cmd_density(args) -> int:
         summary["A_r"] = [float(v) for v in seq]
         # No member of norm <= truncation: M_A is empty.
         summary["A"] = float(seq[-1]) if seq else 0.0
-    write_csv(args.out, *report.table())
-    _write_summary(args, "density", summary)
-    return EXIT_OK
+    return *report.table(), {"summary": summary}
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(K, args):
     from . import experiments
     from .families import parse_family
 
-    K = parse_field(args.field)
     if args.name == "primepower-free":
         result = experiments.primepower_free_experiment(
             K, l=args.l, X=args.max_norm, n_samples=args.samples)
@@ -193,20 +185,7 @@ def cmd_experiment(args) -> int:
             X=args.max_norm, n_samples=args.samples)
     else:
         raise UsageError(f"unknown experiment {args.name!r}")
-    write_csv(args.out, result.columns, result.rows)
-    write_json(_summary_path(args.out), result.summary_document(
-        _run_config(args, f"experiment {args.name}")))
-    return EXIT_OK if result.verdict else EXIT_VERDICT
-
-
-def _summary_path(out) -> Path:
-    out = Path(out)
-    return out.with_suffix(".summary.json")
-
-
-def _write_summary(args, command: str, summary: dict) -> None:
-    write_json(_summary_path(args.out),
-               {"config": _run_config(args, command), "summary": summary})
+    return result.columns, result.rows, result.summary_document()
 
 
 def build_parser() -> _Parser:
@@ -268,7 +247,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        outputs = args.func(parse_field(args.field), args)
+        if outputs is None:                     # field-info prints its lines
+            return EXIT_OK
+        columns, rows, document = outputs
+        write_csv(args.out, columns, rows)
+        write_json(args.out.with_suffix(".summary.json"),
+                   {**document, "config": _run_config(args)})
+        return EXIT_OK if document.get("verdict", True) else EXIT_VERDICT
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,10 +29,9 @@ class ExperimentResult:
     summary: dict
     verdict: bool
 
-    def summary_document(self, config: dict) -> dict:
+    def summary_document(self) -> dict:
         return {"scenario": self.name, "parameters": self.params,
-                "summary": self.summary, "verdict": self.verdict,
-                "config": config}
+                "summary": self.summary, "verdict": self.verdict}
 
 
 def primepower_free_experiment(K: NumberField, l: int, X: int,

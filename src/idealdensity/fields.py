@@ -193,7 +193,7 @@ def split_prime(K: NumberField, p: int) -> list[tuple[PrimeIdeal, int]]:
 
     p ramifies when it divides D, and otherwise splits when chi_D(p) = 1:
     for p = 2 when D = 1 or 7 mod 8, for odd p by Euler's criterion on
-    Python ints, so p may be past the int64 reach of ``_symbols_at_primes``.
+    Python ints, so p may be past the 2^32 reach of ``_symbols_at_primes``.
     """
     if p < 2 or not isprime(p):
         raise NotPrime(f"{p} is not a rational prime")
@@ -213,9 +213,17 @@ def split_prime(K: NumberField, p: int) -> list[tuple[PrimeIdeal, int]]:
 
 def _symbols_at_primes(D: int, ps: np.ndarray) -> np.ndarray:
     # chi_D(p), the Kronecker symbol (D/p), at every prime of an int64
-    # array (p^2 must fit): Euler's criterion by vectorised
-    # square-and-multiply, and the Kronecker rule at p = 2.
-    base, e = D % ps, (ps - 1) // 2
+    # array: Euler's criterion by vectorised square-and-multiply in uint64,
+    # exact while p < 2^32 (a product of two residues is below 2^64), and
+    # the Kronecker rule at p = 2.  A D past int64 is reduced mod p in
+    # Python ints.
+    if ps.size and (top := int(ps.max())) >= 2**32:
+        raise TooLarge(f"chi_D(p) at p = {top}: Euler's criterion is exact "
+                       f"only for p < 2^32")
+    base = (D % ps if abs(D) < 2**63
+            else np.array([D % p for p in ps.tolist()])).astype(np.uint64)
+    ps = ps.astype(np.uint64)
+    e = (ps - 1) // 2
     r = np.ones_like(ps)
     while e.any():
         r = np.where(e & 1, r * base % ps, r)
@@ -273,7 +281,8 @@ def _split_symbols(K: NumberField, ps: np.ndarray) -> np.ndarray:
     s = np.empty(ps.size, dtype=np.int8)
     for i in range(0, ps.size, _PIECE):
         part = ps[i:i + _PIECE]
-        below = int(np.searchsorted(part, abs(D)))
+        below = (part.size if abs(D) > int(part[-1])
+                 else int(np.searchsorted(part, abs(D))))
         s[i:i + below] = _symbols_at_primes(D, part[:below])
         if below < part.size:
             chi, _ = kronecker_table(K, abs(D))

@@ -12,7 +12,7 @@ import pytest
 import idealdensity as idd
 from idealdensity import cli
 
-from conftest import box_density, is_multiple
+from conftest import box_density, is_multiple, kronecker_symbol
 
 
 def run(capsys, *argv):
@@ -148,6 +148,21 @@ class TestCount:
         (line,) = err.strip().splitlines()
         assert line.startswith("numeric error:")
         assert not out_path.exists()
+
+    def test_discriminant_past_int64(self, capsys, tmp_path):
+        # D = 4 (10^21 + 7) > 2^63: chi_D(p) reduces D mod p in Python ints,
+        # and H(x) = sum_{d <= x} chi_D(d) floor(x / d).
+        out_path = tmp_path / "count.csv"
+        code, _, err = run(capsys, "count",
+                           "--field", "Q(sqrt 1000000000000000000007)",
+                           "--max-norm", "1000", "--out", str(out_path))
+        assert code == 0, err
+        chi = [kronecker_symbol(4 * (10**21 + 7), d) for d in range(1, 1001)]
+        rows = read_csv(out_path)[1:]
+        assert rows[-1][0] == "1000"
+        for x, H, _ in rows:
+            assert int(H) == sum(c * (int(x) // d)
+                                 for d, c in enumerate(chi[:int(x)], start=1))
 
     def test_missing_out(self, capsys):
         code, _, err = run(capsys, "count", "--max-norm", "10")
@@ -354,7 +369,8 @@ class TestDensity:
         assert len(primes) == 1100 and len(d) == 4565
         assert read_summary(out_path)["summary"]["A_exact"] == f"{n}/{d}"
 
-    def test_exact_density_past_its_digit_bound(self, tmp_path):
+    def test_exact_density_past_its_digit_bound(self, capsys, tmp_path,
+                                                monkeypatch):
         # N(a) = 2^(10^7) has about 3 * 10^6 digits: refused before the
         # decimal conversion, which would take minutes, and before any file.
         aset = write_aset(tmp_path, {"field": "Q(sqrt -1)", "kind": "explicit",
@@ -370,6 +386,19 @@ class TestDensity:
         assert line.startswith("numeric error:")
         assert str(cli.MAX_EXACT_DIGITS) in line
         assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "out.summary.json").exists()
+        # The same refusal in process, past a bound set low: A = 27/35 over
+        # Q has a 2-digit denominator, and the finished run writes no file.
+        monkeypatch.setattr(cli, "MAX_EXACT_DIGITS", 1)
+        aset = write_aset(tmp_path, {"field": "Q", "kind": "explicit",
+                                     "members": [2, 3, 5, 7]}, "small.json")
+        code, _, err = run(capsys, "density", "--aset", str(aset),
+                           "--max-norm", "1000",
+                           "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert err == "numeric error: A_exact: about 2 > 1 digits\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "aset.json", "small.json"]
 
     def test_missing_aset_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "density", "--aset",

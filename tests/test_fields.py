@@ -121,6 +121,21 @@ class TestKronecker:
                                        for k in range(19500, 20000)]
 
 
+def test_euler_symbols_past_the_int64_square():
+    # p^2 > 2^63 for the first 40 primes above 4 * 10^9, all below |D| and
+    # 2^32: squares in int64 wrapped and gave 22 of them the wrong sign.
+    D = idd.make_quadratic_field(1000000007).discriminant
+    ps = list(itertools.islice(primerange(4 * 10**9, 2**32), 40))
+    assert D == 4000000028 and ps[-1] < 2**32
+    assert fields_module._symbols_at_primes(D, np.array(ps)).tolist() == [
+        kronecker_symbol(D, p) for p in ps]
+
+
+def test_euler_symbols_refuse_a_prime_past_2_32():
+    with pytest.raises(TooLarge, match=r"4294967311: .* p < 2\^32"):
+        fields_module._symbols_at_primes(-4, np.array([3, 2**32 + 15]))
+
+
 #: Integers per block of the segmented sieve.
 SIEVE_SPAN = 2 * fields_module._SIEVE_BLOCK
 #: Bounds one below, at and one above 1, 2 and 3 blocks.

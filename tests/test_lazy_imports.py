@@ -77,13 +77,15 @@ class TestImportGraph:
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, extra):
         if argv[0] != "field-info":
             argv = argv + ["--out", str(tmp_path / "out.csv")]
-        code, modules = facts(
+        code, modules, decimal = facts(
             "import idealdensity.cli\n"
             f"code = idealdensity.cli.main({argv!r})\n"
-            "out = [code, loaded()]")
+            "out = [code, loaded(), 'decimal' in sys.modules]")
         assert code == 0
-        # density, families and experiments stay unloaded.
+        # density, families and experiments stay unloaded, and so does
+        # decimal, which only density's A_exact reads.
         assert set(modules) == CLI_MODULES | extra
+        assert not decimal
 
 
 class TestNamespace:
@@ -165,5 +167,8 @@ def test_every_subcommand_runs_in_a_fresh_interpreter(tmp_path, name):
     run = python("-m", "idealdensity.cli", *argv, cwd=tmp_path)
     assert "Traceback" not in run.stderr, run.stderr
     assert run.returncode == expected, run.stderr
+    # Both files, also where the verdict misses; field-info writes none.
+    written = {"explicit.json", "interval.json"}
     if name != "field-info":
-        assert (tmp_path / "out.summary.json").is_file()
+        written |= {"out.csv", "out.summary.json"}
+    assert {p.name for p in tmp_path.iterdir()} == written

@@ -11,7 +11,8 @@ attribute holds a fact that nothing uses, and must be in ``KEPT_FIELDS``
 with the reason it stays.  Every error class of ``errors.py`` is either
 a base of other error classes or named by some ``raise`` in ``src/``.
 Every dataclass is frozen and takes each of its fields when built: a
-record is built whole, and a constant of its class is not a field.
+record is built whole, and a constant of its class is not a field.  In
+``cli.py`` only ``main`` writes files: a command returns its outputs.
 """
 
 import ast
@@ -149,3 +150,19 @@ def _dataclass_faults() -> list[str]:
 
 def test_every_dataclass_is_frozen_and_built_whole():
     assert _dataclass_faults() == []
+
+
+def _cli_writers() -> list[str]:
+    """Names of the functions of ``cli.py`` whose bodies call
+    ``write_csv`` or ``write_json``."""
+    writers = []
+    for fn in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1]
+                in ("write_csv", "write_json") for n in ast.walk(fn)):
+            writers.append(fn.name)
+    return sorted(writers)
+
+
+def test_main_alone_writes_the_command_outputs():
+    assert _cli_writers() == ["main"]
