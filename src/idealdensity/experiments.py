@@ -75,6 +75,8 @@ def main_theorem_experiment(A: AFamily, X: int = 10**6, k_max: int = 8,
     B_k, and the measured logarithmic ratio of M_A, with their pairwise
     deviations.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     K = A.field
     a_seq = a_limit(A, r_max)
     b_states = [multiplicative_density(A, k) for k in range(1, k_max + 1)]

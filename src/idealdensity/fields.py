@@ -12,8 +12,9 @@ built in pieces, so the prime layer holds its output arrays and a few
 blocks of fixed size.
 
 ``euler_series`` is the package's one multiplicative sieve: it builds
-the chi_D tables here, which the point counts and the class number read,
-and the ideal counts of ``ideals.count_ideals``.
+the ideal counts of ``ideals.count_ideals`` and, in ``_chi_series``
+alone, every chi_D table, refused past ``_CHI_TABLE_LIMIT`` entries; a
+field with |D| past that bound takes Euler's criterion at every prime.
 """
 
 from __future__ import annotations
@@ -102,6 +103,9 @@ _SIEVE_BLOCK = 1 << 17
 _PIECE = _SIEVE_BLOCK // 32
 #: Work bound on outside input: the trial divisors of factorint.
 _TRIAL_LIMIT = 10**6
+#: The one bound on chi_D tables, which ``_chi_series`` alone builds and
+#: refuses past this length, and the largest |D| of h(D).
+_CHI_TABLE_LIMIT = 10**8
 
 
 def isprime(n: int) -> bool:
@@ -275,13 +279,13 @@ def _split_symbols(K: NumberField, ps: np.ndarray) -> np.ndarray:
     # chi_D is a character mod |D|, so Euler's criterion runs only on the
     # primes below |D|, each the first prime of its residue class, and
     # every larger prime reads its class's symbol from the cached table of
-    # length |D|.  With |D| > max(ps) each class holds one prime and no
-    # table is built.
+    # length |D|.  No table is built with |D| > max(ps), where each class
+    # holds one prime, nor past _CHI_TABLE_LIMIT: Euler's criterion for all.
     D = K.discriminant
     s = np.empty(ps.size, dtype=np.int8)
     for i in range(0, ps.size, _PIECE):
         part = ps[i:i + _PIECE]
-        below = (part.size if abs(D) > int(part[-1])
+        below = (part.size if abs(D) > min(int(part[-1]), _CHI_TABLE_LIMIT)
                  else int(np.searchsorted(part, abs(D))))
         s[i:i + below] = _symbols_at_primes(D, part[:below])
         if below < part.size:
@@ -398,18 +402,16 @@ def euler_series(n: int, qs: np.ndarray, cs: np.ndarray,
     return a
 
 
-#: The one bound on the chi_D sums: the longest table that the hyperbola
-#: sums of ``ideals.ideal_counts`` read, and the largest |D| of h(D).
-_CHI_TABLE_LIMIT = 10**8
-
-
 def _chi_series(K: NumberField, n: int) -> np.ndarray:
     # chi[k] = (D/k) for 0 <= k < n <= |D| (int8, chi[0] = 0), uncached:
     # chi_D is completely multiplicative, so chi is the ``euler_series`` of
     # the primes p < n with c_p = chi_D(p), from Euler's criterion.  Its
-    # peak is 4 to 5 bytes per entry.
+    # peak is 4 to 5 bytes per entry.  TooLarge past _CHI_TABLE_LIMIT
+    # entries, before any prime is sieved.
     if not 1 <= n <= abs(K.discriminant):
         raise ValueError(f"table length {n} not in [1, |D|]")
+    if n > _CHI_TABLE_LIMIT:
+        raise TooLarge(f"{n} > {_CHI_TABLE_LIMIT} values of chi_D")
     ps = rational_primes_up_to(n - 1)
     return euler_series(n, ps, _split_symbols(K, ps), np.int8)
 
@@ -451,17 +453,6 @@ def first_prime_ideals(K: NumberField, k: int,
     return primes_up_to_norm(K, int(norm[-1]))[:norm.size]
 
 
-def is_fundamental_discriminant(D: int) -> bool:
-    if D == 1 or D == 0:
-        return False
-    if D % 4 == 1:
-        return _squarefree(D)
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (2, 3) and _squarefree(m)
-    return False
-
-
 @lru_cache(maxsize=16)
 def class_number_imag_quadratic(D: int) -> int:
     """Class number h(D) by the class number formula (Davenport, ch. 6),
@@ -475,9 +466,9 @@ def class_number_imag_quadratic(D: int) -> int:
         raise NotNegative(f"D={D} must be negative")
     if -D > _CHI_TABLE_LIMIT:
         raise TooLarge(f"class number: |D| = {-D} > {_CHI_TABLE_LIMIT}")
-    if not is_fundamental_discriminant(D):
+    m = D if D % 4 == 1 else D // 4
+    if not _squarefree(m) or (K := make_quadratic_field(m)).discriminant != D:
         raise NotFundamental(f"D={D} is not a fundamental discriminant")
-    K = make_quadratic_field(D if D % 4 == 1 else D // 4)
     half = -D // 2 + 1
     chi = _chi_series(K, max(half, 3))
     return K.unit_count * int(chi[:half].sum()) // (2 * (2 - int(chi[2])))

@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import fields
 from .errors import EmptySet, FieldMismatch, TooLarge
 from .fields import (
     NumberField,
@@ -308,7 +307,8 @@ def ideal_counts(K: NumberField, xs: Sequence[int]) -> list[int]:
 
     O(sqrt x) work per point, added over the blocks of ``norm_blocks(u)``.
     chi_D and S are read from one ``fields.kronecker_table`` of length
-    min(|D|, max(xs) + 1): chi_D has period |D| and sums to 0 over it.
+    min(|D|, max(xs) + 1), refused past 10^8 entries where it is built:
+    chi_D has period |D| and sums to 0 over it.
     """
     xs = [max(int(x), 0) for x in xs]
     if K.is_rational or not xs:
@@ -316,9 +316,6 @@ def ideal_counts(K: NumberField, xs: Sequence[int]) -> list[int]:
     if max(xs) > _HYPERBOLA_LIMIT:
         raise TooLarge(f"H(x) is evaluated for x <= {_HYPERBOLA_LIMIT} only")
     n = min(abs(K.discriminant), max(xs) + 1)
-    if n > fields._CHI_TABLE_LIMIT:
-        raise TooLarge(
-            f"H(x) reads {n} > {fields._CHI_TABLE_LIMIT} values of chi_D")
     chi, S = kronecker_table(K, n)
     out = []
     for x in xs:

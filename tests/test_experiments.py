@@ -72,6 +72,12 @@ class TestMainTheorem:
         assert result.summary["a_vs_b"] <= ex.NATURAL_TOL
         assert result.summary["log_vs_a"] <= ex.LOG_TOL
 
+    def test_validation(self, Q):
+        for bound in ("k_max", "r_max"):
+            with pytest.raises(ValueError, match=f"{bound} must be >= 1"):
+                ex.main_theorem_experiment(int_family(Q, 2), X=10**4,
+                                           **{bound: 0})
+
     def test_row_shape(self, Q):
         result = ex.main_theorem_experiment(int_family(Q, 2, 3), X=10**4,
                                             k_max=3, r_max=2, n_samples=8)

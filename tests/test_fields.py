@@ -121,6 +121,23 @@ class TestKronecker:
                                        for k in range(19500, 20000)]
 
 
+def test_prime_layer_past_the_table_bound_builds_no_table(monkeypatch):
+    # |D| = 40028 > 10^4: past the bound every prime takes Euler's
+    # criterion, which gives the norms and counts read through the table
+    # below the bound, and no chi_D table is built.
+    K = idd.make_quadratic_field(10007)
+    norms = fields_module.prime_norm_array.__wrapped__(K, 50000)
+    H = idd.count_ideals.__wrapped__(K, 50000).H_of(50000)
+    assert kronecker_table.cache_info().currsize >= 1
+    monkeypatch.setattr(fields_module, "_CHI_TABLE_LIMIT", 10**4)
+    kronecker_table.cache_clear()
+    fields_module.prime_norm_array.cache_clear()
+    assert np.array_equal(
+        fields_module.prime_norm_array.__wrapped__(K, 50000), norms)
+    assert idd.count_ideals.__wrapped__(K, 50000).H_of(50000) == H
+    assert kronecker_table.cache_info().currsize == 0
+
+
 def test_euler_symbols_past_the_int64_square():
     # p^2 > 2^63 for the first 40 primes above 4 * 10^9, all below |D| and
     # 2^32: squares in int64 wrapped and gave 22 of them the wrong sign.
@@ -367,12 +384,20 @@ class TestClassNumber:
             idd.class_number_imag_quadratic(-(10**24 + 7))
 
     def test_equals_the_reduced_form_count(self):
-        Ds = [D for D in range(-2999, -2)
-              if fields_module.is_fundamental_discriminant(D)]
+        # The fundamental D < 0 are the discriminants of the fields
+        # Q(sqrt m), m < 0 squarefree (sympy's factorint the oracle); h(D)
+        # refuses every other D.
+        Ds = {D for m in range(-2999, 0)
+              if max(factorint(-m).values(), default=1) == 1
+              and (D := idd.make_quadratic_field(m).discriminant) >= -2999}
         assert len(Ds) == 911
-        for D in Ds:
-            assert idd.class_number_imag_quadratic(D) == (
-                reduced_form_class_number(D)), D
+        for D in range(-2999, -2):
+            if D in Ds:
+                assert idd.class_number_imag_quadratic(D) == (
+                    reduced_form_class_number(D)), D
+            else:
+                with pytest.raises(NotFundamental):
+                    idd.class_number_imag_quadratic(D)
 
     def test_table_is_dropped_and_not_cached(self):
         # One int8 table of |D|//2 + 1 entries, built beside the primes

@@ -286,12 +286,12 @@ class TestPointCounts:
 
     def test_chi_table_past_its_bound_raises(self, monkeypatch):
         # |D| = 40028: a table of 10^4 entries is built, and one of |D|
-        # entries, for x = 10^6, is refused before it is built.
+        # entries, for x = 10^6, is refused before any prime is sieved.
         monkeypatch.setattr(idd.fields, "_CHI_TABLE_LIMIT", 10**4)
         K = idd.make_quadratic_field(10007)
         assert idd.ideal_counts(K, [9999]) == [
             idd.count_ideals(K, 9999).H_of(9999)]
-        monkeypatch.setattr(idd.ideals, "kronecker_table", None)
+        monkeypatch.setattr(idd.fields, "rational_primes_up_to", None)
         with pytest.raises(TooLarge, match="40028"):
             idd.ideal_counts(K, [10**6])
 

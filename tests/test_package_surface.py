@@ -13,6 +13,8 @@ a base of other error classes or named by some ``raise`` in ``src/``.
 Every dataclass is frozen and takes each of its fields when built: a
 record is built whole, and a constant of its class is not a field.  In
 ``cli.py`` only ``main`` writes files: a command returns its outputs.
+Every name that a module-level import binds is read in its module,
+unless the import's line carries ``noqa`` with the reason it stays.
 """
 
 import ast
@@ -166,3 +168,27 @@ def _cli_writers() -> list[str]:
 
 def test_main_alone_writes_the_command_outputs():
     assert _cli_writers() == ["main"]
+
+
+def _unread_imports() -> list[str]:
+    """"module: name" for each name bound by a module-level import of the
+    package, ``__future__`` left out, that its module never reads and
+    whose line carries no ``noqa``."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        tree, lines = ast.parse(text), text.splitlines()
+        reads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)) or (
+                    getattr(stmt, "module", None) == "__future__"):
+                continue
+            for alias in stmt.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in reads and "noqa" not in lines[alias.lineno - 1]:
+                    unread.append(f"{path.name}: {name}")
+    return unread
+
+
+def test_every_import_is_read_or_marked_noqa():
+    assert _unread_imports() == []
