@@ -19,8 +19,9 @@ and L at every 32nd norm: with its cache of 8 counters, at most about
 Every other count marks norms on a boolean array of length X: over Q the
 norms are the ideals, and in degree <= 2 membership in a norm interval
 family depends on the norm alone, a marked norm n counting its h(n)
-ideals.  Counts and harmonic sums are running sums in blocks of norms
-(``ideals.prefix_sums_at``).  Over Q no counter is built: H(x) = x.
+ideals.  Counts and harmonic sums over the marks come from one walk in
+blocks of norms (``ideals.marked_sums``).  Over Q no counter is built:
+H(x) = x.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .ideals import (
     count_ideals,
     enumerate_ideals,
     ideal_counts,
-    prefix_sums_at,
+    marked_sums,
     rational_harmonic_prefix,
 )
 
@@ -291,9 +292,10 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
     from the counter in one ``sums_at`` read of every point (x, n), which
     gathers a bounded number of points at a time.  Every other family marks
     norms: the multiples of its members' norms, or of each n with
-    h(n) > 0 in a norm interval.  Marks are added in ascending norm order,
-    the same floats as adding 1/N(b) member by member.  With ``logs``
-    false the harmonic sums are None.
+    h(n) > 0 in a norm interval; ``marked_sums`` counts the h(n) ideals of
+    each marked norm n and adds h(n)/n in ascending n, the same floats as
+    adding 1/N(b) member by member.  With ``logs`` false the harmonic sums
+    are None.
     """
     K, X = A.field, int(xs[-1])
     if not (K.is_rational or isinstance(A, NormIntervalFamily)):
@@ -310,24 +312,7 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
         for a in A.members_up_to(X):
             if not c[a.norm]:       # else its multiples are marked already
                 c[a.norm::a.norm] = True
-
-    def weights(lo, hi):
-        # A marked norm counts its h(n) ideals.
-        if counter is None:
-            return c[lo:hi]
-        return counter.h[lo:hi] * c[lo:hi]
-
-    def harmonic(lo, hi):
-        # An unmarked norm adds +0.0, which leaves the running sum as it
-        # is, so a block gives the terms of its marked norms only.
-        nz = np.flatnonzero(c[lo:hi])
-        k = nz + float(lo)
-        if counter is None:
-            return np.divide(1.0, k, out=k)
-        return np.divide(counter.h[lo:hi][nz], k, out=k)
-
-    counts = prefix_sums_at(weights, xs)
-    return counts, prefix_sums_at(harmonic, xs) if logs else None
+    return marked_sums(xs, c, None if counter is None else counter.h, logs)
 
 
 #: Norms above sqrt X per block of ``_mark_interval_multiples``: its int64

@@ -192,12 +192,12 @@ def parse_family(doc: dict, K: NumberField | None = None) -> AFamily:
     """Build a family from its JSON specification document.
 
     Keys: "field" (a label string), "kind" in {explicit, prime_powers,
-    norm_intervals}, a kind-specific payload ("members", "l", or
-    "intervals") and an optional integer "truncation" >= 1.  Explicit
-    members over Q are positive integers; over quadratic fields they are
-    lists of (p, conjugate_index, exponent) triples.  Intervals are
-    [lo, hi] pairs of integers.  A malformed document raises
-    ``FamilySpecError``.
+    norm_intervals}, the kind's required payload ("members", "l", or
+    "intervals") and an optional integer "truncation" >= 1; a missing
+    payload or any other key is refused by name.  Explicit members over
+    Q are positive integers; over quadratic fields they are lists of
+    (p, conjugate_index, exponent) triples.  Intervals are [lo, hi] pairs
+    of integers.  A malformed document raises ``FamilySpecError``.
     """
     if not isinstance(doc, dict):
         raise FamilySpecError("family specification must be a JSON object")
@@ -213,8 +213,15 @@ def parse_family(doc: dict, K: NumberField | None = None) -> AFamily:
         raise FamilySpecError("no field given")
     kind = doc.get("kind")
     truncation = _positive_int(doc, "truncation", DEFAULT_TRUNCATION)
+    payloads = {"explicit": "members", "prime_powers": "l",
+                "norm_intervals": "intervals"}
+    if type(kind) is not str or kind not in payloads:
+        raise FamilySpecError(f"unknown family kind {kind!r}")
+    for key in doc:
+        if key not in ("field", "kind", "truncation", payloads[kind]):
+            raise FamilySpecError(f"unknown key {key!r} for kind {kind!r}")
     if kind == "explicit":
-        specs = doc.get("members", [])
+        specs = doc.get("members")
         if not isinstance(specs, (list, tuple)):
             raise FamilySpecError("'members' must be a list")
         members = []
@@ -235,13 +242,10 @@ def parse_family(doc: dict, K: NumberField | None = None) -> AFamily:
     if kind == "prime_powers":
         return PrimePowerFamily(field=K, l=_positive_int(doc, "l"),
                                 truncation=truncation)
-    if kind == "norm_intervals":
-        intervals = doc.get("intervals")
-        if not (isinstance(intervals, (list, tuple))
-                and all(_ints(iv, 2) for iv in intervals)):
-            raise FamilySpecError(
-                "'intervals' must be a list of [lo, hi] integer pairs")
-        return NormIntervalFamily(
-            field=K, intervals=tuple(map(tuple, intervals)),
-            truncation=truncation)
-    raise FamilySpecError(f"unknown family kind {kind!r}")
+    intervals = doc.get("intervals")
+    if not (isinstance(intervals, (list, tuple))
+            and all(_ints(iv, 2) for iv in intervals)):
+        raise FamilySpecError(
+            "'intervals' must be a list of [lo, hi] integer pairs")
+    return NormIntervalFamily(field=K, intervals=tuple(map(tuple, intervals)),
+                              truncation=truncation)

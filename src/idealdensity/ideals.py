@@ -12,12 +12,13 @@ harmonic ideal sum reads h through the zeta terms h(k)/k^s): h is
 ``fields.euler_series`` over the prime-ideal norms
 (``fields.prime_norm_array``), the sieve that also builds the chi_D
 table, in about 2 bytes per norm, and H and the harmonic prefix L are
-kept at every 32nd norm and completed on read.  Over Q, where h = 1, hot
-paths need no counter at all: the harmonic prefix at a profile's sample
-points comes from ``rational_harmonic_prefix``, summed in blocks of
-norms by ``prefix_sums_at``.  ``ideals_of_norm`` lists the ideals of one
-norm from its factorization; the exhaustive enumeration that checks the
-sieve lives in the tests.
+kept at every 32nd norm and completed on read.  ``marked_sums`` walks
+the norms once, in blocks, for the counts and harmonic sums of marked
+norms; over Q, where h = 1 and hot paths need no counter at all, it also
+gives the harmonic prefix at a profile's sample points
+(``rational_harmonic_prefix``).  ``ideals_of_norm`` lists the ideals of
+one norm from its factorization; the exhaustive enumeration that checks
+the sieve lives in the tests.
 """
 
 from __future__ import annotations
@@ -126,37 +127,44 @@ def norm_blocks(X: int):
             for lo in range(1, X + 1, _L_BLOCK))
 
 
-def prefix_sums_at(terms, xs) -> list:
-    """Running sums t(1) + ... + t(x) at each x of the ascending xs.
+def marked_sums(xs, marks=None, h=None, logs=True):
+    """Counts and harmonic sums over the marked norms n <= x at each x of
+    the ascending xs: the sums of h(n) and of h(n)/n over the n with
+    ``marks[n]`` (every n >= 1 if marks is None; h = 1 if h is None).
 
-    ``terms(lo, hi)`` returns an array of the t(k), lo <= k < hi, for
-    ranges of at most ``_L_BLOCK`` norms cut after each x.  Integer and
-    boolean terms are added as range totals, exact in any order.  Float
-    terms come in an array that may be overwritten, and the running sum
-    so far is added into its first term before its in-place ``np.cumsum``:
-    so they are added one by one in ascending k, and the sums equal those
-    of one ``np.cumsum`` over all terms bit for bit.  A float block may
-    leave out terms that are +0.0, or be empty, as long as the terms it
-    keeps stay in ascending k and every sum is >= 0: adding +0.0 to a
-    nonnegative sum leaves it unchanged.  A sum at x < 1 is 0.
+    One walk over the norms in blocks of at most ``_L_BLOCK``, cut after
+    each x.  A block adds its count exactly, and the terms of its marked
+    norms one by one in ascending n: the running sum is added into the
+    first term before an in-place ``np.cumsum``.  With h >= 0 no sum is
+    negative, so the +0.0 an unmarked norm would add changes none, and
+    the sums equal those of one ``np.cumsum`` over all norms bit for bit.
+    With ``logs`` false the sums are None, and no block of marks builds
+    an index.
     """
-    out, total, lo = [], 0, 1
+    counts, sums, count, total, lo = [], [], 0, 0.0, 1
     for x in map(int, xs):
         while lo <= x:
             hi = min(lo + _L_BLOCK, x + 1)
-            t = terms(lo, hi)
-            if t.dtype.kind == "b":
-                total += int(np.count_nonzero(t))
-            elif t.dtype.kind != "f":
-                total += int(t.sum())
-            elif t.size:
-                t[0] += total
-                total = float(np.cumsum(t, out=t)[-1])
-            else:
-                total = float(total)    # an empty block adds nothing
+            w = None if h is None else h[lo:hi]
+            if marks is None:                   # every norm
+                count += hi - lo if w is None else int(w.sum())
+                k = np.arange(lo, hi, dtype=np.float64)
+            elif logs:
+                nz = np.flatnonzero(marks[lo:hi])
+                k, w = nz + float(lo), None if w is None else w[nz]
+                count += nz.size if w is None else int(w.sum())
+            else:                               # a count alone: no index
+                m = marks[lo:hi]
+                count += int(np.count_nonzero(m) if w is None
+                             else (w * m).sum())
+            if logs and k.size:
+                np.divide(1.0 if w is None else w, k, out=k)
+                k[0] += total
+                total = float(np.cumsum(k, out=k)[-1])
             lo = hi
-        out.append(total)
-    return out
+        counts.append(count)
+        sums.append(total)
+    return counts, sums if logs else None
 
 
 def pairwise_sum(terms, n: int) -> float:
@@ -184,8 +192,7 @@ def pairwise_sum(terms, n: int) -> float:
 def rational_harmonic_prefix(xs: tuple[int, ...]) -> tuple[float, ...]:
     """L(x) = 1 + 1/2 + ... + 1/x over Q at each x of the ascending xs,
     added in ascending k as ``NormCounter.sums_at`` adds them."""
-    return tuple(prefix_sums_at(
-        lambda lo, hi: 1.0 / np.arange(lo, hi, dtype=np.float64), xs))
+    return tuple(marked_sums(xs)[1])
 
 
 #: Norms from one checkpoint of a ``NormCounter`` to the next: a divisor
@@ -265,7 +272,7 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
     over each stride; L comes from one pass over blocks of norms, each
     starting after a checkpoint, whose sum is added into the block's
     first term h(k)/k before an in-place ``np.cumsum``, as
-    ``prefix_sums_at`` adds them.  The cache holds at most 8 counters,
+    ``marked_sums`` adds them.  The cache holds at most 8 counters,
     about 8 * 2.4 bytes * X in all.
     """
     if X < 1:

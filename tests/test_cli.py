@@ -617,6 +617,15 @@ class TestBadInput:
         ("Q(sqrt -1)",
          {"field": "Q(sqrt -1)", "kind": "explicit", "members": [[[2, 0, 0]]]},
          "exponents must be >= 1"),
+        ("Q", {"field": "Q", "kind": "explicit", "member": [2, 3]},
+         "unknown key 'member' for kind 'explicit'"),
+        ("Q", {"field": "Q", "kind": "explicit"},
+         "'members' must be a list"),
+        ("Q", {"field": "Q", "kind": "prime_powers", "l": 2,
+               "intervals": [[5, 6]]},
+         "unknown key 'intervals' for kind 'prime_powers'"),
+        ("Q", {"field": "Q", "kind": ["explicit"], "members": [2]},
+         "unknown family kind ['explicit']"),
     ])
     def test_bad_family_document(self, tmp_path, doc):
         field, document, message = doc
