@@ -312,7 +312,9 @@ def _member_sums(A: AFamily, xs: np.ndarray, counter: NormCounter | None,
         for a in A.members_up_to(X):
             if not c[a.norm]:       # else its multiples are marked already
                 c[a.norm::a.norm] = True
-    return marked_sums(xs, c, None if counter is None else counter.h, logs)
+    counts, sums = marked_sums(xs, c, None if counter is None else counter.h,
+                               logs)
+    return counts.tolist(), sums.tolist() if logs else None
 
 
 #: Norms above sqrt X per block of ``_mark_interval_multiples``: its int64

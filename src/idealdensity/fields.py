@@ -14,7 +14,8 @@ blocks of fixed size.
 ``euler_series`` is the package's one multiplicative sieve: it builds
 the ideal counts of ``ideals.count_ideals`` and, in ``_chi_series``
 alone, every chi_D table, refused past ``_CHI_TABLE_LIMIT`` entries; a
-field with |D| past that bound takes Euler's criterion at every prime.
+field with |D| past that bound, or with too few primes >= |D| for a
+table, takes Euler's criterion at every prime.
 """
 
 from __future__ import annotations
@@ -106,6 +107,9 @@ _TRIAL_LIMIT = 10**6
 #: The one bound on chi_D tables, which ``_chi_series`` alone builds and
 #: refuses past this length, and the largest |D| of h(D).
 _CHI_TABLE_LIMIT = 10**8
+#: Table entries that cost as much as Euler's criterion at one prime:
+#: about 35 ns an entry against 270 ns a prime at 10^6, 370 ns at 5*10^6.
+_CHI_ENTRIES_PER_PRIME = 8
 
 
 def isprime(n: int) -> bool:
@@ -274,23 +278,20 @@ def rational_primes_up_to(n: int) -> np.ndarray:
 
 
 def _split_symbols(K: NumberField, ps: np.ndarray) -> np.ndarray:
-    # chi_D(p) at every prime of ps (ascending), for a quadratic field K,
-    # as int8, computed in pieces of primes.
-    # chi_D is a character mod |D|, so Euler's criterion runs only on the
-    # primes below |D|, each the first prime of its residue class, and
-    # every larger prime reads its class's symbol from the cached table of
-    # length |D|.  No table is built with |D| > max(ps), where each class
-    # holds one prime, nor past _CHI_TABLE_LIMIT: Euler's criterion for all.
-    D = K.discriminant
+    # chi_D(p) at every prime of ps (ascending), as int8, in pieces: by
+    # Euler's criterion below |D|, and above from the cached table of the
+    # period |D| if there are |D| / _CHI_ENTRIES_PER_PRIME primes or more
+    # above it and |D| <= _CHI_TABLE_LIMIT; else Euler's criterion for all.
+    D, n = K.discriminant, abs(K.discriminant)
+    below = int(np.searchsorted(ps, n))
+    if n > min((ps.size - below) * _CHI_ENTRIES_PER_PRIME, _CHI_TABLE_LIMIT):
+        below = ps.size
     s = np.empty(ps.size, dtype=np.int8)
     for i in range(0, ps.size, _PIECE):
-        part = ps[i:i + _PIECE]
-        below = (part.size if abs(D) > min(int(part[-1]), _CHI_TABLE_LIMIT)
-                 else int(np.searchsorted(part, abs(D))))
-        s[i:i + below] = _symbols_at_primes(D, part[:below])
-        if below < part.size:
-            chi, _ = kronecker_table(K, abs(D))
-            s[i + below:i + part.size] = chi[part[below:] % abs(D)]
+        part, k = ps[i:i + _PIECE], max(0, min(below - i, _PIECE))
+        s[i:i + k] = _symbols_at_primes(D, part[:k])
+        if k < part.size:
+            s[i + k:i + part.size] = kronecker_table(K, n)[0][part[k:] % n]
     return s
 
 

@@ -9,16 +9,12 @@ hyperbola method over zeta_K = zeta L(s, chi_D) (H(x) = x over Q), for
 callers that read a few points.  ``count_ideals`` keeps the counts of a
 quadratic field up to X for callers that read them at many points (the
 harmonic ideal sum reads h through the zeta terms h(k)/k^s): h is
-``fields.euler_series`` over the prime-ideal norms
-(``fields.prime_norm_array``), the sieve that also builds the chi_D
-table, in about 2 bytes per norm, and H and the harmonic prefix L are
-kept at every 32nd norm and completed on read.  ``marked_sums`` walks
-the norms once, in blocks, for the counts and harmonic sums of marked
-norms; over Q, where h = 1 and hot paths need no counter at all, it also
-gives the harmonic prefix at a profile's sample points
-(``rational_harmonic_prefix``).  ``ideals_of_norm`` lists the ideals of
-one norm from its factorization; the exhaustive enumeration that checks
-the sieve lives in the tests.
+``fields.euler_series`` over the prime-ideal norms, in about 2 bytes per
+norm, and H and the harmonic prefix L are kept at every 32nd norm and
+completed on read.  ``marked_sums`` is the one walk over the norms for
+running sums: of marked norms, of a counter's checkpoints, and of Q's
+harmonic prefix at a profile's sample points.  ``ideals_of_norm`` lists
+the ideals of one norm from its factorization.
 """
 
 from __future__ import annotations
@@ -129,42 +125,57 @@ def norm_blocks(X: int):
 
 def marked_sums(xs, marks=None, h=None, logs=True):
     """Counts and harmonic sums over the marked norms n <= x at each x of
-    the ascending xs: the sums of h(n) and of h(n)/n over the n with
-    ``marks[n]`` (every n >= 1 if marks is None; h = 1 if h is None).
+    the strictly ascending xs: the sums of h(n) and of h(n)/n over the n
+    with ``marks[n]`` (every n >= 1 if marks is None; h = 1 if h is
+    None), as int64 and float64 arrays (sums None if ``logs`` is false).
 
-    One walk over the norms in blocks of at most ``_L_BLOCK``, cut after
-    each x.  A block adds its count exactly, and the terms of its marked
-    norms one by one in ascending n: the running sum is added into the
-    first term before an in-place ``np.cumsum``.  With h >= 0 no sum is
-    negative, so the +0.0 an unmarked norm would add changes none, and
-    the sums equal those of one ``np.cumsum`` over all norms bit for bit.
-    With ``logs`` false the sums are None, and no block of marks builds
-    an index.
+    One walk over ``norm_blocks(xs[-1])``, never cut at a point: a block
+    adds h between its points by ``np.add.reduceat``, and the terms h(n)/n
+    of its marked norms, ascending, to the running sum that heads them by
+    an in-place ``np.cumsum``, read at each x by the number of terms up to
+    x (``np.searchsorted``), the count if h is None.  With h >= 0 the +0.0
+    of an unmarked norm changes no sum: the sums are those of one
+    ``np.cumsum`` over all norms bit for bit.  Marks counted alone take no
+    walk and no index: one ``np.count_nonzero`` between points.
     """
-    counts, sums, count, total, lo = [], [], 0, 0.0, 1
-    for x in map(int, xs):
-        while lo <= x:
-            hi = min(lo + _L_BLOCK, x + 1)
-            w = None if h is None else h[lo:hi]
-            if marks is None:                   # every norm
-                count += hi - lo if w is None else int(w.sum())
-                k = np.arange(lo, hi, dtype=np.float64)
-            elif logs:
-                nz = np.flatnonzero(marks[lo:hi])
-                k, w = nz + float(lo), None if w is None else w[nz]
-                count += nz.size if w is None else int(w.sum())
-            else:                               # a count alone: no index
-                m = marks[lo:hi]
-                count += int(np.count_nonzero(m) if w is None
-                             else (w * m).sum())
-            if logs and k.size:
-                np.divide(1.0 if w is None else w, k, out=k)
-                k[0] += total
-                total = float(np.cumsum(k, out=k)[-1])
-            lo = hi
-        counts.append(count)
-        sums.append(total)
-    return counts, sums if logs else None
+    xs = np.asarray(xs, dtype=np.int64)
+    if h is None and not logs:
+        e = [1, *(np.maximum(xs, 0) + 1).tolist()]
+        return np.cumsum([b - a if marks is None else np.count_nonzero(
+            marks[a:b]) for a, b in zip(e, e[1:])], dtype=np.int64), None
+    counts = np.zeros(xs.size, dtype=np.int64)
+    sums = np.zeros(xs.size) if logs else None
+    X = int(xs[-1]) if xs.size else 0
+    i, *ends = np.searchsorted(  # points below 1 (read 0), below each hi
+        xs, np.arange(1, X + 1 + _L_BLOCK, _L_BLOCK)).tolist()
+    count, total = 0, 0.0
+    for (lo, hi), j in zip(norm_blocks(X), ends):
+        r = xs[i:j] - (lo - 1)                  # norms of the block <= x
+        m, w = [a if a is None else a[lo:hi] for a in (marks, h)]
+        if w is not None:                       # h between the points
+            c = w if m is None else w * m
+            if r.size:
+                seg = np.add.reduceat(c[:r[-1]], np.concatenate(([0], r[:-1])),
+                                      dtype=np.int64)
+                seg[0] += count
+                count, c = int(seg.cumsum(out=counts[i:j])[-1]), c[r[-1]:]
+            count += int(c.sum()) if c.size else 0
+        if logs:
+            if m is None:
+                k, at = np.arange(lo - 1, hi, dtype=np.float64), r
+            else:
+                nz = np.flatnonzero(m)
+                k, at = np.empty(nz.size + 1), np.searchsorted(nz, r)
+                np.add(nz, lo, out=k[1:])
+                w = None if w is None else w[nz]
+            if w is None:                       # one per term
+                counts[i:j], count = count + at, count + k.size - 1
+            np.divide(1.0 if w is None else w, k[1:], out=k[1:])
+            k[0] = total
+            k.cumsum(out=k)
+            sums[i:j], total = k[at], k[-1]
+        i = j
+    return counts, sums
 
 
 def pairwise_sum(terms, n: int) -> float:
@@ -192,11 +203,10 @@ def pairwise_sum(terms, n: int) -> float:
 def rational_harmonic_prefix(xs: tuple[int, ...]) -> tuple[float, ...]:
     """L(x) = 1 + 1/2 + ... + 1/x over Q at each x of the ascending xs,
     added in ascending k as ``NormCounter.sums_at`` adds them."""
-    return tuple(marked_sums(xs)[1])
+    return tuple(marked_sums(xs)[1].tolist())
 
 
-#: Norms from one checkpoint of a ``NormCounter`` to the next: a divisor
-#: of ``_L_BLOCK``, so that every block of ``norm_blocks`` ends on one.
+#: Norms from one checkpoint of a ``NormCounter`` to the next.
 _STRIDE = 32
 #: The offsets 1 .. _STRIDE - 1 of the terms a read adds to a checkpoint
 #: (a column), and the most points one gather of ``NormCounter.sums_at``
@@ -205,7 +215,7 @@ _TAIL = np.arange(1, _STRIDE)[:, None]
 READ_POINTS = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormCounter:
     """Exact ideal counts by norm up to X = h.size - 1, in about 2.4 bytes
     per norm.
@@ -214,13 +224,13 @@ class NormCounter:
     signed integer type that holds 2 isqrt(X) >= d(k) >= h(k): int8 up to
     X = 4095, int16 from X = 4096 to X = 2.68e8.  The counts
     H(x) = #{a : N(a) <= x} and the harmonic prefix L(x) = sum of h(k)/k
-    over k <= x are kept only at the checkpoints x = j * _STRIDE:
-    ``H_checkpoints`` in the smallest signed integer type that holds them
-    (int32 up to X = 10^8 at least), and ``L_checkpoints`` as float64, added in
-    ascending k.  ``sums_at`` adds the at most _STRIDE - 1 terms past the
-    checkpoint in ascending k, so its H and L equal the running sums of
-    one ``np.cumsum`` over all norms bit for bit.  All three arrays are
-    read-only.
+    over k <= x are kept only at the checkpoints x = j * _STRIDE, from
+    one ``marked_sums`` walk over h: ``H_checkpoints`` in the smallest
+    signed integer type that holds them (int32 up to X = 10^8 at least),
+    and ``L_checkpoints`` as float64.  ``sums_at`` adds the at most
+    _STRIDE - 1 terms past the checkpoint in ascending k, so its H and L
+    equal the running sums of one ``np.cumsum`` over all norms bit for
+    bit.  All three arrays are read-only; a counter equals only itself.
     """
 
     h: np.ndarray
@@ -268,12 +278,9 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
     h is the ``fields.euler_series`` of the prime-ideal norms, each with
     the local factor 1/(1 - N(p)^-s), built in the counter's small integer
     type: over Q the series of zeta, h = 1, though the package's own paths
-    over Q use H(x) = x and build no counter.  H at the checkpoints sums h
-    over each stride; L comes from one pass over blocks of norms, each
-    starting after a checkpoint, whose sum is added into the block's
-    first term h(k)/k before an in-place ``np.cumsum``, as
-    ``marked_sums`` adds them.  The cache holds at most 8 counters,
-    about 8 * 2.4 bytes * X in all.
+    over Q use H(x) = x and build no counter.  H and L at the checkpoints
+    are one ``marked_sums`` walk over h.  The cache holds at most 8
+    counters, about 8 * 2.4 bytes * X in all.
     """
     if X < 1:
         raise ValueError("X must be >= 1")
@@ -281,18 +288,7 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
     dtype = np.min_scalar_type(-2 * math.isqrt(X) - 1)
     norms = prime_norm_array(K, X)
     h = euler_series(X + 1, norms, np.broadcast_to(1, norms.shape), dtype)
-    m = X // _STRIDE
-    H = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(h[1:m * _STRIDE + 1].reshape(m, _STRIDE).sum(1, dtype=np.int64),
-              out=H[1:])
-    L = np.zeros(m + 1)
-    for lo, hi in norm_blocks(X):
-        j = (lo - 1) // _STRIDE
-        t = np.arange(lo, hi, dtype=np.float64)
-        np.divide(h[lo:hi], t, out=t)
-        t[0] += L[j]
-        L[j + 1:j + 1 + (hi - lo) // _STRIDE] = np.cumsum(
-            t, out=t)[_STRIDE - 1::_STRIDE]
+    H, L = marked_sums(np.arange(0, X + 1, _STRIDE), h=h)
     H = H.astype(np.min_scalar_type(-int(H[-1]) - 1))  # holds the last one
     h.flags.writeable = H.flags.writeable = L.flags.writeable = False
     return NormCounter(h=h, H_checkpoints=H, L_checkpoints=L)

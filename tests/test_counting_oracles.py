@@ -468,6 +468,9 @@ def test_splitting_by_residue_class_matches_scalar_kronecker(m, monkeypatch):
     K = field(m)
     D = K.discriminant
     X = abs(D) + 20000
+    # The table path, though Euler's criterion on the 1300-odd primes
+    # above |D| alone would be cheaper than a table of |D| entries.
+    monkeypatch.setattr(fields_module, "_CHI_ENTRIES_PER_PRIME", 10**9)
     chi, S = fields_module.kronecker_table(K, abs(D))    # cached from here
     euler_inputs = []
     euler = fields_module._symbols_at_primes

@@ -18,6 +18,7 @@ from idealdensity.fields import sample_grid
 from idealdensity.ideals import (
     _L_BLOCK,
     marked_sums,
+    norm_blocks,
     rational_harmonic_prefix,
 )
 
@@ -558,9 +559,10 @@ class TestBlockedSums:
         terms = np.zeros(X + 1)
         np.divide(weights[1:], np.arange(1, X + 1), out=terms[1:])
         counts, sums = marked_sums(xs, marks, h)
-        assert counts == np.cumsum(weights)[xs].tolist()
-        assert sums == np.cumsum(terms)[xs].tolist()
-        assert marked_sums(xs, marks, h, logs=False) == (counts, None)
+        assert np.array_equal(counts, np.cumsum(weights)[xs])
+        assert np.array_equal(sums, np.cumsum(terms)[xs])
+        counts_alone, no_sums = marked_sums(xs, marks, h, logs=False)
+        assert np.array_equal(counts_alone, counts) and no_sums is None
 
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
     @given(X=st.sampled_from(BLOCK_EDGE_XS),
@@ -603,6 +605,61 @@ class TestBlockedSums:
         counts, log_sums = _member_sums(fam, xs, counter)
         assert counts == np.cumsum(weights)[xs].tolist()
         assert log_sums == np.cumsum(terms)[xs].tolist()
+
+    @pytest.mark.parametrize("X,xs", [
+        (5000, np.arange(5001)),                    # every norm, and 0
+        (10**6, np.arange(10, 10**6 + 1, 10)),      # 10^5 points
+        (10**6, sample_grid(10, 10**6, 10**5)),     # a profile's grid
+    ], ids=["every-norm", "dense-grid", "profile-grid"])
+    @pytest.mark.parametrize("field_name", ["Q", "Qi"])
+    def test_walk_equals_one_cumsum_at_every_point(self, field_name, X, xs):
+        # The counts and sums of the walk, read by index inside blocks it
+        # never cuts, against one np.cumsum over all norms.
+        rng = np.random.default_rng(X)
+        h = (None if field_name == "Q" else
+             idd.count_ideals(idd.make_quadratic_field(-1), X).h)
+        for marks in (None, rng.random(X + 1) < 0.3):
+            weights = np.ones(X + 1, dtype=np.int64) if h is None else (
+                h.astype(np.int64))
+            if marks is not None:
+                weights *= marks
+            weights[0] = 0
+            terms = np.zeros(X + 1)
+            np.divide(weights[1:], np.arange(1, X + 1), out=terms[1:])
+            counts, sums = marked_sums(xs, marks, h)
+            assert counts.dtype == np.int64 and sums.dtype == np.float64
+            assert np.array_equal(counts, np.cumsum(weights)[xs])
+            assert np.array_equal(sums, np.cumsum(terms)[xs])
+            counts_alone, no_sums = marked_sums(xs, marks, h, logs=False)
+            assert np.array_equal(counts_alone, counts) and no_sums is None
+
+    def test_blocks_off_the_stride_change_no_bit(self, Q, Qi, monkeypatch):
+        # Blocks of 1000 norms, not a multiple of the counters' stride of
+        # 32, leave counters, profiles and Q's harmonic prefix unchanged.
+        X = 70001
+        fields = (Q, Qi, idd.make_quadratic_field(5))
+        families = (idd.PrimePowerFamily(field=Q, l=2),
+                    idd.NormIntervalFamily(field=Q, intervals=((300, 5000),)),
+                    idd.NormIntervalFamily(field=Qi,
+                                           intervals=((300, 5000),)),
+                    idd.PrimePowerFamily(field=Qi, l=2, truncation=1000))
+        grid = tuple(sample_grid(1, X, 500).tolist())
+
+        def outputs():
+            idd.ideals.count_ideals.cache_clear()
+            rational_harmonic_prefix.cache_clear()
+            counters = [idd.ideals.count_ideals.__wrapped__(K, X)
+                        for K in fields]
+            return ([(c.h.tobytes(), c.H_checkpoints.dtype,
+                      c.H_checkpoints.tobytes(), c.L_checkpoints.tobytes())
+                     for c in counters],
+                    [repr(idd.density_profile(fam, X, 40))
+                     for fam in families],
+                    [s.hex() for s in rational_harmonic_prefix(grid)])
+
+        default = outputs()
+        monkeypatch.setattr(idd.ideals, "_L_BLOCK", 1000)
+        assert outputs() == default
 
     def test_rational_profile_builds_no_counter(self, Q, monkeypatch):
         def refuse(K, X):
@@ -652,24 +709,21 @@ class TestMarkingPath:
     @staticmethod
     def sums_and_forms(fam, xs, counter, marked):
         """``_member_sums`` of the family, and the forms of the blocks of
-        ``marked_sums``, cut after each x, under the reference marks."""
-        forms, lo = set(), 1
-        for x in xs:
-            while lo <= x:
-                hi = min(lo + B, x + 1)
-                n = marked[lo:hi].count(1)
-                forms.add("none" if not n else
-                          "all" if n == hi - lo else "some")
-                lo = hi
+        ``marked_sums``, ``norm_blocks(xs[-1])``, under the reference
+        marks."""
+        forms = set()
+        for lo, hi in norm_blocks(xs[-1]):
+            n = marked[lo:hi].count(1)
+            forms.add("none" if not n else "all" if n == hi - lo else "some")
         counts, log_sums = _member_sums(fam, np.array(xs), counter)
         return counts, log_sums, forms
 
     @pytest.mark.parametrize("members,forms", [
         ((100003,), {"none", "some"}),      # no mark before 100003
         ((1,), {"all"}),                    # every norm marked
-        ((47,), {"none", "some"}),
+        ((47,), {"some"}),                  # the first block holds 47
         ((2, 3, 5, 7), {"some"}),           # 77% marked
-        ((2, 47, 1000), {"some"}),          # half of 1..10 marked
+        ((2, 47, 1000), {"some"}),
     ])
     def test_rational_explicit(self, Q, members, forms):
         marked = rational_marks(self.X, members)
@@ -694,16 +748,18 @@ class TestMarkingPath:
         assert seen == forms
 
     @pytest.mark.parametrize("m,intervals,forms", [
-        (None, ((3, 5), (B - 3, 2 * B)), {"some", "all"}),
+        # The last block is the prime norm 2 B + 1 alone, marked by no
+        # interval here.
+        (None, ((3, 5), (B - 3, 2 * B)), {"none", "some", "all"}),
         (-1, ((10, 20),), {"none", "some"}),
         (5, ((10, 20),), {"none", "some"}),
-        (-1, ((1, 12),), {"some"}),
-        (5, ((1, 12),), {"some"}),
-        (-1, ((3, 5), (B - 3, 2 * B)), {"some"}),
-        (5, ((3, 5), (B - 3, 2 * B)), {"some"}),
-        (None, ((1, 400),), {"some"}),      # from norm 2, across sqrt X
-        (-1, ((1, 400),), {"some"}),
-        (None, ((300, B + 100),), {"none", "some", "all"}),  # sqrt X, X / 2
+        (-1, ((1, 12),), {"none", "some"}),
+        (5, ((1, 12),), {"none", "some"}),
+        (-1, ((3, 5), (B - 3, 2 * B)), {"none", "some"}),
+        (5, ((3, 5), (B - 3, 2 * B)), {"none", "some"}),
+        (None, ((1, 400),), {"none", "some"}),  # from norm 2, across sqrt X
+        (-1, ((1, 400),), {"none", "some"}),
+        (None, ((300, B + 100),), {"none", "some"}),  # sqrt X, X / 2
         (-1, ((300, B + 100),), {"none", "some"}),
         (5, ((300, B + 100),), {"none", "some"}),
     ])
@@ -731,13 +787,20 @@ class TestMarkingPath:
         assert seen == forms
 
     def test_empty_float_block_keeps_the_total(self):
-        # No norm below 6 is marked: the blocks cut after 2 and 5 hold no
-        # term, and h(n) = n makes each later term 1.0.
+        # No norm below 6 is marked: the points 2 and 5 read the carry
+        # that heads the block's terms, and h(n) = n makes each term 1.0.
+        # The same where a whole block, of the norms 1 .. B, holds no term.
         counts, sums = marked_sums([2, 5, 7], np.arange(8) > 5, np.arange(8))
-        assert counts == [0, 0, 13]
-        assert [s.hex() for s in sums] == [0.0.hex(), 0.0.hex(), 2.0.hex()]
-        assert marked_sums([3, B + 2], np.ones(B + 3, dtype=bool),
-                           logs=False) == ([3, B + 2], None)
+        assert counts.tolist() == [0, 0, 13]
+        assert [s.hex() for s in sums.tolist()] == [
+            0.0.hex(), 0.0.hex(), 2.0.hex()]
+        counts, sums = marked_sums([B, B + 3], np.arange(B + 4) > B + 1,
+                                   np.arange(B + 4))
+        assert counts.tolist() == [0, 2 * B + 5]
+        assert [s.hex() for s in sums.tolist()] == [0.0.hex(), 2.0.hex()]
+        counts, no_sums = marked_sums([3, B + 2], np.ones(B + 3, dtype=bool),
+                                      logs=False)
+        assert counts.tolist() == [3, B + 2] and no_sums is None
 
 
 class TestDensityInequality:

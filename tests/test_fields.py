@@ -124,7 +124,9 @@ class TestKronecker:
 def test_prime_layer_past_the_table_bound_builds_no_table(monkeypatch):
     # |D| = 40028 > 10^4: past the bound every prime takes Euler's
     # criterion, which gives the norms and counts read through the table
-    # below the bound, and no chi_D table is built.
+    # below the bound, and no chi_D table is built.  The table is taken
+    # below the bound for the 900-odd primes in (|D|, 50000] too.
+    monkeypatch.setattr(fields_module, "_CHI_ENTRIES_PER_PRIME", 10**9)
     K = idd.make_quadratic_field(10007)
     norms = fields_module.prime_norm_array.__wrapped__(K, 50000)
     H = idd.count_ideals.__wrapped__(K, 50000).H_of(50000)
@@ -136,6 +138,28 @@ def test_prime_layer_past_the_table_bound_builds_no_table(monkeypatch):
         fields_module.prime_norm_array.__wrapped__(K, 50000), norms)
     assert idd.count_ideals.__wrapped__(K, 50000).H_of(50000) == H
     assert kronecker_table.cache_info().currsize == 0
+
+
+def test_split_symbols_take_euler_where_the_table_serves_few_primes():
+    # D = 400012: of the primes <= 5 * 10^5 about 7700 are >= |D|, fewer
+    # than one per _CHI_ENTRIES_PER_PRIME entries of a table, so every
+    # prime takes Euler's criterion and no table is cached.  A small |D|
+    # serves nearly every prime from its cached table.
+    kronecker_table.cache_clear()
+    K = idd.make_quadratic_field(100003)
+    ps = fields_module.rational_primes_up_to(5 * 10**5)
+    symbols = fields_module._split_symbols(K, ps)
+    assert np.array_equal(symbols, np.concatenate([
+        fields_module._symbols_at_primes(K.discriminant, part)
+        for part in np.array_split(ps, 8)]))
+    assert [int(symbols[i]) for i in (0, 1, -2, -1)] == [
+        kronecker_symbol(K.discriminant, int(ps[i])) for i in (0, 1, -2, -1)]
+    assert kronecker_table.cache_info().currsize == 0
+    small = idd.make_quadratic_field(-5)
+    symbols = fields_module._split_symbols(small, ps)
+    assert kronecker_table.cache_info().currsize == 1
+    assert symbols[-500:].tolist() == [
+        kronecker_symbol(small.discriminant, p) for p in ps[-500:].tolist()]
 
 
 def test_euler_symbols_past_the_int64_square():

@@ -16,7 +16,6 @@ from idealdensity.fields import factorint, prime_norm_array, run_starts
 from idealdensity.ideals import (
     _HYPERBOLA_LIMIT,
     _L_BLOCK,
-    _STRIDE,
     gaussian_lattice_H,
     ideals_of_norm,
     pairwise_sum,
@@ -37,10 +36,8 @@ BLOCK_EDGES = [B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1]
 
 
 def test_block_constants_meet_their_conditions():
-    # Every block of ``norm_blocks`` ends on a checkpoint of a NormCounter;
     # ``pairwise_sum`` keeps numpy's tree only at leaves of >= 128 terms;
     # a block of the hyperbola sums stays in int64.
-    assert _L_BLOCK % _STRIDE == 0
     assert _L_BLOCK >= 128
     assert _HYPERBOLA_LIMIT * (1 + math.log(_L_BLOCK)) < 2**63
 
@@ -373,6 +370,14 @@ class TestStoredCounts:
         assert np.array_equal(c.h, enumeration_norm_counts(Qi, X))
         assert c.sums_at(np.arange(X + 1))[0].tolist() == np.cumsum(
             enumeration_norm_counts(Qi, X)).tolist()
+
+    def test_a_counter_equals_only_itself(self, Qi):
+        # ndarray fields: a counter compares and hashes by identity.
+        c = idd.count_ideals(Qi, 100)
+        twin = idd.ideals.count_ideals.__wrapped__(Qi, 100)
+        assert np.array_equal(c.h, twin.h)
+        assert c == c and hash(c) == hash(c) == hash(idd.count_ideals(Qi, 100))
+        assert c != twin and len({c, twin}) == 2
 
     def test_no_held_array_is_wider_than_2_bytes_per_norm(self, Qi):
         for X in (1000, 10**4, 10**5):

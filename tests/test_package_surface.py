@@ -15,6 +15,10 @@ record is built whole, and a constant of its class is not a field.  In
 ``cli.py`` only ``main`` writes files: a command returns its outputs.
 Every name that a module-level import binds is read in its module,
 unless the import's line carries ``noqa`` with the reason it stays.
+Running sums have one writer each: ``cumsum`` is called only in
+``ideals.marked_sums``, the walk of every carried sum, and in
+``fields.kronecker_table``, the integer prefix of chi_D; a ufunc's
+``accumulate`` only in ``NormCounter.sums_at``, the counter's read.
 """
 
 import ast
@@ -192,3 +196,32 @@ def _unread_imports() -> list[str]:
 
 def test_every_import_is_read_or_marked_noqa():
     assert _unread_imports() == []
+
+
+def _callers(method: str) -> set[str]:
+    """Qualified names "module.function" of the package's functions that
+    call ``method``, bare or as an attribute (``np.cumsum``, ``a.cumsum``,
+    ``np.add.accumulate``); ``itertools`` is left out."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Call)
+                  and ast.unparse(child.func).split(".")[-1] == method
+                  and not ast.unparse(child.func).startswith("itertools")):
+                found.add(".".join(scope))
+            visit(child, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem,))
+    return found
+
+
+def test_running_sums_have_one_writer_each():
+    assert _callers("cumsum") == {"ideals.marked_sums",
+                                  "fields.kronecker_table"}
+    assert _callers("accumulate") == {"ideals.NormCounter.sums_at"}
