@@ -42,8 +42,7 @@ from .families import (
     PrimePowerFamily,
     minimal_members,  # noqa: F401  (bench/spans.py traces this binding)
 )
-from .fields import (NumberField, first_prime_ideals, first_prime_norms,
-                     sample_grid)
+from .fields import NumberField, first_prime_ideals, sample_grid
 from .ideals import (
     Ideal,
     NormCounter,
@@ -238,7 +237,7 @@ def finite_ie_density(A: AFamily) -> Fraction:
         # share its block: C(n, 2) comparisons.
         lo, hi = A.intervals[0]
         top = max(lo, min(hi, 2 * lo + 1, A.truncation))
-        qs = first_prime_norms(A.field, 8).tolist()
+        qs = [pr.norm for pr in first_prime_ideals(A.field, 8)]
         try:
             H = ideal_counts(A.field, [x // q for q in qs for x in (top, lo)])
         except TooLarge:        # H out of reach: the full path decides

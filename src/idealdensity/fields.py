@@ -9,7 +9,9 @@ The rational primes come from a segmented sieve over the odd numbers,
 one bool block of ``_SIEVE_BLOCK`` odd numbers at a time, into one int64
 array; the splitting symbols (int8) and the prime-ideal norms are then
 built in pieces, so the prime layer holds its output arrays and a few
-blocks of fixed size.
+blocks of fixed size.  ``prime_norm_array`` builds the norms and keeps
+nothing; ``primes_up_to_norm`` keeps the prime ideals, and every prefix of
+the first k of them is read from it at the bounds 64, 256, 1024, ...
 
 ``euler_series`` is the package's one multiplicative sieve: it builds
 the ideal counts of ``ideals.count_ideals`` and, in ``_chi_series``
@@ -295,39 +297,34 @@ def _split_symbols(K: NumberField, ps: np.ndarray) -> np.ndarray:
     return s
 
 
-def _prime_norms(K: NumberField, X: int) -> np.ndarray:
-    # Norms of the prime ideals of norm <= X, ascending: a split p twice,
-    # a ramified p once, an inert p once as p^2 if p^2 <= X.  The inert
-    # p <= sqrt(X) are squared in place and repeated once, and np.repeat,
-    # which copies its counts to int64, runs piece by piece: no array but
-    # ps, its symbols and the norms is as long as the prime list.
-    ps = rational_primes_up_to(X)
-    if K.is_rational:
-        return ps
-    s = _split_symbols(K, ps)
-    r = int(np.searchsorted(ps, math.isqrt(X), side="right"))
-    inert = s[:r] == -1
-    np.square(ps[:r], out=ps[:r], where=inert)
-    s[:r][inert] = 0
-    s += 1                                      # copies of each p
-    norm = np.empty(int(s.sum(dtype=np.int64)), dtype=np.int64)
-    j = 0
-    for i in range(0, ps.size, _PIECE):
-        part = np.repeat(ps[i:i + _PIECE], s[i:i + _PIECE])
-        norm[j:j + part.size] = part
-        j += part.size
-    norm.sort()
-    return norm
-
-
-@lru_cache(maxsize=16)
 def prime_norm_array(K: NumberField, X: int) -> np.ndarray:
     """Norms of the prime ideals of O_K of norm <= X, one entry per prime
-    ideal, ascending (read-only int64 array): the one caller of the sieve.
-    Every list of prime ideals or of their norms reads this cache."""
+    ideal, ascending (read-only int64 array), uncached: the one builder
+    of prime-ideal norms.
+
+    A split p appears twice, a ramified p once, an inert p once as p^2 if
+    p^2 <= X.  The inert p <= sqrt(X) are squared in place and repeated
+    once, and np.repeat, which copies its counts to int64, runs piece by
+    piece: no array but the primes, their symbols and the norms is as long
+    as the prime list.
+    """
     if X < 1:
         raise ValueError("X must be >= 1")
-    norm = _prime_norms(K, X)
+    norm = ps = rational_primes_up_to(X)
+    if not K.is_rational:
+        s = _split_symbols(K, ps)
+        r = int(np.searchsorted(ps, math.isqrt(X), side="right"))
+        inert = s[:r] == -1
+        np.square(ps[:r], out=ps[:r], where=inert)
+        s[:r][inert] = 0
+        s += 1                                  # copies of each p
+        norm = np.empty(int(s.sum(dtype=np.int64)), dtype=np.int64)
+        j = 0
+        for i in range(0, ps.size, _PIECE):
+            part = np.repeat(ps[i:i + _PIECE], s[i:i + _PIECE])
+            norm[j:j + part.size] = part
+            j += part.size
+        norm.sort()
     norm.flags.writeable = False
     return norm
 
@@ -430,28 +427,18 @@ def kronecker_table(K: NumberField, n: int) -> tuple[np.ndarray, np.ndarray]:
     return chi, S
 
 
-def first_prime_norms(K: NumberField, k: int,
-                      bound: int | None = None) -> np.ndarray:
-    """Norms of the first k prime ideals in the global numbering, ascending
-    (read-only int64); with ``bound``, only those of norm <= bound, so
-    fewer than k when the bound is reached first."""
-    top = 64
-    while len(norm := prime_norm_array(K, top)) < k and (bound is None
-                                                         or top < bound):
-        top *= 4
-    if bound is not None:
-        k = min(k, int(np.searchsorted(norm, bound, side="right")))
-    return norm[:k]
-
-
 def first_prime_ideals(K: NumberField, k: int,
                        bound: int | None = None) -> tuple[PrimeIdeal, ...]:
     """The first k prime ideals in the deterministic global numbering; with
-    ``bound``, only those of norm <= bound."""
-    norm = first_prime_norms(K, k, bound)
-    if not norm.size:
-        return ()
-    return primes_up_to_norm(K, int(norm[-1]))[:norm.size]
+    ``bound``, only those of norm <= bound, so fewer than k when the bound
+    is reached first.  They are read off ``primes_up_to_norm`` at the first
+    of the bounds 64, 256, 1024, ... that holds k of them or reaches
+    ``bound``, so that every prefix shares a few cache entries."""
+    top = 64
+    while len(primes := primes_up_to_norm(K, top)) < k and (bound is None
+                                                            or top < bound):
+        top *= 4
+    return tuple(pr for pr in primes[:k] if bound is None or pr.norm <= bound)
 
 
 @lru_cache(maxsize=16)

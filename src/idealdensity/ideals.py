@@ -280,7 +280,10 @@ def count_ideals(K: NumberField, X: int) -> NormCounter:
     type: over Q the series of zeta, h = 1, though the package's own paths
     over Q use H(x) = x and build no counter.  H and L at the checkpoints
     are one ``marked_sums`` walk over h.  The cache holds at most 8
-    counters, about 8 * 2.4 bytes * X in all.
+    counters, and a counter is all that a call keeps (the prime norms are
+    not cached): a cold call over Q(sqrt -1) retains 2.38 bytes per norm
+    at 10^6 and 10^7 (tracemalloc), so the cache holds about
+    8 * 2.4 bytes * X in all.
     """
     if X < 1:
         raise ValueError("X must be >= 1")

@@ -5,8 +5,8 @@ terms h(k)/k^s.  Partial Euler products are summed in log space by
 ``math.fsum`` over float64 arrays, which rounds the sum correctly, so
 the order and the chunks it is read in do not change it.
 Every sum runs over blocks of norms or of prime ideals: no Python list
-or float array of length X is built beside the cached prime norms and
-ideal counts.
+or float array of length X is built beside the prime norms and the
+cached ideal counts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import SNotGreaterThanOne
-from .fields import (EULER_GAMMA, NumberField, first_prime_norms,
+from .fields import (EULER_GAMMA, NumberField, first_prime_ideals,
                      prime_norm_array, run_starts)
 from .ideals import count_ideals, ideal_counts, norm_blocks, pairwise_sum
 
@@ -52,9 +52,9 @@ def _euler_product(logs: np.ndarray) -> float:
 def euler_products_at(K: NumberField, cutoffs: list[int]) -> list[float]:
     """Partial Euler products over all prime ideals of norm <= c, for each c.
 
-    The cached prime-norm array at the largest cutoff, and one float64
-    array of log factors, serve every cutoff, one or many; each product
-    is the cutoff's prefix.
+    The prime-norm array at the largest cutoff, and one float64 array of
+    log factors, serve every cutoff, one or many; each product is the
+    cutoff's prefix.
     """
     if not cutoffs:
         return []
@@ -71,7 +71,8 @@ def partial_euler_product(K: NumberField, k: int) -> float:
     at norm cutoffs come from ``euler_products_at``."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _euler_product(_log_factors(first_prime_norms(K, k)))
+    norms = [pr.norm for pr in first_prime_ideals(K, k)]
+    return _euler_product(_log_factors(np.array(norms, dtype=np.int64)))
 
 
 def _zeta_terms(K: NumberField, X: int, s: float):

@@ -361,7 +361,7 @@ def test_prime_norms_match_scalar_splitting_at_block_edges(m):
     everything = scalar_prime_ideals(K, span + 1)
     for X in (span - 1, span, span + 1):
         expected = [pr for pr in everything if pr.norm <= X]
-        assert fields_module.prime_norm_array.__wrapped__(K, X).tolist() == [
+        assert fields_module.prime_norm_array(K, X).tolist() == [
             pr.norm for pr in expected]
         assert idd.primes_up_to_norm.__wrapped__(K, X) == tuple(expected)
 
@@ -376,7 +376,7 @@ def test_prime_norms_match_scalar_splitting_in_small_pieces(m, monkeypatch):
     everything = scalar_prime_ideals(K, 250)
     for X in range(1, 251):
         expected = [pr for pr in everything if pr.norm <= X]
-        assert fields_module.prime_norm_array.__wrapped__(K, X).tolist() == [
+        assert fields_module.prime_norm_array(K, X).tolist() == [
             pr.norm for pr in expected]
         assert idd.primes_up_to_norm.__wrapped__(K, X) == tuple(expected)
 
@@ -474,11 +474,12 @@ def test_splitting_by_residue_class_matches_scalar_kronecker(m, monkeypatch):
     chi, S = fields_module.kronecker_table(K, abs(D))    # cached from here
     euler_inputs = []
     euler = fields_module._symbols_at_primes
-    # A copy: _prime_norms squares the inert primes of its list in place.
+    # A copy: prime_norm_array squares the inert primes of its list in
+    # place.
     monkeypatch.setattr(fields_module, "_symbols_at_primes",
                         lambda D, ps: euler_inputs.append(ps.copy())
                         or euler(D, ps))
-    norm = fields_module._prime_norms(K, X)
+    norm = fields_module.prime_norm_array(K, X)
     ps = fields_module.rational_primes_up_to(X)
     # Euler's criterion ran once per class: on the primes below |D| only.
     assert np.concatenate(euler_inputs).tolist() == ps[ps < abs(D)].tolist()

@@ -128,14 +128,12 @@ def test_prime_layer_past_the_table_bound_builds_no_table(monkeypatch):
     # below the bound for the 900-odd primes in (|D|, 50000] too.
     monkeypatch.setattr(fields_module, "_CHI_ENTRIES_PER_PRIME", 10**9)
     K = idd.make_quadratic_field(10007)
-    norms = fields_module.prime_norm_array.__wrapped__(K, 50000)
+    norms = fields_module.prime_norm_array(K, 50000)
     H = idd.count_ideals.__wrapped__(K, 50000).H_of(50000)
     assert kronecker_table.cache_info().currsize >= 1
     monkeypatch.setattr(fields_module, "_CHI_TABLE_LIMIT", 10**4)
     kronecker_table.cache_clear()
-    fields_module.prime_norm_array.cache_clear()
-    assert np.array_equal(
-        fields_module.prime_norm_array.__wrapped__(K, 50000), norms)
+    assert np.array_equal(fields_module.prime_norm_array(K, 50000), norms)
     assert idd.count_ideals.__wrapped__(K, 50000).H_of(50000) == H
     assert kronecker_table.cache_info().currsize == 0
 
@@ -229,7 +227,7 @@ class TestSegmentedSieve:
         # 5.4 MB of norms; the bound is 1.05 times that (masks and int64
         # symbols as long as the prime list took 21 MB).
         K = idd.make_quadratic_field(5)
-        build = fields_module.prime_norm_array.__wrapped__
+        build = fields_module.prime_norm_array
         build(K, 1000)                  # warm: the class table of chi_D
         assert peak_bytes(build, K, 10**7) < 12e6
 
@@ -344,28 +342,37 @@ class TestPrimeNumbering:
     def test_first_primes_sieve_once_per_bound(self, m, monkeypatch):
         K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
         calls = []
-        sieve = fields_module._prime_norms
-        monkeypatch.setattr(fields_module, "_prime_norms",
+        sieve = fields_module.prime_norm_array
+        monkeypatch.setattr(fields_module, "prime_norm_array",
                             lambda K, X: calls.append(X) or sieve(K, X))
-        fields_module.prime_norm_array.cache_clear()
         idd.primes_up_to_norm.cache_clear()
-
-        def one_round():
-            first_prime_ideals(K, 100)
-            fields_module.first_prime_norms(K, 100)
-
-        one_round()
+        first_prime_ideals(K, 100)
         first = list(calls)
-        one_round()
-        one_round()
+        first_prime_ideals(K, 100)
+        first_prime_ideals(K, 100)
         assert calls == first                   # the later rounds read caches
         assert len(set(first)) == len(first)    # one sieve per bound
 
-    def test_first_prime_ideals_adds_one_cache_entry(self, Q):
+    def test_first_prime_ideals_read_fourfold_bounds(self, Q):
+        # The 18th prime is 61 < 64, the 54th 251 < 256, the 100th 541.
+        cache = idd.primes_up_to_norm
+        cache.cache_clear()
+        first_100 = list(primerange(2, 542))
+        for k in range(1, 101):
+            primes = first_prime_ideals(Q, k)
+            assert [pr.norm for pr in primes] == first_100[:k]
+        misses = cache.cache_info().misses
+        for X in (64, 256, 1024):
+            cache(Q, X)
+        assert cache.cache_info().misses == misses      # these keys held
+        assert cache.cache_info().currsize == 3         # and no other
+
+    def test_b_k_of_prime_squares_read_one_cache_entry(self, Q):
+        fam = idd.PrimePowerFamily(field=Q, l=2)
         idd.primes_up_to_norm.cache_clear()
-        primes = first_prime_ideals(Q, 100)
-        assert idd.primes_up_to_norm.cache_info().currsize <= 1
-        assert [pr.norm for pr in primes] == list(primerange(2, 542))
+        for k in range(1, 9):
+            idd.multiplicative_density(fam, k)
+        assert idd.primes_up_to_norm.cache_info().currsize == 1
 
     @pytest.mark.parametrize("m", [1, -1, -5, 5, 13])
     def test_norm_array_is_the_norm_column(self, m):
@@ -377,7 +384,7 @@ class TestPrimeNumbering:
 
     def test_norm_array_builds_only_the_norms(self):
         K = idd.make_quadratic_field(5)
-        build = fields_module.prime_norm_array.__wrapped__
+        build = fields_module.prime_norm_array
         build(K, 1000)                  # warm: the class table of chi_D
         # The norms themselves take 8 bytes per prime ideal, about 0.6 MB.
         assert peak_bytes(build, K, 10**6) < 4 * 10**6

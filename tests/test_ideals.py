@@ -393,13 +393,15 @@ class TestStoredCounts:
 
     def test_uncached_gaussian_counter_retains_under_2_5_bytes_per_norm(
             self, Qi):
+        # A cold call through the cache retains all that the layers keep:
         # h in int16 (2 bytes per norm), H in int32 and L in float64 at
-        # every 32nd norm: measured 2.38 * X, the bound 1.05 times that.
+        # every 32nd norm, and no prime norms: measured 2.38 * X, the bound
+        # 1.05 times that.
         X = 10**6
-        idd.fields.prime_norm_array(Qi, X)  # warm: cached on their own
+        idd.ideals.count_ideals.cache_clear()   # a miss that evicts nothing
         tracemalloc.start()
         try:
-            c = idd.ideals.count_ideals.__wrapped__(Qi, X)
+            c = idd.ideals.count_ideals(Qi, X)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

@@ -19,6 +19,9 @@ Running sums have one writer each: ``cumsum`` is called only in
 ``ideals.marked_sums``, the walk of every carried sum, and in
 ``fields.kronecker_table``, the integer prefix of chi_D; a ufunc's
 ``accumulate`` only in ``NormCounter.sums_at``, the counter's read.
+Every function under a ``functools`` cache is in ``CACHES`` with the
+traffic it serves: a cache keeps memory alive, and one that serves no
+repeated read is a builder.
 """
 
 import ast
@@ -40,6 +43,21 @@ KEPT = {
     "gaussian_lattice_H": _BENCH,
     "partial_euler_product": _BENCH,
     "_Parser.error": "argparse calls it on a usage error",
+}
+
+#: The package's cached functions, and the repeated reads each serves.
+CACHES = {
+    "count_ideals": "a quadratic field's counter at one bound, read again "
+                    "by every profile, zeta sum and harmonic sum there",
+    "rational_harmonic_prefix": "Q's harmonic prefix on one sample grid, "
+                                "read again by every Q profile on it",
+    "kronecker_table": "a field's chi_D table, read again by every "
+                       "prime-norm build past |D| and every ideal_counts",
+    "primes_up_to_norm": "a field's prime ideals to one bound, read again "
+                         "by prime-power members, enumerate_ideals and "
+                         "every first_prime_ideals prefix",
+    "class_number_imag_quadratic": "h(D), read again by every analytic "
+                                   "residue of the field",
 }
 
 #: Class fields that no package code reads, as "Class.field", and why
@@ -225,3 +243,20 @@ def test_running_sums_have_one_writer_each():
     assert _callers("cumsum") == {"ideals.marked_sums",
                                   "fields.kronecker_table"}
     assert _callers("accumulate") == {"ideals.NormCounter.sums_at"}
+
+
+def _cached_functions() -> set[str]:
+    """Names of the package's functions decorated by ``lru_cache`` or
+    ``cache``, called or bare, under any module prefix."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    ast.unparse(getattr(deco, "func", deco)).split(".")[-1]
+                    in ("lru_cache", "cache") for deco in fn.decorator_list):
+                found.add(fn.name)
+    return found
+
+
+def test_every_cache_is_listed_with_its_traffic():
+    assert sorted(_cached_functions()) == sorted(CACHES)
