@@ -49,7 +49,7 @@ class AFamily:
         return self.members_up_to(self.truncation)
 
     def first_members(self, r: int) -> list[Ideal]:
-        """The first r working members in norm order (all, if fewer)."""
+        """The first r >= 0 working members in norm order, all if fewer."""
         raise NotImplementedError
 
 
@@ -80,6 +80,8 @@ class ExplicitFamily(AFamily):
         return list(self.members)
 
     def first_members(self, r: int) -> list[Ideal]:
+        if r < 0:
+            raise ValueError(f"prefix length {r} must be >= 0")
         return list(self.members[:r])
 
 
@@ -144,6 +146,8 @@ class NormIntervalFamily(AFamily):
         return list(self._walk(bound))
 
     def first_members(self, r: int) -> list[Ideal]:
+        if r < 0:
+            raise ValueError(f"prefix length {r} must be >= 0")
         return list(islice(self._walk(self.truncation), r))
 
 

@@ -9,12 +9,11 @@ The rational primes come from a segmented sieve over the odd numbers,
 one bool block of ``_SIEVE_BLOCK`` odd numbers at a time, into one int64
 array; the splitting symbols (int8) and the prime-ideal norms are then
 built in pieces, so the prime layer holds its output arrays and a few
-blocks of fixed size.  ``prime_norm_array`` builds the norms and keeps
-nothing; ``primes_up_to_norm`` keeps the prime ideals, and every prefix of
-the first k of them is read from it at the bounds 64, 256, 1024, ...
+blocks of fixed size.  ``prime_norm_array`` builds the norms, the prime
+ideals are read off them, and nothing here is cached but h(D).
 
 ``euler_series`` is the package's one multiplicative sieve: it builds
-the ideal counts of ``ideals.count_ideals`` and, in ``_chi_series``
+the ideal counts of ``ideals.count_ideals`` and, in ``kronecker_table``
 alone, every chi_D table, refused past ``_CHI_TABLE_LIMIT`` entries; a
 field with |D| past that bound, or with too few primes >= |D| for a
 table, takes Euler's criterion at every prime.
@@ -106,8 +105,8 @@ _SIEVE_BLOCK = 1 << 17
 _PIECE = _SIEVE_BLOCK // 32
 #: Work bound on outside input: the trial divisors of factorint.
 _TRIAL_LIMIT = 10**6
-#: The one bound on chi_D tables, which ``_chi_series`` alone builds and
-#: refuses past this length, and the largest |D| of h(D).
+#: The one bound on chi_D tables, which ``kronecker_table`` alone builds
+#: and refuses past this length, and the largest |D| of h(D).
 _CHI_TABLE_LIMIT = 10**8
 #: Table entries that cost as much as Euler's criterion at one prime:
 #: about 35 ns an entry against 270 ns a prime at 10^6, 370 ns at 5*10^6.
@@ -281,19 +280,20 @@ def rational_primes_up_to(n: int) -> np.ndarray:
 
 def _split_symbols(K: NumberField, ps: np.ndarray) -> np.ndarray:
     # chi_D(p) at every prime of ps (ascending), as int8, in pieces: by
-    # Euler's criterion below |D|, and above from the cached table of the
-    # period |D| if there are |D| / _CHI_ENTRIES_PER_PRIME primes or more
-    # above it and |D| <= _CHI_TABLE_LIMIT; else Euler's criterion for all.
+    # Euler's criterion below |D|, and above from one table of the period
+    # |D| if there are |D| / _CHI_ENTRIES_PER_PRIME primes or more above it
+    # and |D| <= _CHI_TABLE_LIMIT; else Euler's criterion for all.
     D, n = K.discriminant, abs(K.discriminant)
     below = int(np.searchsorted(ps, n))
     if n > min((ps.size - below) * _CHI_ENTRIES_PER_PRIME, _CHI_TABLE_LIMIT):
         below = ps.size
+    chi = kronecker_table(K, n) if below < ps.size else None
     s = np.empty(ps.size, dtype=np.int8)
     for i in range(0, ps.size, _PIECE):
         part, k = ps[i:i + _PIECE], max(0, min(below - i, _PIECE))
         s[i:i + k] = _symbols_at_primes(D, part[:k])
         if k < part.size:
-            s[i + k:i + part.size] = kronecker_table(K, n)[0][part[k:] % n]
+            s[i + k:i + part.size] = chi[part[k:] % n]
     return s
 
 
@@ -329,19 +329,20 @@ def prime_norm_array(K: NumberField, X: int) -> np.ndarray:
     return norm
 
 
-@lru_cache(maxsize=16)
-def primes_up_to_norm(K: NumberField, X: int) -> tuple[PrimeIdeal, ...]:
-    """All prime ideals of O_K with norm <= X, sorted by (norm, p, index).
-
-    They are read off the norms: a square norm is p^2 for an inert p, and
-    a repeated norm is the second ideal above a split p.
-    """
-    norm = prime_norm_array(K, X)
+def _prime_ideals(norm: np.ndarray) -> tuple[PrimeIdeal, ...]:
+    # The prime ideals of ascending prime-ideal norms: a square norm is p^2
+    # for an inert p, a repeated one the second ideal above a split p.
     root = np.sqrt(norm).astype(np.int64)       # exact for squares < 2^53
     p = np.where(root * root == norm, root, norm)
     conj = np.zeros_like(norm)
     conj[1:] = norm[1:] == norm[:-1]
     return tuple(map(PrimeIdeal, norm.tolist(), p.tolist(), conj.tolist()))
+
+
+def primes_up_to_norm(K: NumberField, X: int) -> tuple[PrimeIdeal, ...]:
+    """All prime ideals of O_K with norm <= X, sorted by (norm, p, index),
+    read off ``prime_norm_array``; uncached."""
+    return _prime_ideals(prime_norm_array(K, X))
 
 
 def run_starts(a: np.ndarray) -> np.ndarray:
@@ -400,45 +401,38 @@ def euler_series(n: int, qs: np.ndarray, cs: np.ndarray,
     return a
 
 
-def _chi_series(K: NumberField, n: int) -> np.ndarray:
-    # chi[k] = (D/k) for 0 <= k < n <= |D| (int8, chi[0] = 0), uncached:
-    # chi_D is completely multiplicative, so chi is the ``euler_series`` of
-    # the primes p < n with c_p = chi_D(p), from Euler's criterion.  Its
-    # peak is 4 to 5 bytes per entry.  TooLarge past _CHI_TABLE_LIMIT
-    # entries, before any prime is sieved.
+def kronecker_table(K: NumberField, n: int) -> np.ndarray:
+    """chi[k] = (D/k), the Kronecker symbol, for 0 <= k < n <= |D|, D the
+    discriminant of the quadratic field K (read-only int8, chi[0] = 0),
+    uncached: chi_D is completely multiplicative, so chi is the
+    ``euler_series`` of the primes p < n with c_p = chi_D(p) by Euler's
+    criterion, at a peak of 4 to 5 bytes per entry.  TooLarge past
+    _CHI_TABLE_LIMIT entries, before any prime is sieved."""
     if not 1 <= n <= abs(K.discriminant):
         raise ValueError(f"table length {n} not in [1, |D|]")
     if n > _CHI_TABLE_LIMIT:
         raise TooLarge(f"{n} > {_CHI_TABLE_LIMIT} values of chi_D")
     ps = rational_primes_up_to(n - 1)
-    return euler_series(n, ps, _split_symbols(K, ps), np.int8)
-
-
-@lru_cache(maxsize=8)
-def kronecker_table(K: NumberField, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """chi[k] = (D/k), the Kronecker symbol, and S[k] = chi[1] + ... + chi[k]
-    for 0 <= k < n <= |D|, D the discriminant of the quadratic field K
-    (read-only arrays: chi int8, S the smallest signed integer type that
-    holds -n; chi[0] = 0), chi from ``_chi_series``.
-    """
-    chi = _chi_series(K, n)
-    S = np.cumsum(chi, dtype=np.min_scalar_type(-n))     # |S[k]| <= k < n
-    chi.flags.writeable = S.flags.writeable = False
-    return chi, S
+    chi = euler_series(n, ps, _split_symbols(K, ps), np.int8)
+    chi.flags.writeable = False
+    return chi
 
 
 def first_prime_ideals(K: NumberField, k: int,
                        bound: int | None = None) -> tuple[PrimeIdeal, ...]:
-    """The first k prime ideals in the deterministic global numbering; with
-    ``bound``, only those of norm <= bound, so fewer than k when the bound
-    is reached first.  They are read off ``primes_up_to_norm`` at the first
-    of the bounds 64, 256, 1024, ... that holds k of them or reaches
-    ``bound``, so that every prefix shares a few cache entries."""
+    """The first k >= 0 prime ideals in the deterministic global numbering;
+    with ``bound``, only those of norm <= bound, so fewer than k when the
+    bound is reached first.  Their norms are read off ``prime_norm_array``
+    at the first of the bounds 64, 256, 1024, ... that holds k of them or
+    reaches ``bound``, and only those k norms become prime ideals."""
+    if k < 0:
+        raise ValueError(f"prefix length {k} must be >= 0")
     top = 64
-    while len(primes := primes_up_to_norm(K, top)) < k and (bound is None
+    while (norms := prime_norm_array(K, top)).size < k and (bound is None
                                                             or top < bound):
         top *= 4
-    return tuple(pr for pr in primes[:k] if bound is None or pr.norm <= bound)
+    norms = norms[:k]
+    return _prime_ideals(norms if bound is None else norms[norms <= bound])
 
 
 @lru_cache(maxsize=16)
@@ -446,8 +440,8 @@ def class_number_imag_quadratic(D: int) -> int:
     """Class number h(D) by the class number formula (Davenport, ch. 6),
     h = w sum_{0<a<|D|/2} chi_D(a) / (2 (2 - chi_D(2))), w = unit_count.
 
-    chi_D is one ``_chi_series`` of |D|//2 + 1 entries, at least 3 so that
-    it holds chi_D(2), dropped on return.  Cached; TooLarge for
+    chi_D is one ``kronecker_table`` of |D|//2 + 1 entries, at least 3 so
+    that it holds chi_D(2), dropped on return.  Cached; TooLarge for
     |D| > _CHI_TABLE_LIMIT.
     """
     if D >= 0:
@@ -458,7 +452,7 @@ def class_number_imag_quadratic(D: int) -> int:
     if not _squarefree(m) or (K := make_quadratic_field(m)).discriminant != D:
         raise NotFundamental(f"D={D} is not a fundamental discriminant")
     half = -D // 2 + 1
-    chi = _chi_series(K, max(half, 3))
+    chi = kronecker_table(K, max(half, 3))
     return K.unit_count * int(chi[:half].sum()) // (2 * (2 - int(chi[2])))
 
 

@@ -312,9 +312,9 @@ def ideal_counts(K: NumberField, xs: Sequence[int]) -> list[int]:
         H(x) = sum_{d<=u} chi(d) floor(x/d) + sum_{m<=u} S(x // m) - u S(u),
 
     O(sqrt x) work per point, added over the blocks of ``norm_blocks(u)``.
-    chi_D and S are read from one ``fields.kronecker_table`` of length
-    min(|D|, max(xs) + 1), refused past 10^8 entries where it is built:
-    chi_D has period |D| and sums to 0 over it.
+    chi_D is one uncached ``fields.kronecker_table`` of length
+    min(|D|, max(xs) + 1), refused past 10^8 entries, and S its running
+    sums: chi_D has period |D| and sums to 0 over it.
     """
     xs = [max(int(x), 0) for x in xs]
     if K.is_rational or not xs:
@@ -322,7 +322,8 @@ def ideal_counts(K: NumberField, xs: Sequence[int]) -> list[int]:
     if max(xs) > _HYPERBOLA_LIMIT:
         raise TooLarge(f"H(x) is evaluated for x <= {_HYPERBOLA_LIMIT} only")
     n = min(abs(K.discriminant), max(xs) + 1)
-    chi, S = kronecker_table(K, n)
+    chi = kronecker_table(K, n)
+    S = np.cumsum(chi, dtype=np.min_scalar_type(-n))     # |S[k]| <= k < n
     out = []
     for x in xs:
         u = math.isqrt(x)

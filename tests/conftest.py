@@ -163,14 +163,20 @@ def trial_division_primes(n: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def peak_bytes(fn, *args, **kwargs) -> int:
-    """Peak bytes that tracemalloc sees allocated while fn(*args) runs."""
+def traced_bytes(fn, *args, **kwargs) -> tuple[int, int]:
+    """Bytes that tracemalloc sees held once fn(*args) has returned, its
+    result still alive, and the peak while it ran."""
     tracemalloc.start()
     try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
+        result = fn(*args, **kwargs)  # noqa: F841 - held while measured
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def peak_bytes(fn, *args, **kwargs) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn(*args) runs."""
+    return traced_bytes(fn, *args, **kwargs)[1]
 
 
 def enumeration_norm_counts(K, X: int) -> np.ndarray:

@@ -207,6 +207,19 @@ class TestFirstMembers:
         assert fam.first_members(10**9) == fam.members_up_to(100)
 
 
+@pytest.mark.parametrize("first", [
+    lambda Q, r: idd.fields.first_prime_ideals(Q, r),
+    lambda Q, r: idd.PrimePowerFamily(field=Q, l=2).first_members(r),
+    lambda Q, r: int_family(Q, 2, 3, 5).first_members(r),
+    lambda Q, r: idd.NormIntervalFamily(
+        field=Q, intervals=((1, 10),)).first_members(r),
+], ids=["first_prime_ideals", "prime_powers", "explicit", "norm_intervals"])
+def test_negative_prefix_lengths_are_refused(Q, first):
+    assert len(first(Q, 0)) == 0
+    with pytest.raises(ValueError, match="must be >= 0"):
+        first(Q, -1)
+
+
 class TestMinimalMembers:
     def test_drops_multiples(self, Q):
         fam = int_family(Q, 2, 4, 6, 9)

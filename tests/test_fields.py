@@ -92,14 +92,20 @@ class TestKronecker:
     @pytest.mark.parametrize("m", [-1, -3, -5, 5, 2, 13, -21, 3001])
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 3000])
     def test_table_is_the_symbol_and_its_prefix_sums(self, m, n):
+        # chi from the builder; its prefix sums S through ideal_counts,
+        # which reads a table of length n at max(xs) = n - 1, against
+        # H(x) = sum_{j <= x} S(x // j) with S from itertools.
         K = idd.make_quadratic_field(m)
         D = K.discriminant
         n = min(n, abs(D))
-        chi, S = kronecker_table(K, n)
+        chi = kronecker_table(K, n)
         expected = [kronecker_symbol(D, k) if k else 0 for k in range(n)]
         assert chi.tolist() == expected
-        assert S.tolist() == list(itertools.accumulate(expected))
-        assert not chi.flags.writeable and not S.flags.writeable
+        assert not chi.flags.writeable
+        S = list(itertools.accumulate(expected))
+        xs = range(n)                   # x = k reads S[k] at d = 1
+        assert idd.ideal_counts(K, xs) == [
+            sum(S[x // j] for j in range(1, x + 1)) for x in xs]
         with pytest.raises(ValueError):
             kronecker_table(K, abs(D) + 1)
 
@@ -115,10 +121,20 @@ class TestKronecker:
         monkeypatch.setattr(fields_module, "rational_primes_up_to",
                             lambda n: calls.append(n) or primes(n))
         K = idd.make_quadratic_field(1000003)
-        chi, _ = kronecker_table.__wrapped__(K, 20000)
+        chi = kronecker_table(K, 20000)
         assert calls == [19999]
         assert chi[-500:].tolist() == [kronecker_symbol(K.discriminant, k)
                                        for k in range(19500, 20000)]
+
+
+def record_tables(monkeypatch) -> list[int]:
+    """The lengths n of the ``kronecker_table`` calls made from here on,
+    in order."""
+    calls = []
+    build = fields_module.kronecker_table
+    monkeypatch.setattr(fields_module, "kronecker_table",
+                        lambda K, n: calls.append(n) or build(K, n))
+    return calls
 
 
 def test_prime_layer_past_the_table_bound_builds_no_table(monkeypatch):
@@ -128,22 +144,32 @@ def test_prime_layer_past_the_table_bound_builds_no_table(monkeypatch):
     # below the bound for the 900-odd primes in (|D|, 50000] too.
     monkeypatch.setattr(fields_module, "_CHI_ENTRIES_PER_PRIME", 10**9)
     K = idd.make_quadratic_field(10007)
+    tables = record_tables(monkeypatch)
     norms = fields_module.prime_norm_array(K, 50000)
     H = idd.count_ideals.__wrapped__(K, 50000).H_of(50000)
-    assert kronecker_table.cache_info().currsize >= 1
+    assert tables == [40028, 40028]
     monkeypatch.setattr(fields_module, "_CHI_TABLE_LIMIT", 10**4)
-    kronecker_table.cache_clear()
+    tables.clear()
     assert np.array_equal(fields_module.prime_norm_array(K, 50000), norms)
     assert idd.count_ideals.__wrapped__(K, 50000).H_of(50000) == H
-    assert kronecker_table.cache_info().currsize == 0
+    assert tables == []
 
 
-def test_split_symbols_take_euler_where_the_table_serves_few_primes():
+def test_prime_norms_build_one_table_per_call(monkeypatch):
+    # The 78498 primes <= 10^6 take 20 pieces, all past |D| = 5 but 2 and
+    # 3: every piece reads the one table built before the first.
+    tables = record_tables(monkeypatch)
+    fields_module.prime_norm_array(idd.make_quadratic_field(5), 10**6)
+    assert tables == [5]
+
+
+def test_split_symbols_take_euler_where_the_table_serves_few_primes(
+        monkeypatch):
     # D = 400012: of the primes <= 5 * 10^5 about 7700 are >= |D|, fewer
     # than one per _CHI_ENTRIES_PER_PRIME entries of a table, so every
-    # prime takes Euler's criterion and no table is cached.  A small |D|
-    # serves nearly every prime from its cached table.
-    kronecker_table.cache_clear()
+    # prime takes Euler's criterion and no table is built.  A small |D|
+    # serves nearly every prime from its one table.
+    tables = record_tables(monkeypatch)
     K = idd.make_quadratic_field(100003)
     ps = fields_module.rational_primes_up_to(5 * 10**5)
     symbols = fields_module._split_symbols(K, ps)
@@ -152,10 +178,10 @@ def test_split_symbols_take_euler_where_the_table_serves_few_primes():
         for part in np.array_split(ps, 8)]))
     assert [int(symbols[i]) for i in (0, 1, -2, -1)] == [
         kronecker_symbol(K.discriminant, int(ps[i])) for i in (0, 1, -2, -1)]
-    assert kronecker_table.cache_info().currsize == 0
+    assert tables == []
     small = idd.make_quadratic_field(-5)
     symbols = fields_module._split_symbols(small, ps)
-    assert kronecker_table.cache_info().currsize == 1
+    assert tables == [20]
     assert symbols[-500:].tolist() == [
         kronecker_symbol(small.discriminant, p) for p in ps[-500:].tolist()]
 
@@ -338,41 +364,41 @@ class TestPrimeNumbering:
         small = idd.primes_up_to_norm(K, 80)
         assert tuple(pr for pr in big if pr.norm <= 80) == small
 
-    @pytest.mark.parametrize("m", [1, -1])
-    def test_first_primes_sieve_once_per_bound(self, m, monkeypatch):
-        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+    @staticmethod
+    def record_bounds(monkeypatch) -> list[int]:
+        """The bounds X of the ``prime_norm_array`` calls made from here
+        on, in order."""
         calls = []
         sieve = fields_module.prime_norm_array
         monkeypatch.setattr(fields_module, "prime_norm_array",
                             lambda K, X: calls.append(X) or sieve(K, X))
-        idd.primes_up_to_norm.cache_clear()
-        first_prime_ideals(K, 100)
-        first = list(calls)
-        first_prime_ideals(K, 100)
-        first_prime_ideals(K, 100)
-        assert calls == first                   # the later rounds read caches
-        assert len(set(first)) == len(first)    # one sieve per bound
+        return calls
 
-    def test_first_prime_ideals_read_fourfold_bounds(self, Q):
+    @pytest.mark.parametrize("m", [1, -1])
+    def test_first_primes_sieve_once_per_bound(self, m, monkeypatch):
+        # The 100th prime ideal has norm 541 over Q and over Q(i).
+        K = idd.make_rational_field() if m == 1 else idd.make_quadratic_field(m)
+        calls = self.record_bounds(monkeypatch)
+        for _ in range(3):
+            calls.clear()
+            first_prime_ideals(K, 100)
+            assert calls == [64, 256, 1024]     # one sieve per bound
+
+    def test_first_prime_ideals_read_fourfold_bounds(self, Q, monkeypatch):
         # The 18th prime is 61 < 64, the 54th 251 < 256, the 100th 541.
-        cache = idd.primes_up_to_norm
-        cache.cache_clear()
+        calls = self.record_bounds(monkeypatch)
         first_100 = list(primerange(2, 542))
         for k in range(1, 101):
             primes = first_prime_ideals(Q, k)
             assert [pr.norm for pr in primes] == first_100[:k]
-        misses = cache.cache_info().misses
-        for X in (64, 256, 1024):
-            cache(Q, X)
-        assert cache.cache_info().misses == misses      # these keys held
-        assert cache.cache_info().currsize == 3         # and no other
+        assert sorted(set(calls)) == [64, 256, 1024]
 
-    def test_b_k_of_prime_squares_read_one_cache_entry(self, Q):
+    def test_b_k_of_prime_squares_read_one_bound(self, Q, monkeypatch):
         fam = idd.PrimePowerFamily(field=Q, l=2)
-        idd.primes_up_to_norm.cache_clear()
+        calls = self.record_bounds(monkeypatch)
         for k in range(1, 9):
             idd.multiplicative_density(fam, k)
-        assert idd.primes_up_to_norm.cache_info().currsize == 1
+        assert set(calls) == {64}
 
     @pytest.mark.parametrize("m", [1, -1, -5, 5, 13])
     def test_norm_array_is_the_norm_column(self, m):
@@ -430,14 +456,14 @@ class TestClassNumber:
                 with pytest.raises(NotFundamental):
                     idd.class_number_imag_quadratic(D)
 
-    def test_table_is_dropped_and_not_cached(self):
-        # One int8 table of |D|//2 + 1 entries, built beside the primes
-        # below its length, which the kronecker_table cache does not keep.
+    def test_table_is_dropped_and_not_cached(self, monkeypatch):
+        # One int8 table of |D|//2 + 1 entries from the one chi_D builder,
+        # built beside the primes below its length and dropped on return.
         D = -4000004
-        before = kronecker_table.cache_info().currsize
+        tables = record_tables(monkeypatch)
         build = fields_module.class_number_imag_quadratic.__wrapped__
         assert peak_bytes(build, D) < 6 * (-D // 2 + 1)
-        assert kronecker_table.cache_info().currsize == before
+        assert tables == [-D // 2 + 1]
 
     def test_refused_before_the_sieve(self, monkeypatch):
         # 10007 is prime, so D = -10007 is fundamental; it is refused by

@@ -23,7 +23,7 @@ from idealdensity.ideals import (
 
 from conftest import (enumeration_norm_counts, full_H_and_L,
                       gaussian_lattice_counts, gcd, int_family, multiply,
-                      unit_ideal)
+                      traced_bytes, unit_ideal)
 
 
 def p2(Qi):
@@ -291,6 +291,13 @@ class TestPointCounts:
         monkeypatch.setattr(idd.fields, "rational_primes_up_to", None)
         with pytest.raises(TooLarge, match="40028"):
             idd.ideal_counts(K, [10**6])
+
+    def test_chi_table_is_not_kept(self):
+        # |D| = 4000012: a table of |D| entries and its prefix sums, about
+        # 20 MB, are dropped on return.
+        K = idd.make_quadratic_field(1000003)
+        held, _ = traced_bytes(idd.ideal_counts, K, [10**9])
+        assert held < 10**5
 
 
 def test_run_starts_is_unique_on_the_sample_grids():

@@ -17,15 +17,20 @@ Every name that a module-level import binds is read in its module,
 unless the import's line carries ``noqa`` with the reason it stays.
 Running sums have one writer each: ``cumsum`` is called only in
 ``ideals.marked_sums``, the walk of every carried sum, and in
-``fields.kronecker_table``, the integer prefix of chi_D; a ufunc's
+``ideals.ideal_counts``, the integer prefix of chi_D; a ufunc's
 ``accumulate`` only in ``NormCounter.sums_at``, the counter's read.
 Every function under a ``functools`` cache is in ``CACHES`` with the
-traffic it serves: a cache keeps memory alive, and one that serves no
-repeated read is a builder.
+traffic it serves, and a test drives that traffic and sees the cache
+hit: a cache keeps memory alive, and one that serves no repeated read is
+a builder.
 """
 
 import ast
 from pathlib import Path
+
+import idealdensity as idd
+from idealdensity.cli import main
+from idealdensity.ideals import rational_harmonic_prefix
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "idealdensity"
 
@@ -51,11 +56,6 @@ CACHES = {
                     "by every profile, zeta sum and harmonic sum there",
     "rational_harmonic_prefix": "Q's harmonic prefix on one sample grid, "
                                 "read again by every Q profile on it",
-    "kronecker_table": "a field's chi_D table, read again by every "
-                       "prime-norm build past |D| and every ideal_counts",
-    "primes_up_to_norm": "a field's prime ideals to one bound, read again "
-                         "by prime-power members, enumerate_ideals and "
-                         "every first_prime_ideals prefix",
     "class_number_imag_quadratic": "h(D), read again by every analytic "
                                    "residue of the field",
 }
@@ -241,7 +241,7 @@ def _callers(method: str) -> set[str]:
 
 def test_running_sums_have_one_writer_each():
     assert _callers("cumsum") == {"ideals.marked_sums",
-                                  "fields.kronecker_table"}
+                                  "ideals.ideal_counts"}
     assert _callers("accumulate") == {"ideals.NormCounter.sums_at"}
 
 
@@ -260,3 +260,28 @@ def _cached_functions() -> set[str]:
 
 def test_every_cache_is_listed_with_its_traffic():
     assert sorted(_cached_functions()) == sorted(CACHES)
+
+
+def test_every_cache_serves_its_named_traffic(capsys):
+    # Each entry of CACHES, cleared, then the traffic it names.
+    def profiles(K):
+        """Two profiles of the field K at one X, on one sample grid."""
+        for l in (2, 4):
+            idd.density_profile(idd.PrimePowerFamily(field=K, l=l), X=3000)
+
+    traffic = {
+        "count_ideals": (
+            idd.count_ideals, lambda: profiles(idd.make_quadratic_field(-1))),
+        "rational_harmonic_prefix": (
+            rational_harmonic_prefix,
+            lambda: profiles(idd.make_rational_field())),
+        "class_number_imag_quadratic": (
+            idd.class_number_imag_quadratic,
+            lambda: main(["field-info", "--field", "Q(sqrt -5)"])),
+    }
+    assert sorted(traffic) == sorted(CACHES)
+    for name, (cache, run) in traffic.items():
+        cache.cache_clear()
+        run()
+        assert cache.cache_info().hits >= 1, name
+    assert "class_number: 2" in capsys.readouterr().out

@@ -11,7 +11,7 @@ from idealdensity.fields import (EULER_GAMMA, first_prime_ideals,
                                  prime_norm_array, run_starts)
 from idealdensity.ideals import _L_BLOCK, norm_blocks
 
-from conftest import peak_bytes, rankin_tail_bound
+from conftest import peak_bytes, rankin_tail_bound, traced_bytes
 
 #: Norms per block of the sums over norms.
 B = _L_BLOCK
@@ -135,6 +135,14 @@ class TestEulerProduct:
     def test_argument_validation(self, Q):
         with pytest.raises(ValueError):
             idd.partial_euler_product(Q, k=-1)
+
+    def test_first_k_primes_leave_nothing_held(self, Q):
+        # The first 10^5 norms are read at the bound 64 * 4^8 = 4194304,
+        # which holds 295947 primes, and only they become prime ideals;
+        # nothing is kept.
+        held, peak = traced_bytes(idd.partial_euler_product, Q, 10**5)
+        assert held < 10**5
+        assert peak < 40 * 10**6
 
 
 def _restricted_harmonic_sum(K, k, bound):
